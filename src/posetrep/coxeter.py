@@ -86,24 +86,6 @@ def fminus_dim(p: PrimitivePoset, d: DimVector) -> DimVector:
     return rho_dim(p, sigma_dim(p, d))
 
 
-def fplus_closed_form(p: PrimitivePoset, d: DimVector) -> DimVector:
-    """The displayed closed form of the upward transform, for cross-checks:
-    d0' = sum_j d_k^(j) - d0; branch j entry i = sum_{l != j} d_k^(l) - d0
-    + d_{i-1}^(j) with d_0 := 0."""
-    _require_admissible(p, d)
-    tops = [b[-1] for b in d.branches]
-    total = sum(tops)
-    d0_new = total - d.d0
-    branches = []
-    for j, b in enumerate(d.branches):
-        rest = total - tops[j]
-        branches.append(
-            tuple(rest - d.d0 + (b[i - 1] if i >= 1 else 0) for i in range(len(b)))
-        )
-    out = DimVector(d0_new, tuple(branches))
-    return out
-
-
 def phiplus_weight(p: PrimitivePoset, w: SymbolicWeight) -> SymbolicWeight:
     """Symbolic weight transform matching fplus_dim: branch j becomes
     (g - A_j, a_1, ..., a_{k-1}) and g -> (m-1)g - sum_j a_k^(j)."""

@@ -16,14 +16,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
-from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch, Weight
+from .core import (
+    GAMMA_KEY,
+    DimVector,
+    PosetRepError,
+    PrimitivePoset,
+    ShapeMismatch,
+    Weight,
+    trace_condition,
+)
 
 
 class TraceObstruction(PosetRepError):
     """The necessary trace equality fails; no witness can exist."""
+
+
+class InvalidRestarts(PosetRepError):
+    """unitarize needs at least one restart."""
 
 
 class NoConvergence(PosetRepError):
@@ -65,13 +78,16 @@ class NumericRep:
 
 
 def trace_precheck(p: PrimitivePoset, d: DimVector, w: Weight) -> None:
-    """Exact O(n) necessary condition: sum_i a_i d_i = g d0."""
-    d.require_fits(p)
+    """Exact O(n) necessary condition `core.trace_condition`:
+    sum_i a_i d_i = g d0."""
+    form = trace_condition(p, d).form
     w.require_fits(p)
-    total = Fraction(0)
-    for j, i in p.elements():
-        total += w.entry(j, i) * d.entry(j, i)
-    if total != w.gamma * d.d0:
+    value = form.evaluate(w)
+    if value != 0:
+        # the stored form is (sum d_i a_i - d0 g) / gcd(d), negated when every
+        # d_i is 0; gcd(d) times its alpha part is sum a*d in both cases
+        alpha_part = value - form.coeff(GAMMA_KEY) * w.gamma
+        total = gcd(d.d0, *(e for b in d.branches for e in b)) * alpha_part
         raise TraceObstruction(
             f"trace obstruction: sum a*d = {total} but g*d0 = {w.gamma * d.d0}"
         )
@@ -135,6 +151,8 @@ def unitarize(
 ) -> NumericRep:
     """Find projections onto nested subspaces of the stated dimensions
     satisfying the weighted sum relation up to success_tol * g * sqrt(d0)."""
+    if restarts < 1:
+        raise InvalidRestarts(f"restarts must be at least 1, got {restarts}")
     trace_precheck(p, d, w)
     if not d.is_admissible(p):
         raise ShapeMismatch(f"dimension vector {d} is not chain-monotone")

@@ -2,24 +2,27 @@
 roots, finite-type detection and enumeration of indecomposable dimension
 vectors.
 
-Positive roots are computed twice, by a bounded exhaustive scan and by
-reflection closure of the simple roots, and the two enumerations must
-agree; `enumerate_indec_dims` then keeps the roots whose coordinates are
+Positive roots are the closure of the simple roots under the simple
+reflections (the Bernstein-Gelfand-Ponomarev orbit), polynomial in the
+number of vertices; posets above `MAX_ELEMENTS` elements are rejected.
+`enumerate_indec_dims` then keeps the roots whose coordinates are
 chain-monotone and reads them as dimension vectors.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch
 
 IntVector = tuple[int, ...]
+
+# Largest poset (number of elements) whose roots are computed.  A star with
+# n vertices has O(n^2) positive roots and the closure does O(n^2) work per
+# root, so this keeps every enumeration to about a second.
+MAX_ELEMENTS = 64
 
 
 class NotDynkin(PosetRepError):
@@ -28,6 +31,10 @@ class NotDynkin(PosetRepError):
 
 class FiniteTypeRequired(PosetRepError):
     """Operation only defined for posets of finite representation type."""
+
+
+class PosetTooLarge(PosetRepError):
+    """Poset has more than MAX_ELEMENTS elements."""
 
 
 @dataclass(frozen=True)
@@ -69,51 +76,10 @@ def tits_form(g: StarGraph, x: IntVector) -> int:
 
 
 def is_finite_type(p: PrimitivePoset) -> bool:
-    """Finite representation type, decided two ways that must agree:
-    membership in the classification list and the star Dynkin criterion."""
-    ks = tuple(sorted(p.branches, reverse=True))
-    m = len(ks)
-    by_list = (
-        m <= 2
-        or (m == 3 and (ks[1:] == (1, 1) or ks in ((2, 2, 1), (3, 2, 1), (4, 2, 1))))
-    )
-    by_star = m <= 2 or (
-        m == 3 and sum(Fraction(1, k + 1) for k in ks) > 1
-    )
-    assert by_list == by_star, f"finite-type criteria disagree on {p.branches}"
-    return by_list
-
-
-def _scan_bound(p: PrimitivePoset) -> int:
-    # 6 covers the largest highest-root coefficient of the exceptional
-    # shapes; the chain and (k,1,1) shapes never exceed 2.
-    ks = tuple(sorted(p.branches, reverse=True))
-    if len(ks) == 3 and ks[1] == 2:
-        return 6
-    return 2
-
-
-def _scan_roots(g: StarGraph, bound: int) -> frozenset[IntVector]:
-    """All x in [0, bound]^V with x != 0 and q(x) = 1, by brute force."""
-    n = g.nvertices
-    width = bound + 1
-    tail = n
-    block = 1
-    while tail > 0 and block * width <= 1 << 21:
-        block *= width
-        tail -= 1
-    grid = np.indices((width,) * (n - tail)).reshape(n - tail, -1).T
-    roots: set[IntVector] = set()
-    for prefix in itertools.product(range(width), repeat=tail):
-        x = np.empty((grid.shape[0], n), dtype=np.int64)
-        x[:, :tail] = prefix
-        x[:, tail:] = grid
-        q = (x * x).sum(axis=1)
-        for u, w in g.edges:
-            q -= x[:, u] * x[:, w]
-        for row in x[q == 1]:
-            roots.add(tuple(int(v) for v in row))
-    return frozenset(roots)
+    """Finite representation type: the star graph is Dynkin, i.e. at most
+    two branches, or three with 1/(k1+1) + 1/(k2+1) + 1/(k3+1) > 1."""
+    m = p.width
+    return m <= 2 or (m == 3 and sum(Fraction(1, k + 1) for k in p.branches) > 1)
 
 
 def _reflection_closure(g: StarGraph) -> frozenset[IntVector]:
@@ -142,21 +108,19 @@ def _reflection_closure(g: StarGraph) -> frozenset[IntVector]:
 @cache
 def _positive_roots(branches: tuple[int, ...]) -> frozenset[IntVector]:
     p = PrimitivePoset(branches)
+    if p.n > MAX_ELEMENTS:
+        raise PosetTooLarge(
+            f"poset {branches} has {p.n} elements; at most {MAX_ELEMENTS} are supported"
+        )
     if not is_finite_type(p):
         raise NotDynkin(f"graph of poset {branches} is not a Dynkin diagram")
-    g = star_graph(p)
-    scanned = _scan_roots(g, _scan_bound(p))
-    reflected = _reflection_closure(g)
-    if scanned != reflected:
-        raise PosetRepError(
-            f"root enumerations disagree for {branches}: "
-            f"scan {len(scanned)} vs closure {len(reflected)}"
-        )
-    return scanned
+    return _reflection_closure(star_graph(p))
 
 
 def positive_roots(g: StarGraph) -> frozenset[IntVector]:
-    """The positive roots of g, checked against two independent methods."""
+    """The positive roots of g, by reflection closure of the simple roots;
+    raises NotDynkin for infinite type and PosetTooLarge above
+    MAX_ELEMENTS poset elements."""
     return _positive_roots(g.poset.branches)
 
 
@@ -180,7 +144,7 @@ def enumerate_indec_dims(p: PrimitivePoset) -> tuple[DimVector, ...]:
     if not is_finite_type(p):
         raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
     dims = []
-    for x in positive_roots(star_graph(p)):
+    for x in _positive_roots(p.branches):
         d = root_to_dim(p, x)
         if d.is_admissible(p):
             dims.append(d)

@@ -37,7 +37,6 @@ from posetrep.derive import (
     generate_table,
     interior_point,
     paper_corpus,
-    verify_tables,
 )
 from posetrep.linrep import (
     are_isomorphic,
@@ -60,10 +59,8 @@ def table421():
     return table, time.monotonic() - start
 
 
-def test_criterion_1_table_reproduction():
-    start = time.monotonic()
-    report = verify_tables()
-    elapsed = time.monotonic() - start
+def test_criterion_1_table_reproduction(verify_report):
+    report, elapsed = verify_report
     per_poset = {}
     for row in report.rows:
         per_poset.setdefault(row.poset, []).append(row)
@@ -85,7 +82,7 @@ def test_criterion_2_enumeration():
         ((1, 1, 1), 12), ((2, 1, 1), 20), ((2, 2, 1), 36),
         ((3, 2, 1), 63), ((4, 2, 1), 120),
     ]:
-        # positive_roots itself raises if scan and reflection closure differ
+        # test_roots compares these roots with an exhaustive box scan
         counts[branches] = len(positive_roots(star_graph(make_poset(branches))))
         assert counts[branches] == expected
     print(f"\nACCEPTANCE 2: PASS enumeration sets match; root counts {list(counts.values())}")

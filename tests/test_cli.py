@@ -27,6 +27,16 @@ def test_enumerate_text_and_json_agree(capsys):
     assert from_json == from_text
 
 
+def test_enumerate_poset_size_limit(capsys):
+    for poset, count in [("8,8", 81), ("9,9", 100), ("64", 65)]:
+        code, out, _ = _run(capsys, "enumerate", "--poset", poset)
+        assert code == 0 and len(out.splitlines()) == count
+    for poset in ["65", "63,1,1", "1000000000"]:
+        code, out, err = _run(capsys, "enumerate", "--poset", poset)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "at most 64 are supported" in err
+
+
 def test_conditions_text(capsys):
     code, out, _ = _run(capsys, "conditions", "--poset", "1,1,1", "--dim", "1;1;1;2")
     assert code == 0
@@ -96,6 +106,16 @@ def test_unitarize_success_and_obstruction(tmp_path, capsys):
         "--weight", "3;2;2;3",
     )
     assert code == 2 and "trace obstruction" in err
+
+
+def test_unitarize_rejects_restarts_below_one(capsys):
+    for restarts in ["0", "-1"]:
+        code, out, err = _run(
+            capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+            "--weight", "1;1;1;3/2", "--restarts", restarts,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: restarts must be at least 1, got {restarts}\n"
 
 
 def test_coxeter_dim_steps(capsys):

@@ -23,7 +23,6 @@ from posetrep.coxeter import (
     alpha_to_beta,
     beta_to_alpha,
     fminus_dim,
-    fplus_closed_form,
     fplus_dim,
     phiminus_concrete,
     phiminus_weight,
@@ -34,6 +33,22 @@ from posetrep.coxeter import (
 from posetrep.roots import enumerate_indec_dims
 
 FINITE_POSETS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1), (3,), (2, 2)]
+
+
+def fplus_closed_form(p: PrimitivePoset, d: DimVector) -> DimVector:
+    """Oracle: the displayed closed form of the upward transform,
+    d0' = sum_j d_k^(j) - d0; branch j entry i = sum_{l != j} d_k^(l) - d0
+    + d_{i-1}^(j) with d_0 := 0."""
+    assert d.is_admissible(p)
+    tops = [b[-1] for b in d.branches]
+    total = sum(tops)
+    branches = []
+    for j, b in enumerate(d.branches):
+        rest = total - tops[j]
+        branches.append(
+            tuple(rest - d.d0 + (b[i - 1] if i >= 1 else 0) for i in range(len(b)))
+        )
+    return DimVector(total - d.d0, tuple(branches))
 
 
 def test_sigma_examples():

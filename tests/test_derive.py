@@ -21,7 +21,6 @@ from posetrep.derive import (
     paper_corpus,
     regions_equivalent,
     simplify,
-    verify_tables,
 )
 from posetrep.roots import FiniteTypeRequired, enumerate_indec_dims, positive_roots, star_graph
 
@@ -180,8 +179,8 @@ def test_corpus_equalities_equal_trace_condition():
             assert eqs[0] == trace_condition(p, row.dim)
 
 
-def test_verify_small_tables():
-    report = verify_tables()
+def test_verify_small_tables(verify_report):
+    report, _ = verify_report
     small = [r for r in report.rows if r.poset in ((1, 1, 1), (2, 1, 1))]
     assert len(small) == 24
     assert all(r.equivalent for r in small)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from posetrep.core import make_poset, parse_dim_string
@@ -16,6 +17,46 @@ from posetrep.roots import (
     star_graph,
     tits_form,
 )
+
+
+def _scan_bound(branches) -> int:
+    # 6 covers the largest highest-root coefficient of the exceptional
+    # shapes; the chain and (k,1,1) shapes never exceed 2.
+    ks = tuple(sorted(branches, reverse=True))
+    if len(ks) == 3 and ks[1] == 2:
+        return 6
+    return 2
+
+
+def _scan_roots(g, bound: int) -> frozenset:
+    """Oracle: all x in [0, bound]^V with x != 0 and q(x) = 1, by brute
+    force over the whole box (3^n vectors for the chain and (k,1,1) shapes)."""
+    n = g.nvertices
+    width = bound + 1
+    tail = n
+    block = 1
+    while tail > 0 and block * width <= 1 << 18:
+        block *= width
+        tail -= 1
+    grid = np.indices((width,) * (n - tail)).reshape(n - tail, -1).T
+    roots = set()
+    for prefix in itertools.product(range(width), repeat=tail):
+        x = np.empty((grid.shape[0], n), dtype=np.int64)
+        x[:, :tail] = prefix
+        x[:, tail:] = grid
+        q = (x * x).sum(axis=1)
+        for u, w in g.edges:
+            q -= x[:, u] * x[:, w]
+        for row in x[q == 1]:
+            roots.add(tuple(int(v) for v in row))
+    return frozenset(roots)
+
+
+def _finite_by_list(branches) -> bool:
+    """Oracle: the classification list of width-3 primitive posets of
+    finite type."""
+    ks = tuple(sorted(branches, reverse=True))
+    return ks[1:] == (1, 1) or ks in ((2, 2, 1), (3, 2, 1), (4, 2, 1))
 
 
 def test_star_graph_shapes():
@@ -41,17 +82,24 @@ def test_tits_form():
 
 
 def test_root_counts_dual_oracle():
+    # D_n has n(n-1) positive roots, A_n has n(n+1)/2
     expected = {
         (1, 1, 1): 12,
         (2, 1, 1): 20,
         (2, 2, 1): 36,
         (3, 2, 1): 63,
         (4, 2, 1): 120,
+        (3, 1, 1): 6 * 5,
+        (5, 1, 1): 8 * 7,
+        (3, 3): 7 * 8 // 2,
+        (4, 2): 7 * 8 // 2,
+        (5,): 6 * 7 // 2,
     }
     for branches, count in expected.items():
-        roots = positive_roots(star_graph(make_poset(branches)))
-        assert len(roots) == count
         g = star_graph(make_poset(branches))
+        roots = positive_roots(g)
+        assert len(roots) == count
+        assert roots == _scan_roots(g, _scan_bound(branches))
         assert all(tits_form(g, x) == 1 for x in roots)
         assert all(min(x) >= 0 and max(x) > 0 for x in roots)
 
@@ -65,6 +113,10 @@ def test_is_finite_type():
     for branches in [(3,), (5, 7), (9, 1, 1), (1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1)]:
         assert is_finite_type(make_poset(branches))
     for branches in [(5, 2, 1), (1, 1, 1, 1), (2, 2, 2), (3, 3, 2), (3, 3, 1), (2, 2, 1, 1)]:
+        assert not is_finite_type(make_poset(branches))
+    for branches in itertools.product(range(1, 9), repeat=3):
+        assert is_finite_type(make_poset(branches)) == _finite_by_list(branches), branches
+    for branches in itertools.product(range(1, 9), repeat=4):
         assert not is_finite_type(make_poset(branches))
 
 

@@ -162,8 +162,25 @@ def format_dim_string(d: DimVector) -> str:
     return ";".join(",".join(str(e) for e in b) for b in d.branches) + f";{d.d0}"
 
 
+# Longest numeral, and largest decimal exponent in magnitude, that a weight
+# string may carry: Fraction("1e1000000") builds a million-digit integer.
+MAX_NUMERAL = 4300
+
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def _numeral(s: str) -> Fraction:
+    """Fraction(s) for a numeral within the MAX_NUMERAL bounds."""
+    if len(s) > MAX_NUMERAL:
+        raise ShapeMismatch(f"numeral longer than {MAX_NUMERAL} characters")
+    m = _EXPONENT_RE.search(s)
+    if m is not None and abs(int(m.group(1))) > MAX_NUMERAL:
+        raise ShapeMismatch(f"numeral exponent above {MAX_NUMERAL} in magnitude")
+    return Fraction(s)
+
+
 def _positive_fraction(x, what: str) -> Fraction:
-    v = Fraction(x)
+    v = _numeral(x) if isinstance(x, str) else Fraction(x)
     if v <= 0:
         raise NonPositiveWeight(f"{what} must be positive, got {v}")
     return v
@@ -225,8 +242,8 @@ def parse_weight_string(s: str) -> Weight:
     if len(fields) < 2:
         raise ShapeMismatch(f"weight string needs at least one branch and gamma: {s!r}")
     try:
-        gamma = Fraction(fields[-1])
-        alphas = tuple(tuple(Fraction(x) for x in f.split(",")) for f in fields[:-1])
+        gamma = _numeral(fields[-1])
+        alphas = tuple(tuple(_numeral(x) for x in f.split(",")) for f in fields[:-1])
     except (ValueError, ZeroDivisionError) as exc:
         raise ShapeMismatch(f"malformed weight string {s!r}") from exc
     return Weight(alphas, gamma)

@@ -60,6 +60,10 @@ class OrbitEscape(PosetRepError):
     """The downward transform left the valid region or failed to terminate."""
 
 
+class MalformedTrace(PosetRepError):
+    """A derivation trace that does not end in its terminal equality."""
+
+
 class CorpusMissing(PosetRepError):
     """The reference table corpus could not be loaded."""
 
@@ -100,7 +104,8 @@ class DerivationTrace:
     steps: tuple[TraceStep, ...]
 
     def __post_init__(self) -> None:
-        assert self.steps and isinstance(self.steps[-1], Terminal)
+        if not (self.steps and isinstance(self.steps[-1], Terminal)):
+            raise MalformedTrace("a derivation trace must end in its terminal equality")
 
 
 def step_to_json(step: TraceStep) -> dict:

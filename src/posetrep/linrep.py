@@ -319,7 +319,10 @@ def to_quiver_rep(rep: SubspaceRep) -> QuiverRep:
                 maps.append([[] for _ in range(ncols_u)] if ncols_u else [])
                 continue
             x = linalg.solve(upper, lower)
-            assert x is not None  # containment was validated at construction
+            if x is None:  # containment is validated at construction
+                raise ContainmentViolation(
+                    f"element {pos + i} is not contained in its successor"
+                )
             maps.append(x)
         maps.append(rep.basis(pos + k - 1))
         chain_maps.append(tuple(_freeze(m) if m else () for m in maps))

@@ -1,23 +1,36 @@
-"""Exact linear programming: a small two-phase simplex over Fractions.
+"""Exact linear programming: a small two-phase simplex on an integer tableau.
 
 Problems are stated as
 
     maximize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
-with every entry a Fraction.  Bland's rule keeps the method from cycling;
-the instances solved here are tiny (tens of rows/columns), so exact pivots
-are cheap.
+with every entry a Fraction.  The tableau is fraction-free (in the spirit
+of Bareiss 1968): each row, the objective included, is held as a primitive
+integer vector, a positive multiple of the true rational row, and is
+divided by its gcd after every update.  Signs and ratios are therefore
+those of the rational tableau, so Bland's rule takes exactly the pivots a
+Fraction tableau would take and cannot cycle; basic values are read back
+as ``Fraction(rhs, coefficient)``.  A pivot touches only the rows with a
+nonzero entry in the pivot column and, in each, only the nonzero columns
+of the pivot row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+from .core import PosetRepError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+class LpError(PosetRepError):
+    """The simplex reached a state its invariants rule out."""
 
 
 @dataclass(frozen=True)
@@ -27,33 +40,72 @@ class LpResult:
     x: tuple[Fraction, ...] | None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = 1 / tab[row][col]
-    tab[row] = [v * inv for v in tab[row]]
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries."""
+    # A loop, not gcd(*row): unpacking long rows into argument tuples
+    # raised the peak memory of a full table run by about 4 %.
+    g = 0
+    for v in row:
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return [v // g for v in row] if g > 1 else row
+
+
+def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(d, d*values) for d the lcm of the denominators of values."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _rational(v) -> Fraction | int:
+    return v if isinstance(v, (Fraction, int)) else Fraction(v)
+
+
+def _eliminate(target: list[int], a: int, f: int, prow: list[int], nz: list[int]) -> list[int]:
+    """Primitive positive multiple of target - (f/a)*prow, for a > 0."""
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    out = [a * v for v in target] if a != 1 else list(target)
+    for j in nz:
+        out[j] -= f * prow[j]
+    return _primitive(out)
+
+
+def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:
+    prow = tab[row]
+    a = prow[col]
+    if a < 0:
+        prow = tab[row] = [-v for v in prow]
+        a = -a
+    nz = [j for j, v in enumerate(prow) if v]
     for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            f = tab[r][col]
-            tab[r] = [v - f * w for v, w in zip(tab[r], tab[row])]
+        if r != row and tab[r][col]:
+            tab[r] = _eliminate(tab[r], a, tab[r][col], prow, nz)
     basis[row] = col
 
 
-def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str:
+def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> str:
     """Optimise in place; last row is the objective (maximisation form)."""
     while True:
         obj = tab[-1]
         col = next((c for c in range(ncols) if obj[c] > 0), None)
         if col is None:
             return OPTIMAL
-        best_row, best_ratio = None, None
+        # Ratios rhs/a of rows with a > 0, compared by cross-multiplication.
+        best_row, best_rhs, best_a = None, 0, 1
         for r in range(len(tab) - 1):
-            if tab[r][col] > 0:
-                ratio = tab[r][-1] / tab[r][col]
+            a = tab[r][col]
+            if a > 0:
+                lhs, rhs = tab[r][-1] * best_a, best_rhs * a
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_row])
+                    best_row is None
+                    or lhs < rhs
+                    or (lhs == rhs and basis[r] < basis[best_row])
                 ):
-                    best_row, best_ratio = r, ratio
+                    best_row, best_rhs, best_a = r, tab[r][-1], a
         if best_row is None:
             return UNBOUNDED
         _pivot(tab, basis, best_row, col)
@@ -67,58 +119,55 @@ def solve_lp(
     b_eq: Sequence[Fraction] = (),
 ) -> LpResult:
     n = len(c)
-    rows: list[tuple[list[Fraction], Fraction, bool]] = []
+    rows: list[tuple[list[Fraction | int], Fraction | int, bool]] = []
     for row, b in zip(a_ub, b_ub):
-        rows.append(([Fraction(v) for v in row], Fraction(b), True))
+        rows.append(([_rational(v) for v in row], _rational(b), True))
     for row, b in zip(a_eq, b_eq):
-        rows.append(([Fraction(v) for v in row], Fraction(b), False))
+        rows.append(([_rational(v) for v in row], _rational(b), False))
 
     nslack = sum(1 for _, _, ineq in rows if ineq)
+    nart = sum(1 for _, b, ineq in rows if not ineq or b < 0)
     ncols = n + nslack  # structural + slack columns; artificials appended after
-    tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    artificial_rows: list[int] = []
-    si = 0
-    for r, (row, b, ineq) in enumerate(rows):
-        line = row + [Fraction(0)] * nslack
-        if ineq:
-            line[n + si] = Fraction(1)
-            slack_col = n + si
-            si += 1
-        else:
-            slack_col = None
-        if b < 0:
-            line = [-v for v in line]
-            b = -b
-            slack_col = None  # negated slack cannot start basic
-        tab.append(line + [b])
-        if slack_col is not None:
-            basis.append(slack_col)
-        else:
-            basis.append(-1)  # placeholder, artificial assigned below
-            artificial_rows.append(r)
-
-    nart = len(artificial_rows)
     total = ncols + nart
-    for r in range(len(tab)):
-        row = tab[r]
-        body, b = row[:-1], row[-1]
-        art = [Fraction(0)] * nart
-        tab[r] = body + art + [b]
-    for k, r in enumerate(artificial_rows):
-        tab[r][ncols + k] = Fraction(1)
-        basis[r] = ncols + k
+    # Each row is scaled by the lcm of its denominators and negated when its
+    # right-hand side is negative; a row whose slack cannot start basic gets
+    # an artificial.  The phase-1 objective, the sum of the artificial rows
+    # with the artificial columns cancelled, is accumulated exactly.
+    tab: list[list[int]] = []
+    basis: list[int] = []
+    phase1 = [Fraction(0)] * (n + 1)
+    phase1_slacks: list[int] = []
+    si = k = 0
+    for row, b, ineq in rows:
+        sign = -1 if b < 0 else 1
+        den, ints = _scaled(row + [b])
+        line = [sign * v for v in ints[:-1]] + [0] * (total - n) + [sign * ints[-1]]
+        if ineq:
+            line[n + si] = sign * den
+        if ineq and sign > 0:
+            basis.append(n + si)
+        else:
+            line[ncols + k] = den
+            basis.append(ncols + k)
+            k += 1
+            if sign > 0:
+                phase1 = [u + v for u, v in zip(phase1, row + [b])]
+            else:
+                phase1 = [u - v for u, v in zip(phase1, row + [b])]
+            if ineq:
+                phase1_slacks.append(n + si)
+        si += ineq
+        tab.append(_primitive(line))
 
     if nart:
         # Phase 1: maximise -(sum of artificials).
-        obj = [Fraction(0)] * (total + 1)
-        for k in range(nart):
-            obj[ncols + k] = Fraction(-1)
-        tab.append(obj)
-        for r in artificial_rows:
-            tab[-1] = [v + w for v, w in zip(tab[-1], tab[r])]
-        status = _run_simplex(tab, basis, total)
-        assert status == OPTIMAL  # phase 1 is always bounded
+        den, ints = _scaled(phase1)
+        obj = ints[:-1] + [0] * (total - n) + ints[-1:]
+        for col in phase1_slacks:
+            obj[col] = -den
+        tab.append(_primitive(obj))
+        if _run_simplex(tab, basis, total) != OPTIMAL:
+            raise LpError("phase 1 of the simplex is bounded, yet it reported unbounded")
         if tab[-1][-1] != 0:
             return LpResult(INFEASIBLE, None, None)
         tab.pop()
@@ -130,18 +179,20 @@ def solve_lp(
                     continue  # redundant row, harmless to keep
                 _pivot(tab, basis, r, col)
 
-    obj = [Fraction(v) for v in c] + [Fraction(0)] * (total - n) + [Fraction(0)]
+    _, ints = _scaled([_rational(v) for v in c])
+    obj_int = _primitive(ints + [0] * (total - n + 1))
     for r in range(len(tab)):
-        if basis[r] < n and obj[basis[r]] != 0:
-            f = obj[basis[r]]
-            obj = [v - f * w for v, w in zip(obj, tab[r])]
-    tab.append(obj)
+        if basis[r] < n and obj_int[basis[r]] != 0:
+            row = tab[r]
+            obj_int = _eliminate(obj_int, row[basis[r]], obj_int[basis[r]], row,
+                                 [j for j, v in enumerate(row) if v])
+    tab.append(obj_int)
     status = _run_simplex(tab, basis, ncols)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
     x = [Fraction(0)] * n
     for r, bcol in enumerate(basis):
         if bcol < n:
-            x[bcol] = tab[r][-1]
+            x[bcol] = Fraction(tab[r][-1], tab[r][bcol])
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LpResult(OPTIMAL, value, tuple(x))

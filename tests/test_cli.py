@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import posetrep
 from posetrep.cli import main
 from posetrep.core import parse_dim_string
 from posetrep.derive import paper_corpus
@@ -88,6 +93,26 @@ def test_check_weight_exit_codes(capsys):
         "--weight", "3;2;2;3",
     )
     assert code == 2 and "violated" in out
+
+
+def test_hostile_numerals_rejected(capsys):
+    for cmd in ["check-weight", "unitarize"]:
+        for weight in ["1e1000000;1;1;2", "1;1;1;1e-1000000", "1;1;1;1e1_000_000"]:
+            code, out, err = _run(
+                capsys, cmd, "--poset", "1,1,1", "--dim", "1;1;1;2", "--weight", weight,
+            )
+            assert code == 1 and out == ""
+            assert err == "error: numeral exponent above 4300 in magnitude\n"
+        code, out, err = _run(
+            capsys, cmd, "--poset", "1,1,1", "--dim", "1;1;1;2", "--weight", "1;1;1;" + "2" * 4301,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: numeral longer than 4300 characters\n"
+    code, out, _ = _run(
+        capsys, "check-weight", "--poset", "1,1,1", "--dim", "1;1;1;2",
+        "--weight", "2e4300;2e4300;2e4300;3e4300",
+    )
+    assert code == 0 and out.strip() == "admissible"
 
 
 def test_unitarize_success_and_obstruction(tmp_path, capsys):
@@ -229,3 +254,27 @@ def test_malformed_poset_and_usage(capsys):
     assert code == 1
     code, _, err = _run(capsys, "enumerate")
     assert code == 1  # missing required option
+
+
+def _run_optimized(*argv):
+    """Run the CLI in a fresh interpreter under ``python -O`` (asserts off)."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    src = str(Path(posetrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; from posetrep.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, env=env, timeout=300,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+def test_optimized_interpreter_smoke(capsys):
+    code, out, err = _run_optimized("verify-tables")
+    assert code == 0, err
+    assert out.splitlines()[-1] == "106/106 rows equivalent"
+    argv = ["conditions", "--poset", "4,2,1", "--dim", "1,2,3,5;2,4;3;6"]
+    code, out, err = _run_optimized(*argv)
+    assert code == 0, err
+    assert (code, out, err) == _run(capsys, *argv)
+    assert len(out.splitlines()) == 8

@@ -4,6 +4,7 @@ import pytest
 
 from posetrep.core import (
     ConditionSet,
+    PosetRepError,
     make_poset,
     parse_condition_text,
     parse_dim_string,
@@ -12,6 +13,8 @@ from posetrep.core import (
 )
 from posetrep.derive import (
     ApplyPhiMinus,
+    DerivationTrace,
+    MalformedTrace,
     NotInEnumeration,
     Terminal,
     check_weight,
@@ -67,6 +70,15 @@ def test_trace_structure():
     _, trace0 = derive_conditions(p, parse_dim_string("0;0;0;1"))
     kinds = [type(s).__name__ for s in trace0.steps]
     assert kinds == ["ReduceZero", "ReduceZero", "ReduceZero", "Terminal"]
+
+
+def test_trace_must_end_in_terminal():
+    # a typed error, so the check holds under python -O as well
+    with pytest.raises(MalformedTrace):
+        DerivationTrace(())
+    with pytest.raises(MalformedTrace):
+        DerivationTrace((ApplyPhiMinus(()),))
+    assert issubclass(MalformedTrace, PosetRepError)
 
 
 def test_derivation_depth_bounded_by_root_count():

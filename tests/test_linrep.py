@@ -13,6 +13,7 @@ from posetrep.linrep import (
     NonMonomorphicArrow,
     PosetMismatch,
     RankDeficient,
+    SubspaceRep,
     are_isomorphic,
     dim_vector,
     direct_sum,
@@ -166,6 +167,13 @@ def test_quiver_round_trip():
     # flags: every arrow of a subspace rep is injective
     q = to_quiver_rep(family_222(3))
     assert all(all(flags) for flags in q.monomorphism_flags())
+
+
+def test_quiver_rep_rechecks_containment():
+    # built directly, bypassing make_rep's check: line e1 is not inside line e2
+    e1, e2 = ((Q(1),), (Q(0),)), ((Q(0),), (Q(1),))
+    with pytest.raises(ContainmentViolation):
+        to_quiver_rep(SubspaceRep(make_poset([2]), 2, (e1, e2)))
 
 
 def test_quiver_zero_map_rejected():

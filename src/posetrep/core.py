@@ -169,8 +169,10 @@ MAX_NUMERAL = 4300
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
-def _numeral(s: str) -> Fraction:
-    """Fraction(s) for a numeral within the MAX_NUMERAL bounds."""
+def _numeral(s) -> Fraction:
+    """Fraction(s); a string numeral must keep within the MAX_NUMERAL bounds."""
+    if not isinstance(s, str):
+        return Fraction(s)
     if len(s) > MAX_NUMERAL:
         raise ShapeMismatch(f"numeral longer than {MAX_NUMERAL} characters")
     m = _EXPONENT_RE.search(s)
@@ -180,7 +182,7 @@ def _numeral(s: str) -> Fraction:
 
 
 def _positive_fraction(x, what: str) -> Fraction:
-    v = _numeral(x) if isinstance(x, str) else Fraction(x)
+    v = _numeral(x)
     if v <= 0:
         raise NonPositiveWeight(f"{what} must be positive, got {v}")
     return v
@@ -348,7 +350,7 @@ class LinearForm:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LinearForm":
-        return cls({k: Fraction(v) for k, v in obj.items()})
+        return cls({k: _numeral(v) for k, v in obj.items()})
 
 
 EQ_ZERO = "eq0"
@@ -514,20 +516,57 @@ class DegeneracyReport:
         return not self.findings
 
 
-def classify_degeneracy(p: PrimitivePoset, d: DimVector) -> DegeneracyReport:
-    """List all degeneracies of d, zeros first, then merges, then fulls,
-    branch-major within each kind (the order reductions fire in)."""
-    d.require_fits(p)
+def _reduce(
+    d0: int,
+    dims: Iterable[Iterable[int]],
+    forms: Iterable[Iterable[LinearForm]],
+    gamma_form: LinearForm,
+) -> tuple[tuple, tuple, LinearForm, tuple[Finding, ...]]:
+    """One reduction pass: delete zero-dimensional elements, merge
+    chain-adjacent elements of equal dimension (summing their forms), then
+    delete elements of dimension d0 (subtracting their forms from the
+    gamma form); branches left empty are dropped.
+
+    Returns the reduced dims, forms and gamma form, and the findings in
+    firing order: zeros, then merges, then fulls, each branch-major.  A
+    position is one of the state its rule fired in: a zero's in the branch
+    as given, a merge's once the zeros and earlier merges are done, a
+    full's once all merges are done.
+    """
     zeros, merges, fulls = [], [], []
-    for j, b in enumerate(d.branches, start=1):
-        for i, e in enumerate(b, start=1):
+    out_dims, out_forms = [], []
+    for j, (branch_dims, branch_forms) in enumerate(zip(dims, forms), start=1):
+        kept_d: list[int] = []
+        kept_f: list[LinearForm] = []
+        for i, (e, f) in enumerate(zip(branch_dims, branch_forms), start=1):
             if e == 0:
                 zeros.append(Finding(ZERO, j, i))
-            if i < len(b) and e == b[i]:
-                merges.append(Finding(MERGE, j, i))
-            if e == d.d0:
+            elif kept_d and kept_d[-1] == e:
+                kept_f[-1] = kept_f[-1] + f
+                merges.append(Finding(MERGE, j, len(kept_d)))
+            else:
+                kept_d.append(e)
+                kept_f.append(f)
+        left_d, left_f = [], []
+        for i, (e, f) in enumerate(zip(kept_d, kept_f), start=1):
+            if e == d0:
+                gamma_form = gamma_form - f
                 fulls.append(Finding(FULL, j, i))
-    return DegeneracyReport(tuple(zeros + merges + fulls))
+            else:
+                left_d.append(e)
+                left_f.append(f)
+        if left_d:
+            out_dims.append(tuple(left_d))
+            out_forms.append(tuple(left_f))
+    return tuple(out_dims), tuple(out_forms), gamma_form, tuple(zeros + merges + fulls)
+
+
+def classify_degeneracy(p: PrimitivePoset, d: DimVector) -> DegeneracyReport:
+    """The findings of one reduction pass (`_reduce`) on d, in the order
+    they fire; positions are those of the state each rule fired in."""
+    d.require_fits(p)
+    w = SymbolicWeight.identity(p)
+    return DegeneracyReport(_reduce(d.d0, d.branches, w.branch_forms, w.gamma_form)[3])
 
 
 def trace_condition(p: PrimitivePoset, d: DimVector) -> Condition:

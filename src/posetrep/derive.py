@@ -15,8 +15,14 @@ The derivation walks the representation down to a degenerate one:
      is applied to the dimensions and the symbolic weight, and strict
      positivity of each newly created branch-tail form is emitted.
 
-Reductions within one pass fire zeros, then merges, then fulls, each
-branch-major; recorded positions refer to the state the rule fired in.
+Steps 1-3 are one reduction pass, `core._reduce`: zeros fire, then
+merges, then fulls, each branch-major.  The trace records the pass's
+`core.Finding`s as they are, and `core.classify_degeneracy` reports those
+of the first pass.  A position is one of the state its rule fired in: a
+zero's in the branch as given, a merge's once the zeros and earlier
+merges are done, a full's once all merges are done.  Whether d is an
+indecomposable dimension vector at all is a lookup in the cached positive
+roots, whose number also bounds the number of transforms.
 Positivity of the transformed gamma form is implied by the branch tails,
 so it is never emitted, and reductions emit no inequalities at all.
 """
@@ -38,18 +44,27 @@ from .core import (
     Condition,
     ConditionSet,
     DimVector,
+    Finding,
     LinearForm,
     PosetRepError,
     PrimitivePoset,
     SymbolicWeight,
     Weight,
+    _reduce,
     alpha_key,
     key_order,
     trace_condition,
 )
 from .coxeter import NegativeEntry, fminus_dim, phiminus_weight
 from .linalg import row_space_basis
-from .roots import FiniteTypeRequired, enumerate_indec_dims, is_finite_type, positive_roots, star_graph
+from .roots import (
+    FiniteTypeRequired,
+    dim_to_root,
+    enumerate_indec_dims,
+    is_finite_type,
+    positive_roots,
+    star_graph,
+)
 
 
 class NotInEnumeration(PosetRepError):
@@ -69,24 +84,6 @@ class CorpusMissing(PosetRepError):
 
 
 @dataclass(frozen=True)
-class ReduceZero:
-    branch: int
-    index: int
-
-
-@dataclass(frozen=True)
-class ReduceMerge:
-    branch: int
-    index: int
-
-
-@dataclass(frozen=True)
-class ReduceFull:
-    branch: int
-    index: int
-
-
-@dataclass(frozen=True)
 class ApplyPhiMinus:
     emitted: tuple[LinearForm, ...]
 
@@ -96,7 +93,7 @@ class Terminal:
     equality: Condition
 
 
-TraceStep = Union[ReduceZero, ReduceMerge, ReduceFull, ApplyPhiMinus, Terminal]
+TraceStep = Union[Finding, ApplyPhiMinus, Terminal]
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,8 @@ class DerivationTrace:
 
 
 def step_to_json(step: TraceStep) -> dict:
-    if isinstance(step, ReduceZero):
-        return {"step": "zero", "branch": step.branch, "index": step.index}
-    if isinstance(step, ReduceMerge):
-        return {"step": "merge", "branch": step.branch, "index": step.index}
-    if isinstance(step, ReduceFull):
-        return {"step": "full", "branch": step.branch, "index": step.index}
+    if isinstance(step, Finding):
+        return {"step": step.kind, "branch": step.branch, "index": step.index}
     if isinstance(step, ApplyPhiMinus):
         return {"step": "phi_minus", "emitted": [f.to_json() for f in step.emitted]}
     return {"step": "terminal", "equality": step.equality.to_json()}
@@ -126,87 +119,40 @@ def derive_conditions(
     """Exact weight conditions for the indecomposable with dimensions d."""
     if not is_finite_type(p):
         raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
-    if d not in enumerate_indec_dims(p):
+    roots = positive_roots(star_graph(p))
+    if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
         raise NotInEnumeration(
             f"{d} is not an indecomposable dimension vector of {p.branches}"
         )
-    bound = len(positive_roots(star_graph(p)))
 
-    d0 = d.d0
-    dims = [list(b) for b in d.branches]
-    forms = [
-        [LinearForm.variable(alpha_key(j, i)) for i in range(1, k + 1)]
-        for j, k in enumerate(p.branches, start=1)
-    ]
-    gamma_form = LinearForm.variable(GAMMA_KEY)
+    d0, dims = d.d0, d.branches
+    w = SymbolicWeight.identity(p)
+    forms, gamma_form = w.branch_forms, w.gamma_form
     steps: list[TraceStep] = []
     conditions: list[Condition] = []
-
-    iterations = 0
-    while True:
-        for j in range(len(dims)):
-            kept_d, kept_f = [], []
-            for i, (e, f) in enumerate(zip(dims[j], forms[j]), start=1):
-                if e == 0:
-                    steps.append(ReduceZero(j + 1, i))
-                else:
-                    kept_d.append(e)
-                    kept_f.append(f)
-            dims[j], forms[j] = kept_d, kept_f
-        for j in range(len(dims)):
-            new_d: list[int] = []
-            new_f: list[LinearForm] = []
-            for e, f in zip(dims[j], forms[j]):
-                if new_d and new_d[-1] == e:
-                    new_f[-1] = new_f[-1] + f
-                    steps.append(ReduceMerge(j + 1, len(new_d)))
-                else:
-                    new_d.append(e)
-                    new_f.append(f)
-            dims[j], forms[j] = new_d, new_f
-        for j in range(len(dims)):
-            kept_d, kept_f = [], []
-            for i, (e, f) in enumerate(zip(dims[j], forms[j]), start=1):
-                if e == d0:
-                    gamma_form = gamma_form - f
-                    steps.append(ReduceFull(j + 1, i))
-                else:
-                    kept_d.append(e)
-                    kept_f.append(f)
-            dims[j], forms[j] = kept_d, kept_f
-        keep = [j for j in range(len(dims)) if dims[j]]
-        dims = [dims[j] for j in keep]
-        forms = [forms[j] for j in keep]
-
+    # at most len(roots) transforms, each followed by a reduction pass
+    for _ in range(len(roots) + 1):
+        dims, forms, gamma_form, findings = _reduce(d0, dims, forms, gamma_form)
+        steps.extend(findings)
         if not dims:
             equality = Condition(gamma_form, EQ_ZERO)
             conditions.append(equality)
             steps.append(Terminal(equality))
-            break
+            return ConditionSet(conditions), DerivationTrace(tuple(steps))
 
         sub_poset = PrimitivePoset(tuple(len(b) for b in dims))
-        state_d = DimVector(d0, tuple(tuple(b) for b in dims))
-        state_w = SymbolicWeight(tuple(tuple(b) for b in forms), gamma_form)
+        state_d = DimVector(d0, dims)
         try:
             next_d = fminus_dim(sub_poset, state_d)
         except NegativeEntry as exc:
             raise OrbitEscape(f"downward transform failed at {state_d}: {exc}") from exc
-        next_w = phiminus_weight(sub_poset, state_w)
+        next_w = phiminus_weight(sub_poset, SymbolicWeight(forms, gamma_form))
         tails = tuple(b[-1] for b in next_w.branch_forms)
-        for tail in tails:
-            conditions.append(Condition(-tail, LT_ZERO))
+        conditions.extend(Condition(-tail, LT_ZERO) for tail in tails)
         steps.append(ApplyPhiMinus(tails))
-
-        d0 = next_d.d0
-        dims = [list(b) for b in next_d.branches]
-        forms = [list(b) for b in next_w.branch_forms]
-        gamma_form = next_w.gamma_form
-
-        iterations += 1
-        if iterations > bound:
-            raise OrbitEscape(f"descent from {d} exceeded {bound} steps")
-
-    return ConditionSet(conditions), DerivationTrace(tuple(steps))
+        d0, dims = next_d.d0, next_d.branches
+        forms, gamma_form = next_w.branch_forms, next_w.gamma_form
+    raise OrbitEscape(f"descent from {d} exceeded {len(roots)} steps")
 
 
 # --- LP-backed region operations ------------------------------------------
@@ -218,29 +164,26 @@ def _substituted_row(form: LinearForm, var_keys: list[str]) -> tuple[list[Fracti
 
 
 def _max_slack(
-    var_keys: list[str],
-    equalities: Iterable[LinearForm],
-    stricts: Iterable[LinearForm],
-    nonstricts: Iterable[LinearForm] = (),
-) -> tuple[Fraction | None, dict[str, Fraction] | None]:
-    """Maximise the common slack s of {f + s <= 0 for strict f, x_v >= s,
-    s <= 1} over {equalities, nonstrict f >= 0, g = 1, x >= 0}.
+    var_keys: list[str], c: ConditionSet, extra_nonneg: Iterable[LinearForm] = ()
+) -> dict[str, Fraction] | None:
+    """Maximise the common slack s of {f + s <= 0 for strict f in c,
+    x_v >= s, s <= 1} over {equalities of c, f >= 0 for f in extra_nonneg,
+    g = 1, x >= 0}.
 
-    Returns (best slack, point) or (None, None) when even the closed
-    system is infeasible.  A positive best slack certifies a strictly
-    feasible rational point.
+    Returns the maximising point when the best slack is positive, which
+    certifies a strictly feasible rational point, and None otherwise.
     """
     n = len(var_keys)
     zero = Fraction(0)
     one = Fraction(1)
-    c = [zero] * n + [one]
+    c_obj = [zero] * n + [one]
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
-    for f in stricts:
-        row, const = _substituted_row(f, var_keys)
+    for q in c.inequalities:
+        row, const = _substituted_row(q.form, var_keys)
         a_ub.append(row + [one])
         b_ub.append(-const)
-    for f in nonstricts:  # f >= 0, not slack-tightened
+    for f in extra_nonneg:  # f >= 0, not slack-tightened
         row, const = _substituted_row(f, var_keys)
         a_ub.append([-v for v in row] + [zero])
         b_ub.append(const)
@@ -250,52 +193,29 @@ def _max_slack(
         row[n] = one
         a_ub.append(row)
         b_ub.append(zero)
-    cap = [zero] * n + [one]
-    a_ub.append(cap)
+    a_ub.append([zero] * n + [one])  # s <= 1
     b_ub.append(one)
     a_eq: list[list[Fraction]] = []
     b_eq: list[Fraction] = []
-    for f in equalities:
-        row, const = _substituted_row(f, var_keys)
+    for q in c.equalities:
+        row, const = _substituted_row(q.form, var_keys)
         a_eq.append(row + [zero])
         b_eq.append(-const)
-    res = lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    if res.status != lp.OPTIMAL:
-        return None, None
-    point = {k: res.x[i] for i, k in enumerate(var_keys)}
-    return res.value, point
+    res = lp.solve_lp(c_obj, a_ub, b_ub, a_eq, b_eq)
+    if res.status != lp.OPTIMAL or res.value <= 0:
+        return None
+    return {k: res.x[i] for i, k in enumerate(var_keys)}
 
 
 def _sorted_var_keys(cs_vars: set[str]) -> list[str]:
     return sorted(cs_vars - {GAMMA_KEY}, key=key_order)
 
 
-def _strictly_feasible(c: ConditionSet, var_keys: list[str]) -> bool:
-    s, _ = _max_slack(var_keys, [q.form for q in c.equalities],
-                      [q.form for q in c.inequalities])
-    return s is not None and s > 0
-
-
-def _admits_point_with(c: ConditionSet, extra_nonneg: LinearForm,
-                       var_keys: list[str]) -> bool:
-    """Whether some strictly feasible point of c also has extra_nonneg >= 0."""
-    s, _ = _max_slack(
-        var_keys,
-        [q.form for q in c.equalities],
-        [q.form for q in c.inequalities],
-        [extra_nonneg],
-    )
-    return s is not None and s > 0
-
-
 def interior_point(c: ConditionSet, p: PrimitivePoset) -> Weight | None:
     """A strictly feasible rational weight with gamma = 1 and maximin slack,
     or None when the region is empty."""
-    var_keys = [alpha_key(j, i) for j, i in p.elements()]
-    s, point = _max_slack(
-        var_keys, [q.form for q in c.equalities], [q.form for q in c.inequalities]
-    )
-    if s is None or s <= 0:
+    point = _max_slack([alpha_key(j, i) for j, i in p.elements()], c)
+    if point is None:
         return None
     alphas = tuple(
         tuple(point[alpha_key(j, i)] for i in range(1, k + 1))
@@ -312,7 +232,7 @@ def simplify(c: ConditionSet) -> ConditionSet:
     kept = list(c.inequalities)
     for cond in list(kept):
         rest = ConditionSet([q for q in kept if q != cond] + equalities)
-        if not _admits_point_with(rest, cond.form, var_keys):
+        if _max_slack(var_keys, rest, [cond.form]) is None:
             kept.remove(cond)
     return ConditionSet(kept + equalities)
 
@@ -321,8 +241,8 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     """Whether the two solution sets inside the open positive orthant
     (with gamma normalised to 1) coincide."""
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
-    nonempty1 = _strictly_feasible(c1, var_keys)
-    nonempty2 = _strictly_feasible(c2, var_keys)
+    nonempty1 = _max_slack(var_keys, c1) is not None
+    nonempty2 = _max_slack(var_keys, c2) is not None
     if not nonempty1 and not nonempty2:
         return True
     if nonempty1 != nonempty2:
@@ -333,10 +253,10 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     if span1 != span2:
         return False
     for cond in c1.inequalities:
-        if _admits_point_with(c2, cond.form, var_keys):
+        if _max_slack(var_keys, c2, [cond.form]) is not None:
             return False
     for cond in c2.inequalities:
-        if _admits_point_with(c1, cond.form, var_keys):
+        if _max_slack(var_keys, c1, [cond.form]) is not None:
             return False
     return True
 
@@ -434,7 +354,7 @@ def paper_corpus(path: str | None = None) -> dict[tuple[int, ...], Table]:
     try:
         data = json.loads(_corpus_text(path))
         tables = [Table.from_json(t) for t in data["tables"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise CorpusMissing(f"malformed corpus: {exc}") from exc
     return {t.poset.branches: t for t in tables}
 

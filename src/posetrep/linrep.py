@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch
+from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch, _numeral
 
 Matrix = linalg.Matrix
 
@@ -130,9 +130,12 @@ def rep_to_json(rep: SubspaceRep) -> dict:
 
 
 def rep_from_json(obj: Mapping) -> SubspaceRep:
-    p = PrimitivePoset.from_json(obj["poset"])
-    ambient = int(obj["ambient"])
-    bases = [[[Fraction(x) for x in row] for row in b] for b in obj["bases"]]
+    try:
+        p = PrimitivePoset.from_json(obj["poset"])
+        ambient = int(obj["ambient"])
+        bases = [[[_numeral(x) for x in row] for row in b] for b in obj["bases"]]
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise PosetRepError(f"malformed representation: {exc}") from exc
     return make_rep(p, ambient, bases)
 
 

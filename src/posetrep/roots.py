@@ -46,9 +46,6 @@ class StarGraph:
     nvertices: int
     edges: tuple[tuple[int, int], ...]
 
-    def vertex_index(self, j: int, i: int) -> int:
-        return 1 + sum(self.poset.branches[: j - 1]) + (i - 1)
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.nvertices)]
         for u, v in self.edges:

@@ -95,7 +95,7 @@ def test_check_weight_exit_codes(capsys):
     assert code == 2 and "violated" in out
 
 
-def test_hostile_numerals_rejected(capsys):
+def test_hostile_numerals_rejected(tmp_path, capsys):
     for cmd in ["check-weight", "unitarize"]:
         for weight in ["1e1000000;1;1;2", "1;1;1;1e-1000000", "1;1;1;1e1_000_000"]:
             code, out, err = _run(
@@ -113,6 +113,27 @@ def test_hostile_numerals_rejected(capsys):
         "--weight", "2e4300;2e4300;2e4300;3e4300",
     )
     assert code == 0 and out.strip() == "admissible"
+    # numerals inside JSON input files are bounded the same way
+    for numeral, rep_err, corpus_err in [
+        ("1e3000000", "numeral exponent above 4300 in magnitude",
+         "numeral exponent above 4300 in magnitude"),
+        ("1/0", "malformed representation: Fraction(1, 0)", "malformed corpus: Fraction(1, 0)"),
+    ]:
+        rep = rep_to_json(family_1111(2))
+        rep["bases"][0][0][0] = numeral
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(rep))
+        code, out, err = _run(capsys, "rep", "--file", str(rep_path), "--check", "dim")
+        assert code == 1 and out == ""
+        assert err == f"error: {rep_err}\n"
+        table = paper_corpus()[(1, 1, 1)].to_json()
+        coeffs = table["rows"][1]["conditions"][0]["coeffs"]
+        coeffs[next(iter(coeffs))] = numeral
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps({"tables": [table]}))
+        code, out, err = _run(capsys, "verify-tables", "--corpus", str(corpus_path))
+        assert code == 1 and out == ""
+        assert err == f"error: {corpus_err}\n"
 
 
 def test_unitarize_success_and_obstruction(tmp_path, capsys):
@@ -235,6 +256,14 @@ def test_rep_invalid_file(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = _run(capsys, "rep", "--file", str(bad), "--check", "validate")
     assert code == 1
+    # a poset that is a list, and a basis entry that is no rational number
+    for payload in [{"poset": [1], "ambient": 1, "bases": [[["1"]]]},
+                    {"poset": {"branches": [1]}, "ambient": 1, "bases": [[[float("inf")]]]}]:
+        bad.write_text(json.dumps(payload))
+        for check in ["validate", "dim"]:
+            code, out, err = _run(capsys, "rep", "--file", str(bad), "--check", check)
+            assert code == 1 and out == ""
+            assert err.startswith("error: malformed representation") and err.count("\n") == 1
 
 
 def test_rep_validate_negative_verdict(tmp_path, capsys):

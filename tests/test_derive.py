@@ -5,6 +5,7 @@ import pytest
 from posetrep.core import (
     ConditionSet,
     PosetRepError,
+    classify_degeneracy,
     make_poset,
     parse_condition_text,
     parse_dim_string,
@@ -24,6 +25,7 @@ from posetrep.derive import (
     paper_corpus,
     regions_equivalent,
     simplify,
+    step_to_json,
 )
 from posetrep.roots import FiniteTypeRequired, enumerate_indec_dims, positive_roots, star_graph
 
@@ -57,8 +59,10 @@ def test_derive_published_examples():
 def test_derive_errors():
     with pytest.raises(FiniteTypeRequired):
         derive_conditions(make_poset([5, 2, 1]), parse_dim_string("0,0,0,0,1;0,0;0;1"))
-    with pytest.raises(NotInEnumeration):
-        derive_conditions(make_poset([1, 1, 1]), parse_dim_string("1;1;1;3"))
+    # not a root, or a vector that does not fit the poset
+    for dim in ["1;1;1;3", "1,1;1;1;2", "1;1;2", "1;1;1;1;2", "1,2;1;1;2"]:
+        with pytest.raises(NotInEnumeration):
+            derive_conditions(make_poset([1, 1, 1]), parse_dim_string(dim))
 
 
 def test_trace_structure():
@@ -68,8 +72,24 @@ def test_trace_structure():
     phis = [s for s in trace.steps if isinstance(s, ApplyPhiMinus)]
     assert len(phis) == 1 and len(phis[0].emitted) == 3
     _, trace0 = derive_conditions(p, parse_dim_string("0;0;0;1"))
-    kinds = [type(s).__name__ for s in trace0.steps]
-    assert kinds == ["ReduceZero", "ReduceZero", "ReduceZero", "Terminal"]
+    kinds = [step_to_json(s)["step"] for s in trace0.steps]
+    assert kinds == ["zero", "zero", "zero", "terminal"]
+
+
+def test_degeneracy_report_is_the_first_reduction_pass():
+    # the report and the derivation run the same pass, so the report lists
+    # exactly the reductions the trace records before its first transform
+    for branches in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1), (5, 1, 1), (4, 4)]:
+        p = make_poset(branches)
+        for d in enumerate_indec_dims(p):
+            _, trace = derive_conditions(p, d)
+            leading = []
+            for step in map(step_to_json, trace.steps):
+                if step["step"] not in ("zero", "merge", "full"):
+                    break
+                leading.append((step["step"], step["branch"], step["index"]))
+            report = classify_degeneracy(p, d).findings
+            assert [(f.kind, f.branch, f.index) for f in report] == leading, (branches, d)
 
 
 def test_trace_must_end_in_terminal():

@@ -59,11 +59,10 @@ from .coxeter import NegativeEntry, fminus_dim, phiminus_weight
 from .linalg import row_space_basis
 from .roots import (
     FiniteTypeRequired,
+    _positive_roots,
     dim_to_root,
     enumerate_indec_dims,
     is_finite_type,
-    positive_roots,
-    star_graph,
 )
 
 
@@ -119,7 +118,8 @@ def derive_conditions(
     """Exact weight conditions for the indecomposable with dimensions d."""
     if not is_finite_type(p):
         raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
-    roots = positive_roots(star_graph(p))
+    # the cached root set checks MAX_ELEMENTS before building any graph
+    roots = _positive_roots(p.branches)
     if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
         raise NotInEnumeration(
             f"{d} is not an indecomposable dimension vector of {p.branches}"

@@ -213,6 +213,18 @@ def test_verify_tables_with_corpus_override(tmp_path, capsys):
     assert "9/9 rows equivalent" in out
 
 
+def test_verify_tables_corpus_poset_too_large(tmp_path, capsys):
+    table = paper_corpus()[(1, 1, 1)].to_json()
+    table["poset"] = {"branches": [10**9, 1, 1]}
+    table["rows"] = table["rows"][:1]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"tables": [table]}))
+    # the row fails with the size error at once, as any underivable row does
+    code, out, _ = _run(capsys, "verify-tables", "--corpus", str(path))
+    assert code == 2 and "at most 64 are supported" in out
+    assert "0/1 rows equivalent" in out
+
+
 def test_verify_tables_detects_mismatch(tmp_path, capsys):
     corpus = paper_corpus()
     table = corpus[(1, 1, 1)].to_json()

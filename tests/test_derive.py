@@ -27,7 +27,13 @@ from posetrep.derive import (
     simplify,
     step_to_json,
 )
-from posetrep.roots import FiniteTypeRequired, enumerate_indec_dims, positive_roots, star_graph
+from posetrep.roots import (
+    FiniteTypeRequired,
+    PosetTooLarge,
+    enumerate_indec_dims,
+    positive_roots,
+    star_graph,
+)
 
 
 def _conds(p, *texts):
@@ -63,6 +69,9 @@ def test_derive_errors():
     for dim in ["1;1;1;3", "1,1;1;1;2", "1;1;2", "1;1;1;1;2", "1,2;1;1;2"]:
         with pytest.raises(NotInEnumeration):
             derive_conditions(make_poset([1, 1, 1]), parse_dim_string(dim))
+    # a finite-type poset above MAX_ELEMENTS is refused before any graph is built
+    with pytest.raises(PosetTooLarge):
+        derive_conditions(make_poset([10**9, 1, 1]), parse_dim_string("1;1;1;2"))
 
 
 def test_trace_structure():

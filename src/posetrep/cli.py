@@ -2,7 +2,8 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 malformed input or IO failure, 2 negative verdict (table mismatch,
-violated weight, no convergence, trace obstruction, not-a-brick, ...).
+violated weight, no witness, no convergence, trace obstruction,
+not-a-brick, ...).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import derive, linrep, numeric
 from .core import (
@@ -38,10 +40,14 @@ from .coxeter import (
     rho_dim,
     sigma_dim,
 )
-from .numeric import NoConvergence, TraceObstruction
+from .numeric import NoConvergence, NoWitness, TraceObstruction
 from .roots import enumerate_indec_dims
 
 VERDICT_ERRORS = (TraceObstruction, NonPositiveWeight, NegativeEntry)
+
+# Most transforms `coxeter --steps` applies; every finite-type orbit is
+# periodic well within this.
+MAX_STEPS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,13 +185,23 @@ def _cmd_unitarize(args) -> int:
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         rep, ok = exc.best, False
-    payload = rep.to_json()
+    except NoWitness as exc:
+        violated = ", ".join(render_condition(c, p) for c in exc.violated)
+        print(f"no witness: violated: {violated}", file=sys.stderr)
+        rep, ok = None, False
+    if rep is None:  # the same keys, with nothing to show
+        payload = {"poset": p.to_json(), "dim": d.to_json(), "weight": w.to_json(),
+                   "projectors": None, "residual": None, "iterations": 0,
+                   "restarts_used": 0, "seed": args.seed}
+    else:
+        payload = rep.to_json()
     payload["success"] = ok
     text = json.dumps(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"residual {rep.residual:.3e} -> {args.out}")
+        summary = "no witness" if rep is None else f"residual {rep.residual:.3e}"
+        print(f"{summary} -> {args.out}")
     else:
         print(text)
     return 0 if ok else 2
@@ -201,6 +217,8 @@ def _cmd_coxeter(args) -> int:
     given = [x is not None for x in (args.dim, args.weight)] + [args.symbolic]
     if sum(given) != 1:
         raise PosetRepError("exactly one of --dim, --weight, --symbolic is required")
+    if args.steps > MAX_STEPS:
+        raise PosetRepError(f"steps must be at most {MAX_STEPS}, got {args.steps}")
     if args.dim is not None:
         if args.op not in _DIM_OPS:
             raise PosetRepError(f"operation {args.op} does not act on dimension vectors")
@@ -346,8 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: building it costs more than most
+    commands, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
@@ -37,6 +38,22 @@ class NonPositiveWeight(PosetRepError):
     """A weight entry that must be positive is zero or negative."""
 
 
+class AmbientTooLarge(PosetRepError):
+    """An ambient dimension above MAX_AMBIENT."""
+
+
+# Largest ambient dimension a numeric witness or a subspace representation
+# may have: both build dense ambient x ambient (or ambient-row) matrices.
+MAX_AMBIENT = 512
+
+
+def require_ambient(n: int) -> None:
+    if n > MAX_AMBIENT:
+        raise AmbientTooLarge(
+            f"ambient dimension {n} is above the supported {MAX_AMBIENT}"
+        )
+
+
 GAMMA_KEY = "g"
 
 _ALPHA_KEY_RE = re.compile(r"^a\.(\d+)\.(\d+)$")
@@ -47,6 +64,7 @@ def alpha_key(branch: int, index: int) -> str:
     return f"a.{branch}.{index}"
 
 
+@lru_cache(maxsize=4096)
 def key_order(key: str) -> tuple[int, int, int]:
     """Sort tuple implementing the fixed variable order (branches, then g)."""
     if key == GAMMA_KEY:
@@ -232,10 +250,8 @@ class Weight:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Weight":
-        return cls(
-            tuple(tuple(Fraction(a) for a in b) for b in obj["alphas"]),
-            Fraction(obj["gamma"]),
-        )
+        # entries are converted (and numerals bounded) by __post_init__
+        return cls(tuple(tuple(b) for b in obj["alphas"]), obj["gamma"])
 
 
 def parse_weight_string(s: str) -> Weight:
@@ -271,7 +287,8 @@ class LinearForm:
         items = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v != 0:
                     key_order(k)  # validates
                     items[k] = v
@@ -516,16 +533,13 @@ class DegeneracyReport:
         return not self.findings
 
 
-def _reduce(
-    d0: int,
-    dims: Iterable[Iterable[int]],
-    forms: Iterable[Iterable[LinearForm]],
-    gamma_form: LinearForm,
-) -> tuple[tuple, tuple, LinearForm, tuple[Finding, ...]]:
+def _reduce(d0: int, dims: Iterable[Iterable[int]], forms: Iterable[Iterable],
+            gamma_form) -> tuple[tuple, tuple, object, tuple[Finding, ...]]:
     """One reduction pass: delete zero-dimensional elements, merge
     chain-adjacent elements of equal dimension (summing their forms), then
     delete elements of dimension d0 (subtracting their forms from the
-    gamma form); branches left empty are dropped.
+    gamma form); branches left empty are dropped.  Forms are combined by
+    + and - only, so `LinearForm`s and concrete `Fraction`s both pass.
 
     Returns the reduced dims, forms and gamma form, and the findings in
     firing order: zeros, then merges, then fulls, each branch-major.  A
@@ -537,7 +551,7 @@ def _reduce(
     out_dims, out_forms = [], []
     for j, (branch_dims, branch_forms) in enumerate(zip(dims, forms), start=1):
         kept_d: list[int] = []
-        kept_f: list[LinearForm] = []
+        kept_f: list = []
         for i, (e, f) in enumerate(zip(branch_dims, branch_forms), start=1):
             if e == 0:
                 zeros.append(Finding(ZERO, j, i))

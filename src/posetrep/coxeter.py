@@ -20,6 +20,7 @@ element).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     DimVector,
@@ -125,16 +126,22 @@ def _evaluate_symbolic(p: PrimitivePoset, sw: SymbolicWeight, w: Weight) -> Weig
         raise NonPositiveWeight(f"transformed weight left the positive cone: {exc}") from exc
 
 
+@lru_cache(maxsize=256)
+def _image_of_identity(transform, p: PrimitivePoset) -> SymbolicWeight:
+    """transform(p, identity): the symbolic weight a concrete one evaluates."""
+    return transform(p, SymbolicWeight.identity(p))
+
+
 def phiplus_concrete(p: PrimitivePoset, w: Weight) -> Weight:
     """Apply the upward weight transform to a concrete weight."""
     w.require_fits(p)
-    return _evaluate_symbolic(p, phiplus_weight(p, SymbolicWeight.identity(p)), w)
+    return _evaluate_symbolic(p, _image_of_identity(phiplus_weight, p), w)
 
 
 def phiminus_concrete(p: PrimitivePoset, w: Weight) -> Weight:
     """Apply the downward weight transform to a concrete weight."""
     w.require_fits(p)
-    return _evaluate_symbolic(p, phiminus_weight(p, SymbolicWeight.identity(p)), w)
+    return _evaluate_symbolic(p, _image_of_identity(phiminus_weight, p), w)
 
 
 class StarWeight:

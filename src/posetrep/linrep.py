@@ -18,7 +18,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch, _numeral
+from .core import (
+    DimVector,
+    PosetRepError,
+    PrimitivePoset,
+    ShapeMismatch,
+    _numeral,
+    require_ambient,
+)
 
 Matrix = linalg.Matrix
 
@@ -78,6 +85,7 @@ def make_rep(p: PrimitivePoset, ambient: int, bases: Sequence[Iterable]) -> Subs
     basis matrix is ambient x dim (columns are the spanning vectors)."""
     if len(bases) != p.n:
         raise ShapeMismatch(f"poset {p.branches} needs {p.n} bases, got {len(bases)}")
+    require_ambient(ambient)
     mats = []
     for raw in bases:
         m = [list(r) for r in raw]

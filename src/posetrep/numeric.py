@@ -1,14 +1,29 @@
-"""Numerical construction of projection tuples realising an admissible
-weight: orthogonal projections onto nested column spans of one
-orthonormal frame per branch, optimised so that the weighted projector
-sum matches the scalar matrix.
+"""Construction of projection tuples realising an admissible weight:
+orthogonal projections onto nested column spans of one orthonormal frame
+per branch, whose weighted sum is the scalar matrix.
 
-The objective ||sum_i a_i P_i - g I||_F^2 is minimised by gradient descent
-over the frames with a Barzilai-Borwein step, Armijo backtracking and a QR
-retraction after every step; random restarts guard against saddle points.
-Chain containment is exact by construction (nested columns of a single
-frame), so only the relation residual is ever optimised.  Failure to
-converge is reported best-effort and is never a certificate that no
+When d is a positive root of a finite-type poset the answer is decided
+exactly first (`derive.check_weight`).  An admissible weight's witness is
+then lifted up the derivation: the descent of `derive_conditions` is
+walked again on the concrete weight, down to the empty representation,
+and its steps are undone on frames with column weights.  A reduction is
+undone by bookkeeping (a full element completes its branch's frame to a
+unitary); a downward transform is undone by the Coxeter reflections on
+*-representations (Kruglyak and Roiter, "Locally scalar representations
+of graphs in the category of Hilbert spaces", 2005): rho at the centre
+through the kernel of the stacked frames, then sigma on each chain.  An
+inadmissible weight is rejected exactly when d admits no trace split
+(`_has_trace_split`).  Otherwise, and for a d that is not a root, a split
+of d into two roots that are both admissible gives an orthogonal direct
+sum of two lifts.
+
+Everything else (no such split, infinite type, posets above
+`roots.MAX_ELEMENTS`) falls back to the descent: ||sum_i a_i P_i - g I||_F^2 is minimised over the frames with a
+Barzilai-Borwein step, Armijo backtracking and a QR retraction after
+every step; random restarts guard against saddle points.  Chain
+containment is exact by construction (nested columns of a single frame),
+so only the relation residual is ever optimised.  Failure of the descent
+to converge is reported best-effort and is never a certificate that no
 witness exists.
 """
 
@@ -16,31 +31,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
 from math import gcd
 
 import numpy as np
 
 from .core import (
     GAMMA_KEY,
+    Condition,
     DimVector,
     PosetRepError,
     PrimitivePoset,
     ShapeMismatch,
     Weight,
+    _reduce,
+    require_ambient,
     trace_condition,
 )
+from .coxeter import alpha_to_beta, fminus_dim, phiminus_concrete
+from .derive import OrbitEscape, check_weight
+from .roots import MAX_ELEMENTS, _positive_roots, dim_to_root, is_finite_type, root_to_dim
+
+# Largest restart and iteration budgets the descent accepts.
+MAX_RESTARTS = 1000
+MAX_ITER = 100_000
 
 
 class TraceObstruction(PosetRepError):
     """The necessary trace equality fails; no witness can exist."""
 
 
-class InvalidRestarts(PosetRepError):
-    """unitarize needs at least one restart."""
+class InvalidBudget(PosetRepError):
+    """A restart or iteration budget outside its allowed range."""
+
+
+class NoWitness(PosetRepError):
+    """The weight violates a derived condition of the root d and no split of
+    d meets the trace equality: no witness exists."""
+
+    def __init__(self, message: str, violated: tuple[Condition, ...]):
+        super().__init__(message)
+        self.violated = violated
 
 
 class NoConvergence(PosetRepError):
-    """Descent did not reach the success tolerance; best attempt attached."""
+    """No witness within the success tolerance; best attempt attached."""
 
     def __init__(self, message: str, best: "NumericRep"):
         super().__init__(message)
@@ -49,7 +84,9 @@ class NoConvergence(PosetRepError):
 
 @dataclass(frozen=True)
 class NumericRep:
-    """Projection matrices (per element, branch-major) plus solve metadata."""
+    """Projection matrices (per element, branch-major) plus solve metadata:
+    a lifted witness counts the downward transforms it undid as iterations
+    and uses no restarts."""
 
     poset: PrimitivePoset
     dims: DimVector
@@ -94,24 +131,24 @@ def trace_precheck(p: PrimitivePoset, d: DimVector, w: Weight) -> None:
 
 
 def _column_weights(p: PrimitivePoset, d: DimVector, w: Weight) -> list[np.ndarray]:
-    """Weight carried by each frame column: column c of branch j is inside
-    the projector of every element with d_i >= c, so it accumulates the
-    corresponding suffix of the branch weights."""
-    out = []
-    for j, k in enumerate(p.branches, start=1):
-        top = d.entry(j, k)
-        weights = np.zeros(top)
-        for c in range(1, top + 1):
-            weights[c - 1] = float(
-                sum((w.entry(j, i) for i in range(1, k + 1) if d.entry(j, i) >= c), Fraction(0))
-            )
-        out.append(weights)
-    return out
+    """Weight carried by each frame column: column c of branch j lies in the
+    subspaces of the elements with d_i >= c, so it carries the suffix sum
+    b_i = a_i + ... + a_k of the first of them (`alpha_to_beta`)."""
+    return [
+        np.repeat([float(x) for x in betas], np.diff((0,) + dims))
+        for betas, dims in zip(alpha_to_beta(p, w).betas, d.branches)
+    ]
 
 
 def _orthonormalize(m: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(m)
     return q
+
+
+def _complement(q: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of q's columns."""
+    full, _ = np.linalg.qr(q, mode="complete")
+    return full[:, q.shape[1]:]
 
 
 def _random_frame(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:
@@ -139,6 +176,148 @@ def _projectors(p: PrimitivePoset, d: DimVector, frames: list[np.ndarray],
     return tuple(mats)
 
 
+def _residual(p: PrimitivePoset, w: Weight, projectors, n: int) -> float:
+    m = -float(w.gamma) * np.eye(n, dtype=complex)
+    for (j, i), proj in zip(p.elements(), projectors):
+        m += float(w.entry(j, i)) * proj
+    return float(np.linalg.norm(m))
+
+
+# --- the exact path ------------------------------------------------------------
+
+
+def _lift(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[tuple[np.ndarray, ...], int]:
+    """Projectors of a witness for the root d at the admissible weight w, and
+    the number of downward transforms undone.
+
+    The walk down is the descent of `derive_conditions` on concrete values:
+    states[k] is the k-th state before its reduction pass, with the reduced
+    branches of that pass.  Going back up, column weights and gamma are
+    those of the state being left, so every step keeps
+    sum_j Q_j diag(b_j) Q_j* = g I.
+    """
+    bound = len(_positive_roots(p.branches))
+    states = []
+    state = (p, d, w)
+    for _ in range(bound + 1):
+        sp, sd, sw = state
+        reduced, alphas, gamma, _ = _reduce(sd.d0, sd.branches, sw.alphas, sw.gamma)
+        states.append((sp, sd, sw, reduced))
+        if not reduced:
+            break
+        sub = PrimitivePoset(tuple(len(b) for b in reduced))
+        state = (sub, fminus_dim(sub, DimVector(sd.d0, reduced)),
+                 phiminus_concrete(sub, Weight(alphas, gamma)))
+    else:
+        raise OrbitEscape(f"lift of {d} exceeded {bound} steps")
+
+    frames: list[np.ndarray] = []  # the terminal state: no branches, gamma 0
+    for k in reversed(range(len(states))):
+        sp, sd, sw, reduced = states[k]
+        # undo the reduction: zeros add no column, merged elements share
+        # their columns, a full element completes its frame to a unitary
+        lifted = iter(frames)
+        frames = []
+        for b in sd.branches:
+            q = next(lifted) if any(0 < e < sd.d0 for e in b) else np.zeros((sd.d0, 0), complex)
+            if b[-1] == sd.d0:
+                q = np.hstack([q, _complement(q)])
+            frames.append(q)
+        if k:
+            frames = _unreflect(frames, _column_weights(sp, sd, sw), float(sw.gamma),
+                                tuple(b[-1] for b in states[k - 1][3]))
+    return _projectors(p, d, frames, d.d0), len(states) - 1
+
+
+def _unreflect(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,
+               tops: tuple[int, ...]) -> list[np.ndarray]:
+    """Undo one downward transform (sigma, then rho) on frames: rho, then
+    sigma.  tops are the last dimensions of the branches to rebuild.
+
+    rho: A = [Q_j diag(sqrt b_j)] has AA* = gI; with B an orthonormal basis
+    of ker A, sqrt(g) B_j* has Gram diag(g - b_j), so its normalised columns
+    form the new frames (in reverse column order).  sigma completes each
+    frame to a unitary and reverses the column order; the completion then
+    comes first and carries the first element, and the frame keeps the
+    columns its last element spans.
+    """
+    a = np.hstack([q * np.sqrt(c) for q, c in zip(frames, col_w)])
+    kernel = _complement(a.conj().T)
+    out, pos = [], 0
+    for c, top in zip(col_w, tops):
+        v = np.sqrt(gamma) * kernel[pos: pos + len(c)].conj().T / np.sqrt(gamma - c)
+        pos += len(c)
+        out.append(np.hstack([_complement(v), v])[:, :top])
+    return out
+
+
+def _has_trace_split(d: DimVector, w: Weight) -> bool:
+    """Whether some chain-monotone d' with 0 < d' < d and d - d'
+    chain-monotone meets its own trace equality at w.  Without one, every
+    witness of d is irreducible.  A chain's part is fixed by how much of
+    each step of the chain it takes, so a root has few parts."""
+    for top in range(1, d.d0):
+        sums = {Fraction(0)}
+        for dims, alphas in zip(d.branches, w.alphas):
+            steps = [b - a for a, b in zip((0,) + dims, dims)]
+            values = set()
+            for taken in product(*(range(s + 1) for s in steps)):
+                part = tuple(accumulate(taken))
+                if part[-1] <= top and dims[-1] - part[-1] <= d.d0 - top:
+                    values.add(sum(e * a for e, a in zip(part, alphas)))
+            sums = {x + y for x in sums for y in values}
+        if w.gamma * top in sums:
+            return True
+    return False
+
+
+def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(a) + len(b),) * 2, dtype=complex)
+    out[: len(a), : len(a)] = a
+    out[len(a):, len(a):] = b
+    return out
+
+
+def _split_witness(p: PrimitivePoset, d: DimVector, w: Weight,
+                   roots) -> tuple[tuple[np.ndarray, ...], int] | None:
+    """The orthogonal direct sum of the lifts of r and d - r for the first
+    split of d into two roots that are both admissible at w, or None."""
+    whole = dim_to_root(d)
+    for x in sorted(roots):
+        y = tuple(a - b for a, b in zip(whole, x))
+        if x > y or y not in roots:
+            continue
+        r, s = root_to_dim(p, x), root_to_dim(p, y)
+        if not (r.is_admissible(p) and s.is_admissible(p)):
+            continue
+        # check_weight tries the O(n) trace equality first
+        if check_weight(p, r, w).admissible and check_weight(p, s, w).admissible:
+            (pr, steps_r), (ps, steps_s) = _lift(p, r, w), _lift(p, s, w)
+            return tuple(map(_block_diagonal, pr, ps)), steps_r + steps_s
+    return None
+
+
+def _exact_witness(p: PrimitivePoset, d: DimVector,
+                   w: Weight) -> tuple[tuple[np.ndarray, ...], int] | None:
+    """Projectors and lift steps of a witness built without the descent,
+    None when only the descent can answer; raises NoWitness when exactly
+    no witness exists."""
+    if p.n > MAX_ELEMENTS or not is_finite_type(p):
+        return None
+    roots = _positive_roots(p.branches)
+    if dim_to_root(d) in roots:
+        verdict = check_weight(p, d, w)
+        if verdict.admissible:
+            return _lift(p, d, w)
+        if not _has_trace_split(d, w):
+            raise NoWitness(
+                f"weight violates {len(verdict.violated)} derived condition(s) and "
+                "no split of the dimension vector meets the trace equality",
+                verdict.violated,
+            )
+    return _split_witness(p, d, w, roots)
+
+
 def unitarize(
     p: PrimitivePoset,
     d: DimVector,
@@ -150,21 +329,44 @@ def unitarize(
     seed: int = 0,
 ) -> NumericRep:
     """Find projections onto nested subspaces of the stated dimensions
-    satisfying the weighted sum relation up to success_tol * g * sqrt(d0)."""
-    if restarts < 1:
-        raise InvalidRestarts(f"restarts must be at least 1, got {restarts}")
+    satisfying the weighted sum relation up to success_tol * g * sqrt(d0):
+    exactly decided and lifted where the module docstring says, by the
+    descent otherwise."""
+    if not 1 <= restarts <= MAX_RESTARTS:
+        bound = "at least 1" if restarts < 1 else f"at most {MAX_RESTARTS}"
+        raise InvalidBudget(f"restarts must be {bound}, got {restarts}")
+    if max_iter > MAX_ITER:
+        raise InvalidBudget(f"max_iter must be at most {MAX_ITER}, got {max_iter}")
     trace_precheck(p, d, w)
     if not d.is_admissible(p):
         raise ShapeMismatch(f"dimension vector {d} is not chain-monotone")
+    require_ambient(d.d0)
     n = d.d0
-    gamma = float(w.gamma)
-    target = success_tol * gamma * np.sqrt(max(n, 1))
-    col_w = _column_weights(p, d, w)
+    target = success_tol * float(w.gamma) * np.sqrt(max(n, 1))
 
     if n == 0:
         return NumericRep(p, d, w, tuple(np.zeros((0, 0), dtype=complex)
                                          for _ in range(p.n)), 0.0, 0, 0, seed)
 
+    exact = _exact_witness(p, d, w)
+    if exact is None:
+        return _descend(p, d, w, target, inner_tol, max_iter, restarts, seed)
+    projectors, steps = exact
+    residual = _residual(p, w, projectors, n)
+    rep = NumericRep(p, d, w, projectors, residual, steps, 0, seed)
+    if not residual <= target:  # NaN fails too
+        raise NoConvergence(
+            f"lifted witness residual {residual:.3e} above tolerance {target:.3e}", rep
+        )
+    return rep
+
+
+def _descend(p: PrimitivePoset, d: DimVector, w: Weight, target: float,
+             inner_tol: float, max_iter: int, restarts: int, seed: int) -> NumericRep:
+    """Barzilai-Borwein descent over frames from random restarts."""
+    n = d.d0
+    gamma = float(w.gamma)
+    col_w = _column_weights(p, d, w)
     best: tuple[float, list[np.ndarray], int, int] | None = None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
@@ -229,11 +431,7 @@ def unitarize(
 def relation_residual(rep: NumericRep, w: Weight) -> float:
     """||sum a_i P_i - g I||_F for the stored projectors under w."""
     w.require_fits(rep.poset)
-    n = rep.dims.d0
-    m = -float(w.gamma) * np.eye(n, dtype=complex)
-    for (j, i), proj in zip(rep.poset.elements(), rep.projectors):
-        m += float(w.entry(j, i)) * proj
-    return float(np.linalg.norm(m))
+    return _residual(rep.poset, w, rep.projectors, rep.dims.d0)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import posetrep
@@ -162,6 +163,65 @@ def test_unitarize_rejects_restarts_below_one(capsys):
         )
         assert code == 1 and out == ""
         assert err == f"error: restarts must be at least 1, got {restarts}\n"
+
+
+def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
+    from posetrep import numeric
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(numeric, "_descend", no_descent)
+    argv = ["unitarize", "--poset", "2,2,1", "--dim", "0,1;0,1;1;2",
+            "--weight", "1,4/3;1,1/3;1/3;1"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err == "no witness: violated: γ<β₂+δ\n"
+    _, admissible, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                            "--weight", "1;1;1;3/2")
+    payload = json.loads(out)
+    assert payload.keys() == json.loads(admissible).keys()
+    assert payload["success"] is False and payload["projectors"] is None
+    out_path = tmp_path / "none.json"
+    code, out, err = _run(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == f"no witness -> {out_path}\n"
+    assert json.loads(out_path.read_text()) == payload
+
+
+def test_unitarize_decomposable_witness(capsys):
+    start = time.monotonic()
+    code, out, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                        "--weight", "1;1/2;1/2;1")
+    assert time.monotonic() - start < 1
+    payload = json.loads(out)
+    assert code == 0 and payload["success"] is True
+    assert payload["residual"] <= 1e-8 * 2**0.5
+
+
+def test_budget_and_size_bounds(tmp_path, capsys):
+    base = ["unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2", "--weight", "1;1;1;3/2"]
+    for flag, value, message in [
+        ("--restarts", "1001", "restarts must be at most 1000, got 1001"),
+        ("--max-iter", "100001", "max_iter must be at most 100000, got 100001"),
+    ]:
+        code, out, err = _run(capsys, *base, flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = _run(capsys, "coxeter", "--op", "phiminus", "--poset", "1,1,1",
+                          "--symbolic", "--steps", "1000000000")
+    assert (code, out, err) == (1, "", "error: steps must be at most 1000, got 1000000000\n")
+    # not a root, meets every other check, and would need a 100000 x 100000 matrix
+    start = time.monotonic()
+    code, out, err = _run(capsys, "unitarize", "--poset", "1", "--dim", "1;100000",
+                          "--weight", "100000;1")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: ambient dimension 100000 is above the supported 512\n"
+    rep_path = tmp_path / "huge.json"
+    rep_path.write_text(json.dumps({"poset": {"branches": [1]}, "ambient": 10**9,
+                                    "bases": [[]]}))
+    code, out, err = _run(capsys, "rep", "--file", str(rep_path), "--check", "dim")
+    assert (code, out) == (1, "")
+    assert err == "error: ambient dimension 1000000000 is above the supported 512\n"
 
 
 def test_coxeter_dim_steps(capsys):

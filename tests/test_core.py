@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -233,3 +234,14 @@ def test_json_encodings():
     }
     c = parse_condition_text("a1<2g", p)
     assert c.to_json() == {"coeffs": {"a.1.1": "1", "g": "-2"}, "rel": "lt0"}
+
+
+def test_weight_from_json_bounds_numerals():
+    w = Weight.from_json({"alphas": [["1/2", 3], ["1"]], "gamma": "2"})
+    assert w.alphas == ((Q(1, 2), Q(3)), (Q(1),)) and w.gamma == 2
+    start = time.monotonic()
+    with pytest.raises(ShapeMismatch, match="exponent above 4300"):
+        Weight.from_json({"alphas": [["1e3000000"]], "gamma": "1"})
+    with pytest.raises(ShapeMismatch, match="longer than 4300"):
+        Weight.from_json({"alphas": [["1"]], "gamma": "3" * 4301})
+    assert time.monotonic() - start < 0.1

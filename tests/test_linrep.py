@@ -223,3 +223,11 @@ def test_indecomposability_locality_oracle():
         local = len(basis) - rad_dim == 1
         assert local == expected
         assert is_indecomposable(rep) == expected
+
+
+def test_make_rep_bounds_ambient():
+    from posetrep.core import MAX_AMBIENT, AmbientTooLarge
+
+    assert make_rep(make_poset([1]), MAX_AMBIENT, [[]]).ambient == MAX_AMBIENT
+    with pytest.raises(AmbientTooLarge):
+        make_rep(make_poset([1]), MAX_AMBIENT + 1, [[]])

@@ -128,3 +128,114 @@ def test_unitarize_rejects_inadmissible_dims():
     p = make_poset([2])
     with pytest.raises(ShapeMismatch):
         unitarize(p, parse_dim_string("2,1;2"), parse_weight_string("1,1;3/2"))
+
+
+# --- the exact path: decide, then lift -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def five_tables():
+    from posetrep.derive import generate_table
+
+    return [generate_table(make_poset(b))
+            for b in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1)]]
+
+
+def test_lift_witnesses_every_table_row(five_tables):
+    rows = 0
+    for table in five_tables:
+        p = table.poset
+        for row in table.rows:
+            w = interior_point(row.conditions, p)
+            if w is None:
+                continue
+            rep = unitarize(p, row.dim, w)
+            assert rep.residual <= 1e-8 * float(w.gamma) * np.sqrt(row.dim.d0)
+            assert structure_check(rep, p, row.dim).ok
+            assert rep.restarts_used == 0  # lifted, not descended
+            rows += 1
+    assert rows > 200  # every d0 of (4,2,1) included, up to 6
+
+
+def _no_descent(*args, **kwargs):
+    raise AssertionError("the descent ran")
+
+
+def test_exact_reject_never_descends(monkeypatch):
+    from posetrep import numeric
+    from posetrep.derive import check_weight
+    from posetrep.numeric import NoWitness
+
+    monkeypatch.setattr(numeric, "_descend", _no_descent)
+    p = make_poset([2, 2, 1])
+    d = parse_dim_string("0,1;0,1;1;2")
+    w = parse_weight_string("1,4/3;1,1/3;1/3;1")  # trace holds, g < b2 + d fails
+    with pytest.raises(NoWitness) as exc:
+        unitarize(p, d, w)
+    assert exc.value.violated == check_weight(p, d, w).violated != ()
+
+
+def test_two_root_split_gives_decomposable_witness(monkeypatch):
+    from posetrep import numeric
+
+    monkeypatch.setattr(numeric, "_descend", _no_descent)
+    p = make_poset([1, 1, 1])
+    d = parse_dim_string("1;1;1;2")
+    w = parse_weight_string("1;1/2;1/2;1")  # a = g breaks a < g; P1 = e1e1*, P2 = P3 = e2e2*
+    rep = unitarize(p, d, w)
+    assert rep.residual <= 1e-8 * np.sqrt(2)
+    assert structure_check(rep, p, d).ok
+    assert commutant_dim(rep) >= 2  # decomposable
+
+
+def test_lifted_witness_above_tolerance_is_no_convergence():
+    p = make_poset([2, 2, 1])
+    d = parse_dim_string("1,2;1,2;2;3")
+    w = interior_point(derive_conditions(p, d)[0], p)
+    with pytest.raises(NoConvergence) as exc:
+        unitarize(p, d, w, success_tol=1e-300)
+    best = exc.value.best
+    assert best.restarts_used == 0 and structure_check(best, p, d).ok
+    assert 0 < best.residual <= 1e-8 * np.sqrt(3)
+
+
+def test_trace_split_matches_exhaustive_scan():
+    """`_has_trace_split` against every integer vector below d."""
+    import itertools
+    import random
+
+    from posetrep.core import DimVector, Weight
+    from posetrep.numeric import _has_trace_split
+    from posetrep.roots import enumerate_indec_dims
+
+    def scan(d, w):
+        flat = [e for b in d.branches for e in b]
+        for d0 in range(1, d.d0):
+            for part in itertools.product(*(range(e + 1) for e in flat)):
+                it = iter(part)
+                branches = tuple(tuple(next(it) for _ in b) for b in d.branches)
+                rest = tuple(tuple(x - y for x, y in zip(b, c))
+                             for b, c in zip(d.branches, branches))
+                p = make_poset([len(b) for b in d.branches])
+                if not (DimVector(d0, branches).is_admissible(p)
+                        and DimVector(d.d0 - d0, rest).is_admissible(p)):
+                    continue
+                value = sum(e * a for b, c in zip(branches, w.alphas) for e, a in zip(b, c))
+                if value == w.gamma * d0:
+                    return True
+        return False
+
+    rng = random.Random(5)
+    hits = 0
+    for branches in [(2, 2, 1), (3, 2, 1)]:
+        p = make_poset(branches)
+        for d in enumerate_indec_dims(p):
+            if d.d0 > 4:
+                continue
+            for _ in range(3):
+                w = Weight(tuple(tuple(rng.randint(1, 3) for _ in range(k)) for k in branches),
+                           rng.randint(1, 4))
+                found = _has_trace_split(d, w)
+                assert found == scan(d, w), (d, w)
+                hits += found
+    assert hits > 20

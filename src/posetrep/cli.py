@@ -186,8 +186,11 @@ def _cmd_unitarize(args) -> int:
         print(f"no convergence: {exc}", file=sys.stderr)
         rep, ok = exc.best, False
     except NoWitness as exc:
-        violated = ", ".join(render_condition(c, p) for c in exc.violated)
-        print(f"no witness: violated: {violated}", file=sys.stderr)
+        if exc.violated:
+            violated = ", ".join(render_condition(c, p) for c in exc.violated)
+            print(f"no witness: violated: {violated}", file=sys.stderr)
+        else:  # d is not a root
+            print(f"no witness: {exc}", file=sys.stderr)
         rep, ok = None, False
     if rep is None:  # the same keys, with nothing to show
         payload = {"poset": p.to_json(), "dim": d.to_json(), "weight": w.to_json(),

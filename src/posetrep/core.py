@@ -538,8 +538,7 @@ def _reduce(d0: int, dims: Iterable[Iterable[int]], forms: Iterable[Iterable],
     """One reduction pass: delete zero-dimensional elements, merge
     chain-adjacent elements of equal dimension (summing their forms), then
     delete elements of dimension d0 (subtracting their forms from the
-    gamma form); branches left empty are dropped.  Forms are combined by
-    + and - only, so `LinearForm`s and concrete `Fraction`s both pass.
+    gamma form); branches left empty are dropped.
 
     Returns the reduced dims, forms and gamma form, and the findings in
     firing order: zeros, then merges, then fulls, each branch-major.  A

@@ -33,7 +33,10 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
+from math import lcm
+from operator import add, mul
 from typing import Iterable, Union
 
 from . import lp
@@ -112,10 +115,12 @@ def step_to_json(step: TraceStep) -> dict:
     return {"step": "terminal", "equality": step.equality.to_json()}
 
 
-def derive_conditions(
+def _walk(
     p: PrimitivePoset, d: DimVector
-) -> tuple[ConditionSet, DerivationTrace]:
-    """Exact weight conditions for the indecomposable with dimensions d."""
+) -> tuple[list[Condition], list[TraceStep], list[tuple]]:
+    """The descent of `derive_conditions`: its conditions in emission order,
+    its trace steps, and its states, each (d0, dims, branch forms, gamma
+    form, reduced dims) as it stood before its reduction pass."""
     if not is_finite_type(p):
         raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
     # the cached root set checks MAX_ELEMENTS before building any graph
@@ -130,15 +135,18 @@ def derive_conditions(
     forms, gamma_form = w.branch_forms, w.gamma_form
     steps: list[TraceStep] = []
     conditions: list[Condition] = []
+    states: list[tuple] = []
     # at most len(roots) transforms, each followed by a reduction pass
     for _ in range(len(roots) + 1):
+        state = (d0, dims, forms, gamma_form)
         dims, forms, gamma_form, findings = _reduce(d0, dims, forms, gamma_form)
+        states.append(state + (dims,))
         steps.extend(findings)
         if not dims:
             equality = Condition(gamma_form, EQ_ZERO)
             conditions.append(equality)
             steps.append(Terminal(equality))
-            return ConditionSet(conditions), DerivationTrace(tuple(steps))
+            return conditions, steps, states
 
         sub_poset = PrimitivePoset(tuple(len(b) for b in dims))
         state_d = DimVector(d0, dims)
@@ -153,6 +161,122 @@ def derive_conditions(
         d0, dims = next_d.d0, next_d.branches
         forms, gamma_form = next_w.branch_forms, next_w.gamma_form
     raise OrbitEscape(f"descent from {d} exceeded {len(roots)} steps")
+
+
+def derive_conditions(
+    p: PrimitivePoset, d: DimVector
+) -> tuple[ConditionSet, DerivationTrace]:
+    """Exact weight conditions for the indecomposable with dimensions d."""
+    conditions, steps, _ = _walk(p, d)
+    return ConditionSet(conditions), DerivationTrace(tuple(steps))
+
+
+# --- the descent compiled to integer rows ---------------------------------
+
+IntRow = tuple[int, ...]
+
+
+def _rows(forms, index: dict[str, int]) -> tuple[int, list[list[int]]]:
+    """Rows over the variable index of forms, all scaled by one positive
+    common denominator into integers, and that denominator.  Built from
+    the sparse coefficients: most of a row is zero."""
+    ratios = [[(index[k], v.as_integer_ratio()) for k, v in f._coeffs.items()] for f in forms]
+    denom = lcm(*{q for r in ratios for _, (_, q) in r})
+    rows = []
+    for r in ratios:
+        row = [0] * len(index)
+        for i, (n, q) in r:
+            row[i] = n * (denom // q)
+        rows.append(row)
+    return denom, rows
+
+
+def _dot(row: IntRow, x: list[int]) -> int:
+    return sum(map(mul, row, x))
+
+
+def _integer_point(w: Weight) -> tuple[list[int], int]:
+    """w times the lcm L of its denominators, as integers in variable order
+    (`PrimitivePoset.variable_keys`), and L."""
+    values = [a for b in w.alphas for a in b] + [w.gamma]
+    scale = 1
+    for v in values:
+        scale = lcm(scale, v.denominator)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+@dataclass(frozen=True)
+class LiftState:
+    """One state of the descent, before its reduction pass, as the lift
+    needs it.  columns holds, per branch, (row, count) for each element
+    that adds count > 0 frame columns: row is denom times the element's
+    suffix sum b = a_i + ... + a_k (its column weight); gamma is denom
+    times the state's gamma.  tops are the last dimensions of the
+    branches the reduction pass leaves."""
+
+    d0: int
+    dims: tuple[tuple[int, ...], ...]
+    tops: tuple[int, ...]
+    denom: int
+    columns: tuple[tuple[tuple[IntRow, int], ...], ...]
+    gamma: IntRow
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """The descent of one (poset, d), compiled once: each derived condition
+    as an integer row over keys with its relation, in `ConditionSet` order,
+    and the states the lift walks back up.  Conditions are canonical, so
+    their rows are their integer coefficients."""
+
+    keys: tuple[str, ...]
+    conditions: tuple[tuple[IntRow, str], ...]
+    states: tuple[LiftState, ...]
+
+    def violated(self, w: Weight) -> tuple[Condition, ...]:
+        """The conditions that fail at w (which must fit the poset), in order."""
+        x, _ = _integer_point(w)
+        out = []
+        for row, rel in self.conditions:
+            v = _dot(row, x)
+            if (v != 0) if rel == EQ_ZERO else (v >= 0):
+                form = LinearForm({k: c for k, c in zip(self.keys, row) if c})
+                out.append(Condition(form, rel))
+        return tuple(out)
+
+
+def _lift_state(state: tuple, index: dict[str, int], first: bool) -> LiftState:
+    d0, dims, forms, gamma_form, reduced = state
+    tops = tuple(b[-1] for b in reduced)
+    if first:  # the lift never leaves the starting state
+        return LiftState(d0, dims, tops, 1, (), ())
+    denom, rows = _rows([f for b in forms for f in b] + [gamma_form], index)
+    gamma = tuple(rows.pop())
+    columns, pos = [], 0
+    for b in dims:
+        branch = rows[pos: pos + len(b)]
+        pos += len(b)
+        for i in reversed(range(len(b) - 1)):  # suffix sums
+            branch[i] = list(map(add, branch[i], branch[i + 1]))
+        counts = [e - prev for prev, e in zip((0,) + b, b)]
+        columns.append(tuple((tuple(r), c) for r, c in zip(branch, counts) if c))
+    return LiftState(d0, dims, tops, denom, tuple(columns), gamma)
+
+
+@lru_cache(maxsize=1024)
+def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
+    """The descent of (p, d) walked once and compiled to integer rows.
+    Holds no `LinearForm`; `cache_clear` empties it."""
+    conditions, _, states = _walk(p, d)
+    keys = p.variable_keys()
+    index = {k: i for i, k in enumerate(keys)}
+    cs = ConditionSet(conditions)
+    _, rows = _rows([c.form for c in cs], index)
+    return Criterion(
+        tuple(keys),
+        tuple((tuple(r), c.rel) for r, c in zip(rows, cs)),
+        tuple(_lift_state(s, index, k == 0) for k, s in enumerate(states)),
+    )
 
 
 # --- LP-backed region operations ------------------------------------------
@@ -274,15 +398,16 @@ def check_weight(p: PrimitivePoset, d: DimVector, w: Weight) -> Verdict:
     """Exact evaluation of the derived conditions at w.
 
     The necessary trace equality is checked first in O(n); when it fails
-    the full derivation is skipped entirely.
+    the derivation is skipped entirely.  Otherwise the conditions are
+    those of the cached `_criterion`, whose integer rows are evaluated at
+    w scaled to integers.
     """
     d.require_fits(p)
     w.require_fits(p)
     trace = trace_condition(p, d)
     if not trace.holds_at(w):
         return Verdict(False, (trace,))
-    conditions, _ = derive_conditions(p, d)
-    violated = tuple(c for c in conditions if not c.holds_at(w))
+    violated = _criterion(p, d).violated(w)
     return Verdict(not violated, violated)
 
 

@@ -3,22 +3,30 @@ orthogonal projections onto nested column spans of one orthonormal frame
 per branch, whose weighted sum is the scalar matrix.
 
 When d is a positive root of a finite-type poset the answer is decided
-exactly first (`derive.check_weight`).  An admissible weight's witness is
-then lifted up the derivation: the descent of `derive_conditions` is
-walked again on the concrete weight, down to the empty representation,
-and its steps are undone on frames with column weights.  A reduction is
-undone by bookkeeping (a full element completes its branch's frame to a
-unitary); a downward transform is undone by the Coxeter reflections on
-*-representations (Kruglyak and Roiter, "Locally scalar representations
-of graphs in the category of Hilbert spaces", 2005): rho at the centre
-through the kernel of the stacked frames, then sigma on each chain.  An
-inadmissible weight is rejected exactly when d admits no trace split
-(`_has_trace_split`).  Otherwise, and for a d that is not a root, a split
-of d into two roots that are both admissible gives an orthogonal direct
-sum of two lifts.
+exactly first, by the derived conditions of d.  The descent of
+`derive_conditions` is walked once per (poset, d) and compiled to integer
+rows (`derive._criterion`, a bounded `lru_cache`): each condition is a
+row, and each state of the descent keeps its dimensions and the rows of
+its column weights and gamma.  An admissible weight's witness is then
+lifted up those states from the empty representation: every column weight
+and gamma is an exact integer dot product at the weight scaled to
+integers, checked to satisfy 0 < b < g, then divided once into a float.
+A reduction is undone by bookkeeping (a full element completes its
+branch's frame to a unitary); a downward transform is undone by the
+Coxeter reflections on *-representations (Kruglyak and Roiter, "Locally
+scalar representations of graphs in the category of Hilbert spaces",
+2005): rho at the centre through the kernel of the stacked frames, then
+sigma on each chain.
 
-Everything else (no such split, infinite type, posets above
-`roots.MAX_ELEMENTS`) falls back to the descent: ||sum_i a_i P_i - g I||_F^2 is minimised over the frames with a
+An irreducible witness of a finite-type poset has a root dimension, so a
+weight that violates a condition of the root d, or any weight when d is
+not a root, is rejected exactly when d admits no trace split
+(`_has_trace_split`).  Otherwise a split of d into two roots that are
+both admissible gives an orthogonal direct sum of two lifts.
+
+Everything else (a trace split but no such split into roots, infinite
+type, posets above `roots.MAX_ELEMENTS`) falls back to the descent:
+||sum_i a_i P_i - g I||_F^2 is minimised over the frames with a
 Barzilai-Borwein step, Armijo backtracking and a QR retraction after
 every step; random restarts guard against saddle points.  Chain
 containment is exact by construction (nested columns of a single frame),
@@ -32,24 +40,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd
 
 import numpy as np
 
 from .core import (
-    GAMMA_KEY,
     Condition,
     DimVector,
     PosetRepError,
     PrimitivePoset,
     ShapeMismatch,
     Weight,
-    _reduce,
+    format_dim_string,
     require_ambient,
-    trace_condition,
 )
-from .coxeter import alpha_to_beta, fminus_dim, phiminus_concrete
-from .derive import OrbitEscape, check_weight
+from .coxeter import alpha_to_beta
+from .derive import OrbitEscape, _criterion, _dot, _integer_point, check_weight
 from .roots import MAX_ELEMENTS, _positive_roots, dim_to_root, is_finite_type, root_to_dim
 
 # Largest restart and iteration budgets the descent accepts.
@@ -117,14 +122,10 @@ class NumericRep:
 def trace_precheck(p: PrimitivePoset, d: DimVector, w: Weight) -> None:
     """Exact O(n) necessary condition `core.trace_condition`:
     sum_i a_i d_i = g d0."""
-    form = trace_condition(p, d).form
+    d.require_fits(p)
     w.require_fits(p)
-    value = form.evaluate(w)
-    if value != 0:
-        # the stored form is (sum d_i a_i - d0 g) / gcd(d), negated when every
-        # d_i is 0; gcd(d) times its alpha part is sum a*d in both cases
-        alpha_part = value - form.coeff(GAMMA_KEY) * w.gamma
-        total = gcd(d.d0, *(e for b in d.branches for e in b)) * alpha_part
+    total = sum((a * e for b, c in zip(w.alphas, d.branches) for a, e in zip(b, c)), Fraction(0))
+    if total != w.gamma * d.d0:
         raise TraceObstruction(
             f"trace obstruction: sum a*d = {total} but g*d0 = {w.gamma * d.d0}"
         )
@@ -190,43 +191,48 @@ def _lift(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[tuple[np.ndarray,
     """Projectors of a witness for the root d at the admissible weight w, and
     the number of downward transforms undone.
 
-    The walk down is the descent of `derive_conditions` on concrete values:
-    states[k] is the k-th state before its reduction pass, with the reduced
-    branches of that pass.  Going back up, column weights and gamma are
-    those of the state being left, so every step keeps
-    sum_j Q_j diag(b_j) Q_j* = g I.
+    The states are those of the cached descent (`derive._criterion`),
+    walked back up from the empty one.  Column weights and gamma are those
+    of the state being left, so every step keeps
+    sum_j Q_j diag(b_j) Q_j* = g I; they are exact integer dot products
+    divided once, so each float is the correctly rounded rational.
     """
-    bound = len(_positive_roots(p.branches))
-    states = []
-    state = (p, d, w)
-    for _ in range(bound + 1):
-        sp, sd, sw = state
-        reduced, alphas, gamma, _ = _reduce(sd.d0, sd.branches, sw.alphas, sw.gamma)
-        states.append((sp, sd, sw, reduced))
-        if not reduced:
-            break
-        sub = PrimitivePoset(tuple(len(b) for b in reduced))
-        state = (sub, fminus_dim(sub, DimVector(sd.d0, reduced)),
-                 phiminus_concrete(sub, Weight(alphas, gamma)))
-    else:
-        raise OrbitEscape(f"lift of {d} exceeded {bound} steps")
-
+    states = _criterion(p, d).states
+    x, scale = _integer_point(w)
     frames: list[np.ndarray] = []  # the terminal state: no branches, gamma 0
     for k in reversed(range(len(states))):
-        sp, sd, sw, reduced = states[k]
+        s = states[k]
         # undo the reduction: zeros add no column, merged elements share
         # their columns, a full element completes its frame to a unitary
         lifted = iter(frames)
         frames = []
-        for b in sd.branches:
-            q = next(lifted) if any(0 < e < sd.d0 for e in b) else np.zeros((sd.d0, 0), complex)
-            if b[-1] == sd.d0:
+        for b in s.dims:
+            q = next(lifted) if any(0 < e < s.d0 for e in b) else np.zeros((s.d0, 0), complex)
+            if b[-1] == s.d0:
                 q = np.hstack([q, _complement(q)])
             frames.append(q)
         if k:
-            frames = _unreflect(frames, _column_weights(sp, sd, sw), float(sw.gamma),
-                                tuple(b[-1] for b in states[k - 1][3]))
+            col_w, gamma = _column_weights_exact(s, x, scale, d)
+            frames = _unreflect(frames, col_w, gamma, states[k - 1].tops)
     return _projectors(p, d, frames, d.d0), len(states) - 1
+
+
+def _column_weights_exact(s, x: list[int], scale: int,
+                          d: DimVector) -> tuple[list[np.ndarray], float]:
+    """Column weights and gamma of the lift state s at the integer point x
+    (w times scale), after checking exactly that 0 < b < g for every
+    column: rho takes square roots of b and of g - b."""
+    g = _dot(s.gamma, x)
+    col_w = []
+    for branch in s.columns:
+        values = [_dot(row, x) for row, _ in branch]
+        if not all(0 < v < g for v in values):
+            raise OrbitEscape(
+                f"lift of {format_dim_string(d)}: a column weight leaves (0, gamma)"
+            )
+        denom = s.denom * scale
+        col_w.append(np.repeat([v / denom for v in values], [c for _, c in branch]))
+    return col_w, g / (s.denom * scale)
 
 
 def _unreflect(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,
@@ -306,15 +312,19 @@ def _exact_witness(p: PrimitivePoset, d: DimVector,
         return None
     roots = _positive_roots(p.branches)
     if dim_to_root(d) in roots:
-        verdict = check_weight(p, d, w)
-        if verdict.admissible:
+        # the caller has checked the trace equality
+        violated = _criterion(p, d).violated(w)
+        if not violated:
             return _lift(p, d, w)
-        if not _has_trace_split(d, w):
-            raise NoWitness(
-                f"weight violates {len(verdict.violated)} derived condition(s) and "
-                "no split of the dimension vector meets the trace equality",
-                verdict.violated,
-            )
+        reason = f"weight violates {len(violated)} derived condition(s)"
+    else:  # an irreducible witness would have a root dimension
+        violated = ()
+        reason = f"{format_dim_string(d)} is not a root of {p.branches}"
+    if not _has_trace_split(d, w):
+        raise NoWitness(
+            f"{reason} and no split of the dimension vector meets the trace equality",
+            violated,
+        )
     return _split_witness(p, d, w, roots)
 
 

@@ -188,6 +188,43 @@ def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
     assert json.loads(out_path.read_text()) == payload
 
 
+def test_unitarize_exact_reject_of_a_non_root(tmp_path, capsys, monkeypatch):
+    from posetrep import numeric
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(numeric, "_descend", no_descent)
+    argv = ["unitarize", "--poset", "1,1,1", "--dim", "0;1;1;2", "--weight", "8;6;1;7/2"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err == ("no witness: 0;1;1;2 is not a root of (1, 1, 1) and no split of the "
+                   "dimension vector meets the trace equality\n")
+    _, admissible, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                            "--weight", "1;1;1;3/2")
+    payload = json.loads(out)
+    assert payload.keys() == json.loads(admissible).keys()
+    assert payload["success"] is False and payload["projectors"] is None
+    out_path = tmp_path / "none.json"
+    code, out, err = _run(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == f"no witness -> {out_path}\n"
+    assert json.loads(out_path.read_text()) == payload
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    src = str(Path(posetrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetrep", "unitarize", "--poset", "1,1,1",
+         "--dim", "1;1;1;2", "--weight", "1;1;1;3/2"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["success"] is True and payload["residual"] <= 1e-8 * 1.5 * 2**0.5
+
+
 def test_unitarize_decomposable_witness(capsys):
     start = time.monotonic()
     code, out, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",

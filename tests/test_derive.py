@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetrep.core import (
+    GAMMA_KEY,
     ConditionSet,
     PosetRepError,
+    Weight,
+    alpha_key,
     classify_degeneracy,
     make_poset,
     parse_condition_text,
@@ -18,6 +27,7 @@ from posetrep.derive import (
     MalformedTrace,
     NotInEnumeration,
     Terminal,
+    Verdict,
     check_weight,
     derive_conditions,
     generate_table,
@@ -192,6 +202,112 @@ def test_check_weight_examples():
     assert bad.violated == (trace_condition(p, d),)
     # homogeneity: scaling a weight never changes the verdict
     assert check_weight(p, d, parse_weight_string("4;4;4;6")).admissible
+
+
+# --- the compiled check against the derived conditions ---------------------
+
+_SHAPES = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1), (5, 1, 1), (4, 4)]
+# every root whose trace equality some positive weight meets
+_TRACE_ROOTS = [(make_poset(b), d) for b in _SHAPES for d in enumerate_indec_dims(make_poset(b))
+                if any(e for branch in d.branches for e in branch)]
+
+
+@lru_cache(maxsize=None)
+def _derived(p, d):
+    return derive_conditions(p, d)[0]
+
+
+def _assert_compiled_check_agrees(p, d, w):
+    """check_weight against the reference verdict: every derived condition
+    evaluated at w (where the trace equality holds)."""
+    assert trace_condition(p, d).holds_at(w)
+    expected = tuple(c for c in _derived(p, d) if not c.holds_at(w))
+    assert check_weight(p, d, w) == Verdict(not expected, expected), (p, d, w)
+
+
+def _point(p, values):
+    """Weight from a dict over p.variable_keys(), or None if not positive."""
+    if any(v <= 0 for v in values.values()):
+        return None
+    alphas = tuple(tuple(values[alpha_key(j, i)] for i in range(1, k + 1))
+                   for j, k in enumerate(p.branches, start=1))
+    return Weight(alphas, values[GAMMA_KEY])
+
+
+def test_compiled_check_matches_derived_conditions():
+    """Each root's interior point, and for each inequality the points on its
+    boundary and just outside it, moving from the interior point along the
+    trace hyperplane."""
+    rows = outside = 0
+    for b in _SHAPES:
+        p = make_poset(b)
+        keys = p.variable_keys()
+        for d in enumerate_indec_dims(p):
+            conditions = _derived(p, d)
+            x0 = interior_point(conditions, p)
+            if x0 is None:
+                continue
+            _assert_compiled_check_agrees(p, d, x0)
+            rows += 1
+            x = {k: x0.value(k) for k in keys}
+            t = [trace_condition(p, d).form.coeff(k) for k in keys]
+            tt = sum(c * c for c in t)
+            for cond in conditions.inequalities:
+                f = [cond.form.coeff(k) for k in keys]
+                ft = sum(a * c for a, c in zip(f, t))
+                v = [a * tt - c * ft for a, c in zip(f, t)]  # f projected off t
+                v = [c / gcd(*(int(c) for c in v)) for c in v]
+                fv = sum(a * c for a, c in zip(f, v))
+                at_x0 = cond.form.evaluate(x0)
+                assert at_x0 < 0 < fv
+                for over in (Fraction(0), Fraction(1, 1000)):
+                    s = -at_x0 / fv * (1 + over)
+                    w = _point(p, {k: x[k] + s * c for k, c in zip(keys, v)})
+                    if w is not None:
+                        assert not cond.holds_at(w)
+                        _assert_compiled_check_agrees(p, d, w)
+                        outside += 1
+    assert rows > 250 and outside > 1000
+
+
+@st.composite
+def _trace_weights(draw):
+    p, d = draw(st.sampled_from(_TRACE_ROOTS))
+    entry = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+    alphas = tuple(tuple(draw(entry) for _ in range(k)) for k in p.branches)
+    total = sum(a * e for b, db in zip(alphas, d.branches) for a, e in zip(b, db))
+    return p, d, Weight(alphas, total / d.d0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trace_weights())
+def test_compiled_check_matches_on_trace_weights(case):
+    _assert_compiled_check_agrees(*case)
+
+
+def test_criterion_cache_is_bounded():
+    from posetrep.core import LinearForm
+    from posetrep.derive import _criterion
+
+    assert _criterion.cache_info().maxsize == 1024
+    p = make_poset([2, 2, 1])
+    d = parse_dim_string("1,2;1,2;2;3")
+    check_weight(p, d, parse_weight_string("1,1;1,1;1;2"))
+    assert _criterion.cache_info().currsize >= 1
+
+    def forms(obj):
+        if isinstance(obj, LinearForm):
+            yield obj
+        elif isinstance(obj, tuple):
+            for x in obj:
+                yield from forms(x)
+        elif hasattr(obj, "__dataclass_fields__"):
+            for name in obj.__dataclass_fields__:
+                yield from forms(getattr(obj, name))
+
+    assert not list(forms(_criterion(p, d)))
+    _criterion.cache_clear()
+    assert _criterion.cache_info().currsize == 0
 
 
 def test_corpus_row_counts_and_order():

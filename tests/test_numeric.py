@@ -175,6 +175,32 @@ def test_exact_reject_never_descends(monkeypatch):
     assert exc.value.violated == check_weight(p, d, w).violated != ()
 
 
+def test_non_root_exact_reject(monkeypatch):
+    from posetrep import numeric
+    from posetrep.numeric import NoWitness
+
+    monkeypatch.setattr(numeric, "_descend", _no_descent)
+    p = make_poset([1, 1, 1])
+    d = parse_dim_string("0;1;1;2")  # (0;1;0;1) + (0;0;1;1), not a root
+    with pytest.raises(NoWitness) as exc:
+        unitarize(p, d, parse_weight_string("8;6;1;7/2"))  # no part has b = g or d = g
+    assert exc.value.violated == ()
+    assert "not a root" in str(exc.value)
+    # with a trace split, the split into two roots still answers
+    rep = unitarize(p, d, parse_weight_string("8;1;1;1"))
+    assert rep.residual <= 1e-8 * np.sqrt(2) and structure_check(rep, p, d).ok
+
+
+def test_lift_checks_column_weights_exactly():
+    from posetrep.derive import OrbitEscape
+    from posetrep.numeric import _lift
+
+    p = make_poset([2, 2, 1])
+    d = parse_dim_string("0,1;0,1;1;2")
+    with pytest.raises(OrbitEscape, match="column weight"):
+        _lift(p, d, parse_weight_string("1,4/3;1,1/3;1/3;1"))  # g < b2 + d fails
+
+
 def test_two_root_split_gives_decomposable_witness(monkeypatch):
     from posetrep import numeric
 

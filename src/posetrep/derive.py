@@ -198,14 +198,12 @@ def _dot(row: IntRow, x: list[int]) -> int:
 def _integer_point(w: Weight) -> tuple[list[int], int]:
     """w times the lcm L of its denominators, as integers in variable order
     (`PrimitivePoset.variable_keys`), and L."""
-    values = [a for b in w.alphas for a in b] + [w.gamma]
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.denominator)
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    ratios = [v.as_integer_ratio() for v in (*(a for b in w.alphas for a in b), w.gamma)]
+    scale = lcm(*(q for _, q in ratios))
+    return [n * (scale // q) for n, q in ratios], scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftState:
     """One state of the descent, before its reduction pass, as the lift
     needs it.  columns holds, per branch, (row, count) for each element
@@ -222,7 +220,7 @@ class LiftState:
     gamma: IntRow
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Criterion:
     """The descent of one (poset, d), compiled once: each derived condition
     as an integer row over keys with its relation, in `ConditionSet` order,

@@ -54,7 +54,7 @@ from .core import (
     require_ambient,
 )
 from .coxeter import alpha_to_beta
-from .derive import OrbitEscape, _criterion, _dot, _integer_point, check_weight
+from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point, check_weight
 from .roots import MAX_ELEMENTS, _positive_roots, dim_to_root, is_finite_type, root_to_dim
 
 # Largest restart and iteration budgets the descent accepts.
@@ -217,12 +217,13 @@ def _lift(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[tuple[np.ndarray,
     return _projectors(p, d, frames, d.d0), len(states) - 1
 
 
-def _column_weights_exact(s, x: list[int], scale: int,
+def _column_weights_exact(s: LiftState, x: list[int], scale: int,
                           d: DimVector) -> tuple[list[np.ndarray], float]:
     """Column weights and gamma of the lift state s at the integer point x
     (w times scale), after checking exactly that 0 < b < g for every
     column: rho takes square roots of b and of g - b."""
     g = _dot(s.gamma, x)
+    denom = s.denom * scale
     col_w = []
     for branch in s.columns:
         values = [_dot(row, x) for row, _ in branch]
@@ -230,9 +231,8 @@ def _column_weights_exact(s, x: list[int], scale: int,
             raise OrbitEscape(
                 f"lift of {format_dim_string(d)}: a column weight leaves (0, gamma)"
             )
-        denom = s.denom * scale
         col_w.append(np.repeat([v / denom for v in values], [c for _, c in branch]))
-    return col_w, g / (s.denom * scale)
+    return col_w, g / denom
 
 
 def _unreflect(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,

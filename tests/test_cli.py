@@ -172,43 +172,26 @@ def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
         raise AssertionError("the descent ran")
 
     monkeypatch.setattr(numeric, "_descend", no_descent)
-    argv = ["unitarize", "--poset", "2,2,1", "--dim", "0,1;0,1;1;2",
-            "--weight", "1,4/3;1,1/3;1/3;1"]
-    code, out, err = _run(capsys, *argv)
-    assert code == 2
-    assert err == "no witness: violated: γ<β₂+δ\n"
     _, admissible, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
                             "--weight", "1;1;1;3/2")
-    payload = json.loads(out)
-    assert payload.keys() == json.loads(admissible).keys()
-    assert payload["success"] is False and payload["projectors"] is None
-    out_path = tmp_path / "none.json"
-    code, out, err = _run(capsys, *argv, "--out", str(out_path))
-    assert code == 2 and out == f"no witness -> {out_path}\n"
-    assert json.loads(out_path.read_text()) == payload
-
-
-def test_unitarize_exact_reject_of_a_non_root(tmp_path, capsys, monkeypatch):
-    from posetrep import numeric
-
-    def no_descent(*args, **kwargs):
-        raise AssertionError("the descent ran")
-
-    monkeypatch.setattr(numeric, "_descend", no_descent)
-    argv = ["unitarize", "--poset", "1,1,1", "--dim", "0;1;1;2", "--weight", "8;6;1;7/2"]
-    code, out, err = _run(capsys, *argv)
-    assert code == 2
-    assert err == ("no witness: 0;1;1;2 is not a root of (1, 1, 1) and no split of the "
-                   "dimension vector meets the trace equality\n")
-    _, admissible, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
-                            "--weight", "1;1;1;3/2")
-    payload = json.loads(out)
-    assert payload.keys() == json.loads(admissible).keys()
-    assert payload["success"] is False and payload["projectors"] is None
-    out_path = tmp_path / "none.json"
-    code, out, err = _run(capsys, *argv, "--out", str(out_path))
-    assert code == 2 and out == f"no witness -> {out_path}\n"
-    assert json.loads(out_path.read_text()) == payload
+    for argv, message in [
+        (["unitarize", "--poset", "2,2,1", "--dim", "0,1;0,1;1;2",
+          "--weight", "1,4/3;1,1/3;1/3;1"], "violated: γ<β₂+δ"),
+        # not a root: (0;1;0;1) + (0;0;1;1), and neither part meets its trace
+        (["unitarize", "--poset", "1,1,1", "--dim", "0;1;1;2", "--weight", "8;6;1;7/2"],
+         "0;1;1;2 is not a root of (1, 1, 1) and no split of the dimension vector "
+         "meets the trace equality"),
+    ]:
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert err == f"no witness: {message}\n"
+        payload = json.loads(out)
+        assert payload.keys() == json.loads(admissible).keys()
+        assert payload["success"] is False and payload["projectors"] is None
+        out_path = tmp_path / "none.json"
+        code, out, err = _run(capsys, *argv, "--out", str(out_path))
+        assert code == 2 and out == f"no witness -> {out_path}\n"
+        assert json.loads(out_path.read_text()) == payload
 
 
 def test_python_dash_m_entry_point():

@@ -71,8 +71,9 @@ class InvalidBudget(PosetRepError):
 
 
 class NoWitness(PosetRepError):
-    """The weight violates a derived condition of the root d and no split of
-    d meets the trace equality: no witness exists."""
+    """The weight violates a derived condition of the root d, or d is not a
+    root, and no split of d meets the trace equality: no witness exists.
+    violated is empty when d is not a root."""
 
     def __init__(self, message: str, violated: tuple[Condition, ...]):
         super().__init__(message)

@@ -273,7 +273,7 @@ def test_compiled_check_matches_derived_conditions():
 @st.composite
 def _trace_weights(draw):
     p, d = draw(st.sampled_from(_TRACE_ROOTS))
-    entry = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+    entry = st.builds(Fraction, st.integers(1, 36), st.integers(1, 6))
     alphas = tuple(tuple(draw(entry) for _ in range(k)) for k in p.branches)
     total = sum(a * e for b, db in zip(alphas, d.branches) for a, e in zip(b, db))
     return p, d, Weight(alphas, total / d.d0)

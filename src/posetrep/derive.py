@@ -278,55 +278,57 @@ def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
 
 
 # --- LP-backed region operations ------------------------------------------
+#
+# A region lives in the open positive orthant of the weights, up to scale.
+# Its LP is stated homogeneously on integer rows: with x = y + s*1, y >= 0,
+# a strict condition c.x + c_g*g < 0 tightened by the slack s becomes
+# c.y + (sum(c) + 1)*s + c_g*g <= 0, so x_v >= s needs no row of its own,
+# every right-hand side is 0 and the scale is fixed by the one row g = 1.
+
+RegionRow = tuple[list[int], int, int]
 
 
-def _substituted_row(form: LinearForm, var_keys: list[str]) -> tuple[list[Fraction], Fraction]:
-    """Coefficient row over var_keys and the constant after setting g = 1."""
-    return [form.coeff(k) for k in var_keys], form.coeff(GAMMA_KEY)
+def _region(var_keys: list[str], c: ConditionSet) -> tuple[list[RegionRow], list[RegionRow]]:
+    """The strict and the equality rows of c, each (c, sum(c), c_g): the
+    condition's integer coefficients over var_keys, their sum and its
+    coefficient of g.  Canonical forms have integer coefficients, so the
+    rows are those coefficients."""
+    index = {k: i for i, k in enumerate(var_keys)}
+    n = index[GAMMA_KEY] = len(var_keys)
+    _, rows = _rows([q.form for q in c], index)
+    strict: list[RegionRow] = []
+    equal: list[RegionRow] = []
+    for q, r in zip(c, rows):
+        (equal if q.rel == EQ_ZERO else strict).append((r[:n], sum(r[:n]), r[n]))
+    return strict, equal
 
 
 def _max_slack(
-    var_keys: list[str], c: ConditionSet, extra_nonneg: Iterable[LinearForm] = ()
-) -> dict[str, Fraction] | None:
-    """Maximise the common slack s of {f + s <= 0 for strict f in c,
-    x_v >= s, s <= 1} over {equalities of c, f >= 0 for f in extra_nonneg,
-    g = 1, x >= 0}.
+    n: int,
+    strict: list[RegionRow],
+    equal: list[RegionRow],
+    nonneg: Iterable[RegionRow] = (),
+) -> list[Fraction] | None:
+    """Maximise the common slack s of {f + s <= 0 for f in strict, x_v >= s}
+    over {f = 0 for f in equal, f >= 0 for f in nonneg, g = 1, x >= 0},
+    with s <= 1, as the LP in (y, s, g) above.
 
-    Returns the maximising point when the best slack is positive, which
+    Returns the maximising x when the best slack is positive, which
     certifies a strictly feasible rational point, and None otherwise.
     """
-    n = len(var_keys)
-    zero = Fraction(0)
-    one = Fraction(1)
-    c_obj = [zero] * n + [one]
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for q in c.inequalities:
-        row, const = _substituted_row(q.form, var_keys)
-        a_ub.append(row + [one])
-        b_ub.append(-const)
-    for f in extra_nonneg:  # f >= 0, not slack-tightened
-        row, const = _substituted_row(f, var_keys)
-        a_ub.append([-v for v in row] + [zero])
-        b_ub.append(const)
-    for v in range(n):  # x_v >= s keeps every variable strictly positive
-        row = [zero] * (n + 1)
-        row[v] = -one
-        row[n] = one
-        a_ub.append(row)
-        b_ub.append(zero)
-    a_ub.append([zero] * n + [one])  # s <= 1
-    b_ub.append(one)
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    for q in c.equalities:
-        row, const = _substituted_row(q.form, var_keys)
-        a_eq.append(row + [zero])
-        b_eq.append(-const)
-    res = lp.solve_lp(c_obj, a_ub, b_ub, a_eq, b_eq)
+    zeros = [0] * n
+    a_ub = [c + [total + 1, g] for c, total, g in strict]
+    a_ub += [[-v for v in c] + [-total, -g] for c, total, g in nonneg]
+    a_ub.append(zeros + [1, -1])  # s <= g
+    a_eq = [c + [total, g] for c, total, g in equal]
+    a_eq.append(zeros + [0, 1])  # g = 1
+    b_eq = [0] * len(a_eq)
+    b_eq[-1] = 1
+    res = lp.solve_lp(zeros + [1, 0], a_ub, [0] * len(a_ub), a_eq, b_eq)
     if res.status != lp.OPTIMAL or res.value <= 0:
         return None
-    return {k: res.x[i] for i, k in enumerate(var_keys)}
+    s = res.x[n]
+    return [y + s for y in res.x[:n]]
 
 
 def _sorted_var_keys(cs_vars: set[str]) -> list[str]:
@@ -336,11 +338,13 @@ def _sorted_var_keys(cs_vars: set[str]) -> list[str]:
 def interior_point(c: ConditionSet, p: PrimitivePoset) -> Weight | None:
     """A strictly feasible rational weight with gamma = 1 and maximin slack,
     or None when the region is empty."""
-    point = _max_slack([alpha_key(j, i) for j, i in p.elements()], c)
+    var_keys = _sorted_var_keys(c.variables() | set(p.variable_keys()))
+    point = _max_slack(len(var_keys), *_region(var_keys, c))
     if point is None:
         return None
+    value = dict(zip(var_keys, point))
     alphas = tuple(
-        tuple(point[alpha_key(j, i)] for i in range(1, k + 1))
+        tuple(value[alpha_key(j, i)] for i in range(1, k + 1))
         for j, k in enumerate(p.branches, start=1)
     )
     return Weight(alphas, Fraction(1))
@@ -350,21 +354,25 @@ def simplify(c: ConditionSet) -> ConditionSet:
     """Drop duplicate conditions and inequalities implied by the rest of
     the system together with base positivity; the region is unchanged."""
     var_keys = _sorted_var_keys(c.variables())
-    equalities = list(c.equalities)
-    kept = list(c.inequalities)
-    for cond in list(kept):
-        rest = ConditionSet([q for q in kept if q != cond] + equalities)
-        if _max_slack(var_keys, rest, [cond.form]) is None:
-            kept.remove(cond)
-    return ConditionSet(kept + equalities)
+    rows, equal = _region(var_keys, c)
+    inequalities = c.inequalities
+    kept = list(range(len(rows)))
+    for i in range(len(rows)):
+        rest = [rows[j] for j in kept if j != i]
+        if _max_slack(len(var_keys), rest, equal, [rows[i]]) is None:
+            kept.remove(i)
+    return ConditionSet([inequalities[j] for j in kept] + list(c.equalities))
 
 
 def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     """Whether the two solution sets inside the open positive orthant
     (with gamma normalised to 1) coincide."""
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
-    nonempty1 = _max_slack(var_keys, c1) is not None
-    nonempty2 = _max_slack(var_keys, c2) is not None
+    n = len(var_keys)
+    strict1, equal1 = _region(var_keys, c1)
+    strict2, equal2 = _region(var_keys, c2)
+    nonempty1 = _max_slack(n, strict1, equal1) is not None
+    nonempty2 = _max_slack(n, strict2, equal2) is not None
     if not nonempty1 and not nonempty2:
         return True
     if nonempty1 != nonempty2:
@@ -374,11 +382,11 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     span2 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c2.equalities])
     if span1 != span2:
         return False
-    for cond in c1.inequalities:
-        if _max_slack(var_keys, c2, [cond.form]) is not None:
+    for row in strict1:
+        if _max_slack(n, strict2, equal2, [row]) is not None:
             return False
-    for cond in c2.inequalities:
-        if _max_slack(var_keys, c1, [cond.form]) is not None:
+    for row in strict2:
+        if _max_slack(n, strict1, equal1, [row]) is not None:
             return False
     return True
 

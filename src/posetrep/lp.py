@@ -135,7 +135,7 @@ def solve_lp(
     # with the artificial columns cancelled, is accumulated exactly.
     tab: list[list[int]] = []
     basis: list[int] = []
-    phase1 = [Fraction(0)] * (n + 1)
+    phase1 = [0] * (n + 1)
     phase1_slacks: list[int] = []
     si = k = 0
     for row, b, ineq in rows:

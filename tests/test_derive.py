@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -8,9 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetrep import lp
 from posetrep.core import (
+    EQ_ZERO,
     GAMMA_KEY,
+    LT_ZERO,
+    Condition,
     ConditionSet,
+    LinearForm,
     PosetRepError,
     Weight,
     alpha_key,
@@ -28,6 +35,7 @@ from posetrep.derive import (
     NotInEnumeration,
     Terminal,
     Verdict,
+    _sorted_var_keys,
     check_weight,
     derive_conditions,
     generate_table,
@@ -37,6 +45,7 @@ from posetrep.derive import (
     simplify,
     step_to_json,
 )
+from posetrep.linalg import row_space_basis
 from posetrep.roots import (
     FiniteTypeRequired,
     PosetTooLarge,
@@ -286,7 +295,6 @@ def test_compiled_check_matches_on_trace_weights(case):
 
 
 def test_criterion_cache_is_bounded():
-    from posetrep.core import LinearForm
     from posetrep.derive import _criterion
 
     assert _criterion.cache_info().maxsize == 1024
@@ -354,8 +362,6 @@ def test_generate_table_order_and_interior_consistency():
 
 
 def test_corpus_env_override(tmp_path, monkeypatch):
-    import json
-
     corpus = paper_corpus()
     slim = {"tables": [corpus[(1, 1, 1)].to_json()]}
     path = tmp_path / "corpus.json"
@@ -371,3 +377,226 @@ def test_corpus_missing():
 
     with pytest.raises(CorpusMissing):
         paper_corpus("/nonexistent/corpus.json")
+
+
+# --- oracle: the region LP as stated before the homogeneous rows ------------
+#
+# The earlier _max_slack, kept verbatim: one row x_v >= s per variable,
+# s <= 1, and g substituted by 1 into every right-hand side.  The LP of
+# derive._max_slack has the same feasible set in (x, s) and the same
+# optimal slack, so simplify, regions_equivalent and the emptiness of
+# interior_point must give the same answers as the versions built on this.
+
+
+def _substituted_row(form, var_keys):
+    """Coefficient row over var_keys and the constant after setting g = 1."""
+    return [form.coeff(k) for k in var_keys], form.coeff(GAMMA_KEY)
+
+
+def _oracle_max_slack(var_keys, c, extra_nonneg=()):
+    """Maximise the common slack s of {f + s <= 0 for strict f in c,
+    x_v >= s, s <= 1} over {equalities of c, f >= 0 for f in extra_nonneg,
+    g = 1, x >= 0}.
+
+    Returns the maximising point when the best slack is positive, which
+    certifies a strictly feasible rational point, and None otherwise.
+    """
+    n = len(var_keys)
+    zero = Fraction(0)
+    one = Fraction(1)
+    c_obj = [zero] * n + [one]
+    a_ub = []
+    b_ub = []
+    for q in c.inequalities:
+        row, const = _substituted_row(q.form, var_keys)
+        a_ub.append(row + [one])
+        b_ub.append(-const)
+    for f in extra_nonneg:  # f >= 0, not slack-tightened
+        row, const = _substituted_row(f, var_keys)
+        a_ub.append([-v for v in row] + [zero])
+        b_ub.append(const)
+    for v in range(n):  # x_v >= s keeps every variable strictly positive
+        row = [zero] * (n + 1)
+        row[v] = -one
+        row[n] = one
+        a_ub.append(row)
+        b_ub.append(zero)
+    a_ub.append([zero] * n + [one])  # s <= 1
+    b_ub.append(one)
+    a_eq = []
+    b_eq = []
+    for q in c.equalities:
+        row, const = _substituted_row(q.form, var_keys)
+        a_eq.append(row + [zero])
+        b_eq.append(-const)
+    res = lp.solve_lp(c_obj, a_ub, b_ub, a_eq, b_eq)
+    if res.status != lp.OPTIMAL or res.value <= 0:
+        return None
+    return {k: res.x[i] for i, k in enumerate(var_keys)}
+
+
+def _oracle_interior_point(c, p):
+    point = _oracle_max_slack([alpha_key(j, i) for j, i in p.elements()], c)
+    return None if point is None else _point(p, {**point, GAMMA_KEY: Fraction(1)})
+
+
+def _slack(c, w):
+    """The largest s with w_v >= s, f(w) + s <= 0 for each strict f in c,
+    and s <= 1: at a max-slack point, the optimal slack."""
+    alphas = [a for branch in w.alphas for a in branch]
+    return min([Fraction(1)] + alphas + [-q.form.evaluate(w) for q in c.inequalities])
+
+
+def _oracle_simplify(c):
+    var_keys = _sorted_var_keys(c.variables())
+    equalities = list(c.equalities)
+    kept = list(c.inequalities)
+    for cond in list(kept):
+        rest = ConditionSet([q for q in kept if q != cond] + equalities)
+        if _oracle_max_slack(var_keys, rest, [cond.form]) is None:
+            kept.remove(cond)
+    return ConditionSet(kept + equalities)
+
+
+def _oracle_regions_equivalent(c1, c2):
+    var_keys = _sorted_var_keys(c1.variables() | c2.variables())
+    nonempty1 = _oracle_max_slack(var_keys, c1) is not None
+    nonempty2 = _oracle_max_slack(var_keys, c2) is not None
+    if not nonempty1 and not nonempty2:
+        return True
+    if nonempty1 != nonempty2:
+        return False
+    full_keys = var_keys + [GAMMA_KEY]
+    span1 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c1.equalities])
+    span2 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c2.equalities])
+    if span1 != span2:
+        return False
+    for cond in c1.inequalities:
+        if _oracle_max_slack(var_keys, c2, [cond.form]) is not None:
+            return False
+    for cond in c2.inequalities:
+        if _oracle_max_slack(var_keys, c1, [cond.form]) is not None:
+            return False
+    return True
+
+
+def _without_first_inequality(c):
+    return ConditionSet(list(c.inequalities[1:]) + list(c.equalities))
+
+
+def _assert_simplify_matches_oracle(p, c):
+    """simplify, in order, and interior_point's emptiness and slack against
+    the oracle."""
+    out = simplify(c)
+    assert tuple(out) == tuple(_oracle_simplify(c)), c
+    w, ref = interior_point(c, p), _oracle_interior_point(c, p)
+    assert (w is None) == (ref is None), c
+    if w is not None:
+        assert _slack(c, w) == _slack(c, ref), c
+    return out
+
+
+def _equivalence_matching_oracle(c1, c2):
+    verdict = regions_equivalent(c1, c2)
+    assert verdict == _oracle_regions_equivalent(c1, c2), (c1, c2)
+    return verdict
+
+
+def test_region_ops_match_oracle_on_table_rows():
+    verdicts = set()
+    for b in _SHAPES:
+        p = make_poset(b)
+        for d in enumerate_indec_dims(p):
+            out = _assert_simplify_matches_oracle(p, _derived(p, d))
+            verdicts.add(_equivalence_matching_oracle(out, _without_first_inequality(out)))
+    assert verdicts == {True, False}
+
+
+def test_region_ops_match_oracle_on_published_rows():
+    rows = 0
+    verdicts = set()
+    for table in paper_corpus().values():
+        p = table.poset
+        for row in table.rows:
+            derived = _derived(p, row.dim)
+            _assert_simplify_matches_oracle(p, row.conditions)
+            assert _equivalence_matching_oracle(derived, row.conditions)
+            verdicts.add(_equivalence_matching_oracle(
+                derived, _without_first_inequality(row.conditions)))
+            rows += 1
+    assert rows == 106 and verdicts == {True, False}
+
+
+@st.composite
+def _random_regions(draw):
+    """Integer condition sets on (1,1,1) or (2,1,1): a few strict conditions
+    and equalities with small coefficients, zero forms allowed (so empty and
+    trivial rows occur), and a second set that adds one inequality."""
+    p = make_poset(draw(st.sampled_from([(1, 1, 1), (2, 1, 1)])))
+    keys = p.variable_keys()
+    form = st.lists(st.integers(-3, 3), min_size=len(keys), max_size=len(keys)).map(
+        lambda cs: LinearForm(dict(zip(keys, cs))))
+    strict = draw(st.lists(form, max_size=5))
+    equal = draw(st.lists(form, max_size=2))
+    c = ConditionSet([Condition(f, LT_ZERO) for f in strict]
+                     + [Condition(f, EQ_ZERO) for f in equal])
+    extra = Condition(draw(form), LT_ZERO)
+    return p, c, ConditionSet(list(c) + [extra])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_random_regions())
+def test_region_ops_match_oracle_on_random_regions(case):
+    p, c, wider = case
+    _assert_simplify_matches_oracle(p, c)
+    _assert_simplify_matches_oracle(p, wider)
+    assert _equivalence_matching_oracle(c, wider) == _equivalence_matching_oracle(wider, c)
+
+
+# --- exact outputs and interior points of the five tables -------------------
+
+_TABLES = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1)]
+
+# SHA-256 of json.dumps(table.to_json(), sort_keys=True), and of the
+# verify_tables() rows, recorded before the region LP was restated on
+# homogeneous integer rows: table output must stay byte-identical.
+_TABLE_SHA256 = {
+    (1, 1, 1): "98264658cd59aa03caaff79baaacc42c4c0c57316050dd1cee224da67dbf0d24",
+    (2, 1, 1): "0a7168ecc916ee9b8900320df365063631c560d56613924b531c0f4bb5a19680",
+    (2, 2, 1): "492166fcb2060730c3941aabf70e858d70823f55a2875a176f2e9dbc5f02d8c9",
+    (3, 2, 1): "a921ab902b1d9533f57769782300b22974888adac2038ee4095b301e52e98d5e",
+    (4, 2, 1): "9d730a3ed623dca00dce4577ef694a146b7e9bcef2b92af8507f3da07cb5826a",
+}
+_VERIFY_SHA256 = "091dc1092eb49ac8d36733bddc76354260ea31c6a466b4d9a647d54220631b64"
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@lru_cache(maxsize=None)
+def _table(branches):
+    return generate_table(make_poset(branches))
+
+
+def test_golden_tables_and_verify_rows(verify_report):
+    for b in _TABLES:
+        assert _sha256(_table(b).to_json()) == _TABLE_SHA256[b], b
+    report, _ = verify_report
+    rows = [[list(r.poset), r.dim.to_json(), r.equivalent, r.detail] for r in report.rows]
+    assert _sha256(rows) == _VERIFY_SHA256
+
+
+def test_interior_point_is_strictly_inside_every_table_row():
+    nonempty = 0
+    for b in _TABLES:
+        p = make_poset(b)
+        for row in _table(b).rows:
+            w = interior_point(row.conditions, p)
+            if w is None:
+                continue
+            assert w.gamma == 1
+            assert all(a > 0 for branch in w.alphas for a in branch), (b, row.dim)
+            assert all(q.holds_at(w) for q in row.conditions), (b, row.dim)
+            nonempty += 1
+    assert nonempty > 150

@@ -278,7 +278,7 @@ class LinearForm:
     `canonicalized` clears denominators and divides by the integer gcd;
     sign normalisation (first nonzero coefficient positive in key order) is
     applied only when requested, because inequality forms must keep their
-    orientation.
+    orientation.  A form that is already canonical is returned as it is.
     """
 
     __slots__ = ("_coeffs", "_key")
@@ -335,6 +335,11 @@ class LinearForm:
 
     def canonicalized(self, sign_normalize: bool = False) -> "LinearForm":
         if not self._coeffs:
+            return self
+        values = self._coeffs.values()
+        if (all(v.denominator == 1 for v in values)
+                and gcd(*(v.numerator for v in values)) == 1
+                and not (sign_normalize and self._key[0][1] < 0)):
             return self
         denom_lcm = 1
         for v in self._coeffs.values():

@@ -8,7 +8,9 @@ immediately and a single DimVector representation is used throughout.
 
 `phiplus_weight` / `phiminus_weight` are the matching transforms on
 symbolic weights; concrete variants evaluate the forms and insist on
-positive results.
+positive results.  The form arithmetic of the downward transform,
+`_phiminus_forms`, works on any form type with + and -: `LinearForm`s
+here, integer rows in the descent of `derive`.
 
 Note: the usual printed closed form of the downward composite has a
 garbled head, (m-1)d0 - sum_j d_j^(last); invertibility against the
@@ -20,7 +22,9 @@ element).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
+from typing import TypeVar
 
 from .core import (
     DimVector,
@@ -30,6 +34,9 @@ from .core import (
     SymbolicWeight,
     Weight,
 )
+
+
+_Form = TypeVar("_Form")
 
 
 class NegativeEntry(PosetRepError):
@@ -108,13 +115,18 @@ def phiminus_weight(p: PrimitivePoset, w: SymbolicWeight) -> SymbolicWeight:
     (a_2, ..., a_k, sum_{l != j} A_l - g) and g -> sum_l A_l - g."""
     if not w.fits(p):
         raise PosetRepError(f"symbolic weight does not fit poset {p.branches}")
-    sums = [sum(b, LinearForm()) for b in w.branch_forms]
-    total = sum(sums, LinearForm())
-    branches = []
-    for j, b in enumerate(w.branch_forms):
-        tail = total - sums[j] - w.gamma_form
-        branches.append(b[1:] + (tail,))
-    return SymbolicWeight(tuple(branches), total - w.gamma_form)
+    return SymbolicWeight(*_phiminus_forms(w.branch_forms, w.gamma_form))
+
+
+def _phiminus_forms(
+    branch_forms: tuple[tuple[_Form, ...], ...], gamma_form: _Form
+) -> tuple[tuple[tuple[_Form, ...], ...], _Form]:
+    """The branch forms and gamma form of `phiminus_weight`, for forms of
+    any type with + and - (every branch nonempty)."""
+    sums = [reduce(add, b) for b in branch_forms]
+    total = reduce(add, sums)
+    branches = tuple(b[1:] + (total - s - gamma_form,) for b, s in zip(branch_forms, sums))
+    return branches, total - gamma_form
 
 
 def _evaluate_symbolic(p: PrimitivePoset, sw: SymbolicWeight, w: Weight) -> Weight:

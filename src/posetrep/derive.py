@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
 from math import lcm
-from operator import add, mul
+from operator import add, mul, neg, sub
 from typing import Iterable, Union
 
 from . import lp
@@ -51,14 +52,13 @@ from .core import (
     LinearForm,
     PosetRepError,
     PrimitivePoset,
-    SymbolicWeight,
     Weight,
     _reduce,
     alpha_key,
     key_order,
     trace_condition,
 )
-from .coxeter import NegativeEntry, fminus_dim, phiminus_weight
+from .coxeter import NegativeEntry, _phiminus_forms, fminus_dim
 from .linalg import row_space_basis
 from .roots import (
     FiniteTypeRequired,
@@ -115,12 +115,33 @@ def step_to_json(step: TraceStep) -> dict:
     return {"step": "terminal", "equality": step.equality.to_json()}
 
 
+class _Row(tuple):
+    """An integer form: its coefficients over `PrimitivePoset.variable_keys`,
+    with elementwise +, - and unary -, so that `core._reduce` and
+    `coxeter._phiminus_forms` run on it as on a `LinearForm`."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_Row") -> "_Row":
+        return _Row(map(add, self, other))
+
+    def __sub__(self, other: "_Row") -> "_Row":
+        return _Row(map(sub, self, other))
+
+    def __neg__(self) -> "_Row":
+        return _Row(map(neg, self))
+
+
 def _walk(
     p: PrimitivePoset, d: DimVector
 ) -> tuple[list[Condition], list[TraceStep], list[tuple]]:
     """The descent of `derive_conditions`: its conditions in emission order,
-    its trace steps, and its states, each (d0, dims, branch forms, gamma
-    form, reduced dims) as it stood before its reduction pass."""
+    its trace steps, and its states, each (d0, dims, branch rows, gamma
+    row, reduced dims) as it stood before its reduction pass.
+
+    Every form along the descent has integer coefficients, so the walk
+    holds them as `_Row`s over p.variable_keys(); a `LinearForm` is built
+    only for an emitted tail and for the terminal equality."""
     if not is_finite_type(p):
         raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
     # the cached root set checks MAX_ELEMENTS before building any graph
@@ -130,20 +151,27 @@ def _walk(
             f"{d} is not an indecomposable dimension vector of {p.branches}"
         )
 
+    keys = p.variable_keys()
+
+    def form(row: _Row) -> LinearForm:
+        return LinearForm({k: v for k, v in zip(keys, row) if v})
+
+    # the identity weight: one unit row per variable, branch-major, g last
+    units = iter(_Row(int(i == j) for j in range(len(keys))) for i in range(len(keys)))
     d0, dims = d.d0, d.branches
-    w = SymbolicWeight.identity(p)
-    forms, gamma_form = w.branch_forms, w.gamma_form
+    forms = tuple(tuple(next(units) for _ in range(k)) for k in p.branches)
+    gamma = next(units)
     steps: list[TraceStep] = []
     conditions: list[Condition] = []
     states: list[tuple] = []
     # at most len(roots) transforms, each followed by a reduction pass
     for _ in range(len(roots) + 1):
-        state = (d0, dims, forms, gamma_form)
-        dims, forms, gamma_form, findings = _reduce(d0, dims, forms, gamma_form)
+        state = (d0, dims, forms, gamma)
+        dims, forms, gamma, findings = _reduce(d0, dims, forms, gamma)
         states.append(state + (dims,))
         steps.extend(findings)
         if not dims:
-            equality = Condition(gamma_form, EQ_ZERO)
+            equality = Condition(form(gamma), EQ_ZERO)
             conditions.append(equality)
             steps.append(Terminal(equality))
             return conditions, steps, states
@@ -154,12 +182,11 @@ def _walk(
             next_d = fminus_dim(sub_poset, state_d)
         except NegativeEntry as exc:
             raise OrbitEscape(f"downward transform failed at {state_d}: {exc}") from exc
-        next_w = phiminus_weight(sub_poset, SymbolicWeight(forms, gamma_form))
-        tails = tuple(b[-1] for b in next_w.branch_forms)
+        forms, gamma = _phiminus_forms(forms, gamma)
+        tails = tuple(form(b[-1]) for b in forms)
         conditions.extend(Condition(-tail, LT_ZERO) for tail in tails)
         steps.append(ApplyPhiMinus(tails))
         d0, dims = next_d.d0, next_d.branches
-        forms, gamma_form = next_w.branch_forms, next_w.gamma_form
     raise OrbitEscape(f"descent from {d} exceeded {len(roots)} steps")
 
 
@@ -176,10 +203,10 @@ def derive_conditions(
 IntRow = tuple[int, ...]
 
 
-def _rows(forms, index: dict[str, int]) -> tuple[int, list[list[int]]]:
+def _rows(forms, index: dict[str, int]) -> list[list[int]]:
     """Rows over the variable index of forms, all scaled by one positive
-    common denominator into integers, and that denominator.  Built from
-    the sparse coefficients: most of a row is zero."""
+    common denominator into integers.  Built from the sparse
+    coefficients: most of a row is zero."""
     ratios = [[(index[k], v.as_integer_ratio()) for k, v in f._coeffs.items()] for f in forms]
     denom = lcm(*{q for r in ratios for _, (_, q) in r})
     rows = []
@@ -188,7 +215,7 @@ def _rows(forms, index: dict[str, int]) -> tuple[int, list[list[int]]]:
         for i, (n, q) in r:
             row[i] = n * (denom // q)
         rows.append(row)
-    return denom, rows
+    return rows
 
 
 def _dot(row: IntRow, x: list[int]) -> int:
@@ -207,15 +234,14 @@ def _integer_point(w: Weight) -> tuple[list[int], int]:
 class LiftState:
     """One state of the descent, before its reduction pass, as the lift
     needs it.  columns holds, per branch, (row, count) for each element
-    that adds count > 0 frame columns: row is denom times the element's
-    suffix sum b = a_i + ... + a_k (its column weight); gamma is denom
-    times the state's gamma.  tops are the last dimensions of the
-    branches the reduction pass leaves."""
+    that adds count > 0 frame columns: row is the element's suffix sum
+    b = a_i + ... + a_k (its column weight) as an integer row; gamma is
+    the state's gamma.  tops are the last dimensions of the branches the
+    reduction pass leaves."""
 
     d0: int
     dims: tuple[tuple[int, ...], ...]
     tops: tuple[int, ...]
-    denom: int
     columns: tuple[tuple[tuple[IntRow, int], ...], ...]
     gamma: IntRow
 
@@ -243,22 +269,17 @@ class Criterion:
         return tuple(out)
 
 
-def _lift_state(state: tuple, index: dict[str, int], first: bool) -> LiftState:
-    d0, dims, forms, gamma_form, reduced = state
+def _lift_state(state: tuple, first: bool) -> LiftState:
+    d0, dims, forms, gamma, reduced = state
     tops = tuple(b[-1] for b in reduced)
     if first:  # the lift never leaves the starting state
-        return LiftState(d0, dims, tops, 1, (), ())
-    denom, rows = _rows([f for b in forms for f in b] + [gamma_form], index)
-    gamma = tuple(rows.pop())
-    columns, pos = [], 0
-    for b in dims:
-        branch = rows[pos: pos + len(b)]
-        pos += len(b)
-        for i in reversed(range(len(b) - 1)):  # suffix sums
-            branch[i] = list(map(add, branch[i], branch[i + 1]))
+        return LiftState(d0, dims, tops, (), ())
+    columns = []
+    for b, branch in zip(dims, forms):
+        suffix = list(accumulate(reversed(branch), add))[::-1]
         counts = [e - prev for prev, e in zip((0,) + b, b)]
-        columns.append(tuple((tuple(r), c) for r, c in zip(branch, counts) if c))
-    return LiftState(d0, dims, tops, denom, tuple(columns), gamma)
+        columns.append(tuple((tuple(r), c) for r, c in zip(suffix, counts) if c))
+    return LiftState(d0, dims, tops, tuple(columns), tuple(gamma))
 
 
 @lru_cache(maxsize=1024)
@@ -267,13 +288,12 @@ def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
     Holds no `LinearForm`; `cache_clear` empties it."""
     conditions, _, states = _walk(p, d)
     keys = p.variable_keys()
-    index = {k: i for i, k in enumerate(keys)}
     cs = ConditionSet(conditions)
-    _, rows = _rows([c.form for c in cs], index)
+    rows = _rows([c.form for c in cs], {k: i for i, k in enumerate(keys)})
     return Criterion(
         tuple(keys),
         tuple((tuple(r), c.rel) for r, c in zip(rows, cs)),
-        tuple(_lift_state(s, index, k == 0) for k, s in enumerate(states)),
+        tuple(_lift_state(s, k == 0) for k, s in enumerate(states)),
     )
 
 
@@ -295,7 +315,7 @@ def _region(var_keys: list[str], c: ConditionSet) -> tuple[list[RegionRow], list
     rows are those coefficients."""
     index = {k: i for i, k in enumerate(var_keys)}
     n = index[GAMMA_KEY] = len(var_keys)
-    _, rows = _rows([q.form for q in c], index)
+    rows = _rows([q.form for q in c], index)
     strict: list[RegionRow] = []
     equal: list[RegionRow] = []
     for q, r in zip(c, rows):

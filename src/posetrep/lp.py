@@ -4,15 +4,15 @@ Problems are stated as
 
     maximize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
-with every entry a Fraction.  The tableau is fraction-free (in the spirit
-of Bareiss 1968): each row, the objective included, is held as a primitive
-integer vector, a positive multiple of the true rational row, and is
-divided by its gcd after every update.  Signs and ratios are therefore
-those of the rational tableau, so Bland's rule takes exactly the pivots a
-Fraction tableau would take and cannot cycle; basic values are read back
-as ``Fraction(rhs, coefficient)``.  A pivot touches only the rows with a
-nonzero entry in the pivot column and, in each, only the nonzero columns
-of the pivot row.
+with every entry an int or a Fraction.  The tableau is fraction-free (in
+the spirit of Bareiss 1968): each row, the objective included, is held as
+a primitive integer vector, a positive multiple of the true rational row,
+and is divided by its gcd after every update.  Signs and ratios are
+therefore those of the rational tableau, so Bland's rule takes exactly the
+pivots a Fraction tableau would take and cannot cycle; basic values are
+read back as ``Fraction(rhs, coefficient)``.  A pivot touches only the
+rows with a nonzero entry in the pivot column and, in each, only the
+nonzero columns of the pivot row.
 """
 
 from __future__ import annotations
@@ -54,14 +54,17 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """(d, d*values) for d the lcm of the denominators of values."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
+    den = lcm(*{v.denominator for v in values if type(v) is not int})
+    if den == 1:
+        return 1, [v if type(v) is int else v.numerator for v in values]
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def _rational(v) -> Fraction | int:
-    return v if isinstance(v, (Fraction, int)) else Fraction(v)
+def _rationals(values: Sequence) -> list[Fraction | int]:
+    """values as ints and Fractions.  An int is tested by its exact type:
+    isinstance(v, Fraction) on an int fails only through the slow
+    abstract-base-class check."""
+    return [v if type(v) is int or isinstance(v, Fraction) else Fraction(v) for v in values]
 
 
 def _eliminate(target: list[int], a: int, f: int, prow: list[int], nz: list[int]) -> list[int]:
@@ -112,21 +115,22 @@ def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> str:
 
 
 def solve_lp(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    c: Sequence[Fraction | int],
+    a_ub: Sequence[Sequence[Fraction | int]] = (),
+    b_ub: Sequence[Fraction | int] = (),
+    a_eq: Sequence[Sequence[Fraction | int]] = (),
+    b_eq: Sequence[Fraction | int] = (),
 ) -> LpResult:
     n = len(c)
-    rows: list[tuple[list[Fraction | int], Fraction | int, bool]] = []
+    # each row with its right-hand side appended, and whether it is <=
+    rows: list[tuple[list[Fraction | int], bool]] = []
     for row, b in zip(a_ub, b_ub):
-        rows.append(([_rational(v) for v in row], _rational(b), True))
+        rows.append((_rationals([*row, b]), True))
     for row, b in zip(a_eq, b_eq):
-        rows.append(([_rational(v) for v in row], _rational(b), False))
+        rows.append((_rationals([*row, b]), False))
 
-    nslack = sum(1 for _, _, ineq in rows if ineq)
-    nart = sum(1 for _, b, ineq in rows if not ineq or b < 0)
+    nslack = sum(1 for _, ineq in rows if ineq)
+    nart = sum(1 for line, ineq in rows if not ineq or line[-1] < 0)
     ncols = n + nslack  # structural + slack columns; artificials appended after
     total = ncols + nart
     # Each row is scaled by the lcm of its denominators and negated when its
@@ -138,9 +142,9 @@ def solve_lp(
     phase1 = [0] * (n + 1)
     phase1_slacks: list[int] = []
     si = k = 0
-    for row, b, ineq in rows:
-        sign = -1 if b < 0 else 1
-        den, ints = _scaled(row + [b])
+    for row, ineq in rows:
+        sign = -1 if row[-1] < 0 else 1
+        den, ints = _scaled(row)
         line = [sign * v for v in ints[:-1]] + [0] * (total - n) + [sign * ints[-1]]
         if ineq:
             line[n + si] = sign * den
@@ -151,9 +155,9 @@ def solve_lp(
             basis.append(ncols + k)
             k += 1
             if sign > 0:
-                phase1 = [u + v for u, v in zip(phase1, row + [b])]
+                phase1 = [u + v for u, v in zip(phase1, row)]
             else:
-                phase1 = [u - v for u, v in zip(phase1, row + [b])]
+                phase1 = [u - v for u, v in zip(phase1, row)]
             if ineq:
                 phase1_slacks.append(n + si)
         si += ineq
@@ -179,7 +183,7 @@ def solve_lp(
                     continue  # redundant row, harmless to keep
                 _pivot(tab, basis, r, col)
 
-    _, ints = _scaled([_rational(v) for v in c])
+    _, ints = _scaled(_rationals(c))
     obj_int = _primitive(ints + [0] * (total - n + 1))
     for r in range(len(tab)):
         if basis[r] < n and obj_int[basis[r]] != 0:
@@ -194,5 +198,5 @@ def solve_lp(
     for r, bcol in enumerate(basis):
         if bcol < n:
             x[bcol] = Fraction(tab[r][-1], tab[r][bcol])
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    value = sum((ci * xi for ci, xi in zip(c, x) if ci), Fraction(0))
     return LpResult(OPTIMAL, value, tuple(x))

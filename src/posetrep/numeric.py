@@ -224,7 +224,6 @@ def _column_weights_exact(s: LiftState, x: list[int], scale: int,
     (w times scale), after checking exactly that 0 < b < g for every
     column: rho takes square roots of b and of g - b."""
     g = _dot(s.gamma, x)
-    denom = s.denom * scale
     col_w = []
     for branch in s.columns:
         values = [_dot(row, x) for row, _ in branch]
@@ -232,8 +231,8 @@ def _column_weights_exact(s: LiftState, x: list[int], scale: int,
             raise OrbitEscape(
                 f"lift of {format_dim_string(d)}: a column weight leaves (0, gamma)"
             )
-        col_w.append(np.repeat([v / denom for v in values], [c for _, c in branch]))
-    return col_w, g / denom
+        col_w.append(np.repeat([v / scale for v in values], [c for _, c in branch]))
+    return col_w, g / scale
 
 
 def _unreflect(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,

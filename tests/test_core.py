@@ -3,8 +3,11 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetrep.core import (
     EQ_ZERO,
@@ -27,6 +30,7 @@ from posetrep.core import (
     parse_condition_text,
     parse_dim_string,
     parse_weight_string,
+    key_order,
     render_condition,
     trace_condition,
 )
@@ -149,6 +153,55 @@ def test_canonicalize_idempotent_and_zero_set_preserved():
             assert (v > 0) == (v1 > 0) and (v < 0) == (v1 < 0)
             # equality canonicalisation preserves the vanishing locus
             assert (v == 0) == (c2.evaluate(w) == 0)
+
+
+def _oracle_canonicalized(f: LinearForm, sign_normalize: bool = False) -> LinearForm:
+    """The general path of LinearForm.canonicalized, which once served
+    every form: clear denominators, divide by the gcd, and flip the sign
+    when asked and the first coefficient in key order is negative."""
+    if not f._coeffs:
+        return f
+    denom_lcm = 1
+    for v in f._coeffs.values():
+        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+    ints = {k: v * denom_lcm for k, v in f._coeffs.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, abs(v.numerator))
+    out = {k: v / g for k, v in ints.items()}
+    if sign_normalize:
+        first = min(out, key=key_order)
+        if out[first] < 0:
+            out = {k: -v for k, v in out.items()}
+    return LinearForm(out)
+
+
+_FORM_KEYS = make_poset([2, 1, 1]).variable_keys()
+
+
+@st.composite
+def _forms(draw):
+    """Integer or rational forms on (2,1,1), scaled by a common factor so
+    that gcds above 1 occur; the factor 0 gives the zero form."""
+    entry = st.one_of(st.integers(-4, 4).map(Q),
+                      st.builds(Q, st.integers(-6, 6), st.integers(1, 6)))
+    coeffs = draw(st.lists(entry, min_size=len(_FORM_KEYS), max_size=len(_FORM_KEYS)))
+    factor = draw(st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(6), Q(1, 2), Q(0)]))
+    return LinearForm({k: factor * v for k, v in zip(_FORM_KEYS, coeffs)})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_forms(), st.booleans())
+def test_canonicalized_matches_general_path(f, sign_normalize):
+    out = f.canonicalized(sign_normalize)
+    ref = _oracle_canonicalized(f, sign_normalize)
+    assert out == ref and out.to_json() == ref.to_json()
+    values = list(f.coeffs.values())
+    canonical = (all(v.denominator == 1 for v in values)
+                 and gcd(*(int(v) for v in values)) == 1
+                 and not (sign_normalize and f._key[0][1] < 0))
+    # an integer form with gcd 1 and no sign flip due is returned as it is
+    assert (out is f) == (canonical or f.is_zero())
 
 
 def test_condition_canonical_sign():

@@ -4,7 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +17,13 @@ from posetrep.core import (
     LT_ZERO,
     Condition,
     ConditionSet,
+    DimVector,
     LinearForm,
     PosetRepError,
+    PrimitivePoset,
+    SymbolicWeight,
     Weight,
+    _reduce,
     alpha_key,
     classify_degeneracy,
     make_poset,
@@ -28,13 +32,17 @@ from posetrep.core import (
     parse_weight_string,
     trace_condition,
 )
+from posetrep.coxeter import NegativeEntry, fminus_dim, phiminus_weight
 from posetrep.derive import (
     ApplyPhiMinus,
     DerivationTrace,
     MalformedTrace,
     NotInEnumeration,
+    OrbitEscape,
     Terminal,
+    TraceStep,
     Verdict,
+    _criterion,
     _sorted_var_keys,
     check_weight,
     derive_conditions,
@@ -49,7 +57,10 @@ from posetrep.linalg import row_space_basis
 from posetrep.roots import (
     FiniteTypeRequired,
     PosetTooLarge,
+    _positive_roots,
+    dim_to_root,
     enumerate_indec_dims,
+    is_finite_type,
     positive_roots,
     star_graph,
 )
@@ -295,13 +306,13 @@ def test_compiled_check_matches_on_trace_weights(case):
 
 
 def test_criterion_cache_is_bounded():
-    from posetrep.derive import _criterion
-
     assert _criterion.cache_info().maxsize == 1024
     p = make_poset([2, 2, 1])
     d = parse_dim_string("1,2;1,2;2;3")
-    check_weight(p, d, parse_weight_string("1,1;1,1;1;2"))
-    assert _criterion.cache_info().currsize >= 1
+    _criterion.cache_clear()
+    # a weight on the trace hyperplane, so check_weight reaches the criterion
+    check_weight(p, d, parse_weight_string("1,1;1,1;1;8/3"))
+    assert _criterion.cache_info().currsize == 1
 
     def forms(obj):
         if isinstance(obj, LinearForm):
@@ -600,3 +611,114 @@ def test_interior_point_is_strictly_inside_every_table_row():
             assert all(q.holds_at(w) for q in row.conditions), (b, row.dim)
             nonempty += 1
     assert nonempty > 150
+
+
+# --- oracle: the descent as walked on LinearForms ---------------------------
+#
+# The earlier _walk, kept verbatim: every branch form and the gamma form a
+# LinearForm of Fractions, phi- applied through phiminus_weight.  The walk
+# of derive._walk holds the same forms as integer rows, so the conditions,
+# the trace and the compiled criterion must come out the same.
+
+
+def _oracle_walk(
+    p: PrimitivePoset, d: DimVector
+) -> tuple[list[Condition], list[TraceStep], list[tuple]]:
+    """The descent of `derive_conditions`: its conditions in emission order,
+    its trace steps, and its states, each (d0, dims, branch forms, gamma
+    form, reduced dims) as it stood before its reduction pass."""
+    if not is_finite_type(p):
+        raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
+    # the cached root set checks MAX_ELEMENTS before building any graph
+    roots = _positive_roots(p.branches)
+    if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
+        raise NotInEnumeration(
+            f"{d} is not an indecomposable dimension vector of {p.branches}"
+        )
+
+    d0, dims = d.d0, d.branches
+    w = SymbolicWeight.identity(p)
+    forms, gamma_form = w.branch_forms, w.gamma_form
+    steps: list[TraceStep] = []
+    conditions: list[Condition] = []
+    states: list[tuple] = []
+    # at most len(roots) transforms, each followed by a reduction pass
+    for _ in range(len(roots) + 1):
+        state = (d0, dims, forms, gamma_form)
+        dims, forms, gamma_form, findings = _reduce(d0, dims, forms, gamma_form)
+        states.append(state + (dims,))
+        steps.extend(findings)
+        if not dims:
+            equality = Condition(gamma_form, EQ_ZERO)
+            conditions.append(equality)
+            steps.append(Terminal(equality))
+            return conditions, steps, states
+
+        sub_poset = PrimitivePoset(tuple(len(b) for b in dims))
+        state_d = DimVector(d0, dims)
+        try:
+            next_d = fminus_dim(sub_poset, state_d)
+        except NegativeEntry as exc:
+            raise OrbitEscape(f"downward transform failed at {state_d}: {exc}") from exc
+        next_w = phiminus_weight(sub_poset, SymbolicWeight(forms, gamma_form))
+        tails = tuple(b[-1] for b in next_w.branch_forms)
+        conditions.extend(Condition(-tail, LT_ZERO) for tail in tails)
+        steps.append(ApplyPhiMinus(tails))
+        d0, dims = next_d.d0, next_d.branches
+        forms, gamma_form = next_w.branch_forms, next_w.gamma_form
+    raise OrbitEscape(f"descent from {d} exceeded {len(roots)} steps")
+
+
+def _oracle_rows(forms, keys):
+    """Rows over keys of forms, all scaled by one positive common
+    denominator into integers, and that denominator."""
+    denom = lcm(*(v.denominator for f in forms for v in f.coeffs.values()))
+    return denom, [[int(f.coeff(k) * denom) for k in keys] for f in forms]
+
+
+def _oracle_lift_state(state, keys, first):
+    """(d0, dims, tops, denom, columns, gamma) of a state of the oracle
+    walk, as the LinearForm descent compiled it."""
+    d0, dims, forms, gamma_form, reduced = state
+    tops = tuple(b[-1] for b in reduced)
+    if first:
+        return d0, dims, tops, 1, (), ()
+    denom, rows = _oracle_rows([f for b in forms for f in b] + [gamma_form], keys)
+    gamma = tuple(rows.pop())
+    columns, pos = [], 0
+    for b in dims:
+        branch = rows[pos: pos + len(b)]
+        pos += len(b)
+        for i in reversed(range(len(b) - 1)):  # suffix sums
+            branch[i] = [u + v for u, v in zip(branch[i], branch[i + 1])]
+        counts = [e - prev for prev, e in zip((0,) + b, b)]
+        columns.append(tuple((tuple(r), c) for r, c in zip(branch, counts) if c))
+    return d0, dims, tops, denom, tuple(columns), gamma
+
+
+_WALK_SHAPES = _SHAPES + [(8, 1, 1), (6, 6)]
+
+
+def test_walk_matches_linear_form_oracle():
+    roots = 0
+    for b in _WALK_SHAPES:
+        p = make_poset(b)
+        keys = p.variable_keys()
+        for d in enumerate_indec_dims(p):
+            conditions, steps, states = _oracle_walk(p, d)
+            cs, trace = derive_conditions(p, d)
+            ref = ConditionSet(conditions)
+            assert tuple(cs) == tuple(ref), (b, d)
+            assert cs.to_json() == ref.to_json(), (b, d)
+            assert [step_to_json(s) for s in trace.steps] == list(map(step_to_json, steps))
+
+            compiled = _criterion.__wrapped__(p, d)
+            _, rows = _oracle_rows([c.form for c in ref], keys)
+            assert compiled.keys == tuple(keys)
+            assert compiled.conditions == tuple((tuple(r), c.rel) for r, c in zip(rows, ref))
+            lifted = [_oracle_lift_state(s, keys, k == 0) for k, s in enumerate(states)]
+            assert all(state[3] == 1 for state in lifted), (b, d)  # the descent is integral
+            assert [(s.d0, s.dims, s.tops, s.columns, s.gamma) for s in compiled.states] == [
+                state[:3] + state[4:] for state in lifted], (b, d)
+            roots += 1
+    assert roots == 397

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -276,6 +277,53 @@ def _lp_instances(draw):
 @given(_lp_instances())
 def test_integer_tableau_matches_fraction_oracle(instance):
     assert lp.solve_lp(*instance) == _fraction_simplex(*instance)
+
+
+def _converted(instance, convert):
+    """instance with convert(i, v) applied to its i-th entry, counted
+    through c, the rows of A_ub, b_ub, the rows of A_eq and b_eq."""
+    count = itertools.count()
+    c, a_ub, b_ub, a_eq, b_eq = instance
+
+    def conv(values):
+        return [convert(next(count), v) for v in values]
+
+    return conv(c), [conv(r) for r in a_ub], conv(b_ub), [conv(r) for r in a_eq], conv(b_eq)
+
+
+def _integral(instance):
+    """The same problem with integer entries, as Fractions: each row scaled
+    together with its right-hand side, and the objective, by the lcm of
+    their denominators.  The vertex is unchanged; the value scales."""
+    c, a_ub, b_ub, a_eq, b_eq = instance
+
+    def scaled(values):
+        den = math.lcm(*(v.denominator for v in values))
+        return [v * den for v in values]
+
+    ub = [scaled([*row, b]) for row, b in zip(a_ub, b_ub)]
+    eq = [scaled([*row, b]) for row, b in zip(a_eq, b_eq)]
+    return (scaled(c), [r[:-1] for r in ub], [r[-1] for r in ub],
+            [r[:-1] for r in eq], [r[-1] for r in eq])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lp_instances())
+def test_int_and_fraction_input_agree(instance):
+    """A problem given as ints, as Fractions or as a mix of both has one
+    answer, the Fraction oracle's, and it is given in Fractions."""
+    fractions = _integral(instance)
+    ints = _converted(fractions, lambda i, v: int(v))
+    mixed = _converted(fractions, lambda i, v: int(v) if i % 2 else v)
+    res = lp.solve_lp(*ints)
+    assert res == lp.solve_lp(*fractions) == lp.solve_lp(*mixed) == _fraction_simplex(*fractions)
+    # the drawn problem itself, with its integral entries at odd positions as ints
+    partly_int = _converted(instance, lambda i, v: int(v) if i % 2 and v.denominator == 1 else v)
+    rational = lp.solve_lp(*instance)
+    assert lp.solve_lp(*partly_int) == rational
+    for r in (res, rational):
+        if r.status == lp.OPTIMAL:
+            assert type(r.value) is Fraction and all(type(v) is Fraction for v in r.x)
 
 
 def test_integer_tableau_with_negative_first_pivot(monkeypatch):

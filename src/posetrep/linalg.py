@@ -1,17 +1,100 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples/lists of rows of `fractions.Fraction`.  Sizes in this
-package are tiny (ambient dimensions <= 8), so plain fraction-free-ish
-Gaussian elimination is more than fast enough.
+Matrices are lists of rows of ints and `fractions.Fraction`s.  Every
+elimination runs on integer rows (fraction-free, in the spirit of Bareiss
+1968): a row is scaled once by the lcm of its denominators and held as a
+primitive integer vector, a positive multiple of the rational row, divided
+by the gcd of its entries after every update.  `_echelon` inserts the rows
+one at a time into a reduced basis and stops early once the basis has full
+column rank.  A positive row scale changes neither the pivots nor the
+reduced row echelon form, which is read back exactly as
+``Fraction(v, pivot)``.  `det` runs Bareiss's elimination with exact
+division.  The simplex in `lp` shares the row scaling and the elimination
+step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries."""
+    # A loop, not gcd(*row): unpacking long rows into argument tuples
+    # raised the peak memory of a full table run by about 4 %.
+    g = 0
+    for v in row:
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return [v // g for v in row] if g > 1 else row
+
+
+def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(d, d*values) for d the lcm of the denominators of values."""
+    den = lcm(*{v.denominator for v in values if type(v) is not int})
+    if den == 1:
+        return 1, [v if type(v) is int else v.numerator for v in values]
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _rationals(values: Sequence) -> list[Fraction | int]:
+    """values as ints and Fractions.  An int is tested by its exact type:
+    isinstance(v, Fraction) on an int fails only through the slow
+    abstract-base-class check."""
+    return [v if type(v) is int or isinstance(v, Fraction) else Fraction(v) for v in values]
+
+
+def _eliminate(target: list[int], a: int, f: int, prow: list[int], nz: list[int]) -> list[int]:
+    """Primitive positive multiple of target - (f/a)*prow, for a > 0."""
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    out = [a * v for v in target] if a != 1 else list(target)
+    for j in nz:
+        out[j] -= f * prow[j]
+    return _primitive(out)
+
+
+def _int_rows(m: Sequence[Sequence]) -> list[list[int]]:
+    """Each row of m scaled to a primitive integer row."""
+    return [_primitive(_scaled(_rationals(row))[1]) for row in m]
+
+
+def _echelon(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form of m, each as a
+    primitive integer row with a positive pivot entry, and their pivot
+    columns.  Rows are inserted one at a time into a reduced basis, so a
+    basis of full column rank ends the pass early.  Row r divided by its
+    pivot entry is row r of the reduced row echelon form."""
+    nc = len(m[0]) if m else 0
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    support: dict[int, list[int]] = {}  # pivot column -> nonzero columns
+    for raw in m:
+        if len(basis) == nc:
+            break
+        row = _primitive(_scaled(_rationals(raw))[1])
+        for c, prow in basis.items():
+            if row[c]:
+                row = _eliminate(row, prow[c], row[c], prow, support[c])
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is None:
+            continue
+        if row[c] < 0:
+            row = [-v for v in row]
+        nz = [j for j in range(c, nc) if row[j]]
+        for pc, prow in basis.items():
+            if prow[c]:
+                prow = basis[pc] = _eliminate(prow, row[c], prow[c], row, nz)
+                support[pc] = [j for j in range(pc, nc) if prow[j]]
+        basis[c] = row
+        support[c] = nz
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -20,13 +103,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 
 def zeros(nrows: int, ncols: int) -> Matrix:
     return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
 
 
 def shape(m: Sequence[Sequence]) -> tuple[int, int]:
@@ -62,65 +138,40 @@ def from_columns(cols: Iterable[Iterable], nrows: int) -> Matrix:
     return [[Fraction(c[r]) for c in cols] for r in range(nrows)]
 
 
-def columns(m: Matrix) -> list[Vector]:
-    return [list(col) for col in transpose(m)]
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (copy) and the pivot column indices."""
-    a = [row[:] for row in m]
-    nr, nc = shape(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return a, pivots
+    rows, pivots = _echelon(m)
+    nc = len(m[0]) if m else 0
+    out = [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
+    out += [[Fraction(0)] * nc for _ in range(len(m) - len(pivots))]
+    return out, pivots
 
 
 def rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    return len(rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def row_space_basis(m: Matrix) -> Matrix:
     """Canonical basis (nonzero rref rows); equal spans give equal output."""
-    a, pivots = rref(m)
-    return a[: len(pivots)]
+    rows, pivots = _echelon(m)
+    return [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of {x : m x = 0}; one vector per free column.  `ncols` names
     the vector length when m has no rows."""
-    nr, nc = len(m), (len(m[0]) if m else (ncols or 0))
-    if nc == 0:
-        return []
-    if nr == 0:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(nc)]
-            for j in range(nc)
-        ]
-    a, pivots = rref(m)
-    free = [c for c in range(nc) if c not in pivots]
+    nc = len(m[0]) if m else (ncols or 0)
+    rows, pivots = _echelon(m)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(nc):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * nc
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
+        for row, c in zip(rows, pivots):
+            if row[f]:
+                v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
 
@@ -131,41 +182,48 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     nrb, ncb = shape(b)
     if nr != nrb:
         raise ValueError("solve shape mismatch")
-    aug, pivots = rref(hstack(a, b))
-    if len(pivots) != len([c for c in pivots if c < nc]):
+    rows, pivots = _echelon(hstack(a, b))
+    if pivots and pivots[-1] >= nc:
         return None  # a pivot landed in the b block: inconsistent
     if len(pivots) < nc:
         raise ValueError("solve requires full column rank")
     x = zeros(nc, ncb)
-    for r, c in enumerate(pivots):
+    for row, c in zip(rows, pivots):
         for k in range(ncb):
-            x[c][k] = aug[r][nc + k]
+            x[c][k] = Fraction(row[nc + k], row[c])
     return x
 
 
 def det(m: Matrix) -> Fraction:
-    a = [row[:] for row in m]
-    n = len(a)
+    """Determinant by Bareiss's fraction-free elimination on the rows
+    scaled to integers by the lcms of their denominators."""
+    n = len(m)
     if n == 0:
         return Fraction(1)
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in m):
         raise ValueError("det requires a square matrix")
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+    a = []
+    scale = 1
+    for row in m:
+        den, ints = _scaled(_rationals(row))
+        a.append(ints)
+        scale *= den
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        out *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return out * sign
+        rk = a[k]
+        p = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            a[i] = [0] * (k + 1) + [(ri[j] * p - f * rk[j]) // prev for j in range(k + 1, n)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def column_span_contains(basis: Matrix, vectors: Matrix) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -48,6 +49,18 @@ class NonMonomorphicArrow(PosetRepError):
 
 class ForbiddenParameter(PosetRepError):
     """Fixture parameter outside its allowed set."""
+
+
+class HomTooLarge(PosetRepError):
+    """A Hom space with more than MAX_HOM_UNKNOWNS unknowns."""
+
+
+# Most entries a Hom-space map may have (ambient1 * ambient2).  Exact
+# elimination on dense data grows steeply with it: on one 2 vCPU machine the
+# slowest dense case found at 49 (a line mapped into 64 dense 24-dimensional
+# subspaces of a 49-dimensional space) took 1.3 s, the same shape at 64 took
+# 5 s and at 100 took 25 s.
+MAX_HOM_UNKNOWNS = 49
 
 
 @dataclass(frozen=True)
@@ -168,38 +181,33 @@ def direct_sum(r1: SubspaceRep, r2: SubspaceRep) -> SubspaceRep:
 def hom_space(r1: SubspaceRep, r2: SubspaceRep) -> list[Matrix]:
     """Basis of {C : C(V_e) inside W_e for all e}, by exact nullspace of
     the stacked constraints L_e C B_e = 0 with L_e the left annihilator
-    of W_e."""
+    of W_e.  Each constraint row is built on integers, from an annihilator
+    vector and a column of B_e each scaled to a primitive integer vector:
+    a positive multiple of the rational row, with the same row space."""
     if r1.poset != r2.poset:
         raise PosetMismatch(f"{r1.poset.branches} vs {r2.poset.branches}")
     a1, a2 = r1.ambient, r2.ambient
     nunk = a2 * a1
-    rows: list[list[Fraction]] = []
-    for e in range(r1.poset.n):
-        b = r1.basis(e)
-        ncols_b = len(b[0]) if b else 0
-        if ncols_b == 0:
-            continue
-        w = r2.basis(e)
-        annihilator = linalg.nullspace(linalg.transpose(w), ncols=a2) if a2 else []
-        for l in annihilator:
-            for col in range(ncols_b):
-                row = [Fraction(0)] * nunk
-                for s in range(a2):
-                    if l[s] == 0:
-                        continue
-                    for t in range(a1):
-                        row[s * a1 + t] = l[s] * b[t][col]
-                rows.append(row)
+    if nunk > MAX_HOM_UNKNOWNS:
+        raise HomTooLarge(
+            f"a Hom space between ambient dimensions {a1} and {a2} has {nunk} "
+            f"unknowns, above the supported {MAX_HOM_UNKNOWNS}"
+        )
     if nunk == 0:
         return []
-    if rows:
-        basis = linalg.nullspace(rows)
-    else:  # no constraints: every linear map intertwines
-        basis = [
-            [Fraction(1) if i == j else Fraction(0) for i in range(nunk)]
-            for j in range(nunk)
-        ]
-    return [[[v[s * a1 + t] for t in range(a1)] for s in range(a2)] for v in basis]
+    rows: list[list[int]] = []
+    for e in range(r1.poset.n):
+        b = r1.basis(e)
+        if not b[0]:
+            continue
+        annihilator = linalg._int_rows(
+            linalg.nullspace(linalg.transpose(r2.basis(e)), ncols=a2))
+        cols = linalg._int_rows(linalg.transpose(b))
+        for l in annihilator:
+            for col in cols:
+                rows.append([ls * x for ls in l for x in col])
+    basis = linalg.nullspace(rows, ncols=nunk)
+    return [[v[s * a1 : (s + 1) * a1] for s in range(a2)] for v in basis]
 
 
 def end_dim(rep: SubspaceRep) -> int:
@@ -211,29 +219,45 @@ def is_brick(rep: SubspaceRep) -> bool:
     return end_dim(rep) == 1
 
 
-def _random_end_element(basis: list[Matrix], rng: random.Random) -> Matrix:
-    coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
-    if all(c == 0 for c in coeffs):
-        coeffs[0] = Fraction(1)
-    n = len(basis[0])
-    out = linalg.zeros(n, n)
-    for c, m in zip(coeffs, basis):
+def _integer_basis(basis: list[Matrix]) -> list[list[list[int]]]:
+    """The basis matrices times one common denominator, as ints."""
+    den = lcm(*{x.denominator for m in basis for row in m for x in row})
+    return [[[x.numerator * (den // x.denominator) for x in row] for row in m]
+            for m in basis]
+
+
+def _combination(coeffs: Sequence[int], mats: list[list[list[int]]]) -> list[list[int]]:
+    out = [[0] * len(mats[0][0]) for _ in mats[0]]
+    for c, m in zip(coeffs, mats):
         if c == 0:
             continue
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += c * m[i][j]
+        for orow, mrow in zip(out, m):
+            for j, x in enumerate(mrow):
+                if x:
+                    orow[j] += c * x
     return out
 
 
-def _is_nilpotent(m: Matrix) -> bool:
+def _random_end_element(basis: list[list[list[int]]], rng: random.Random) -> list[list[int]]:
+    coeffs = [rng.randint(-9, 9) for _ in basis]
+    if all(c == 0 for c in coeffs):
+        coeffs[0] = 1
+    return _combination(coeffs, basis)
+
+
+def _is_nilpotent(m: list[list[int]]) -> bool:
+    """Whether m**n = 0.  Each power is divided by the gcd of its entries:
+    a positive multiple of a power is zero exactly when the power is."""
     n = len(m)
+    cols = list(zip(*m))
     power = m
     for _ in range(n):
-        if all(x == 0 for row in power for x in row):
+        g = gcd(*(x for row in power for x in row))
+        if g == 0:
             return True
-        power = linalg.matmul(power, m)
-    return all(x == 0 for row in power for x in row)
+        power = [[sum(x * y for x, y in zip(row, col)) // g for col in cols]
+                 for row in power]
+    return not any(x for row in power for x in row)
 
 
 def is_indecomposable(rep: SubspaceRep, seed: int = 0, rounds: int = 16) -> bool:
@@ -244,20 +268,22 @@ def is_indecomposable(rep: SubspaceRep, seed: int = 0, rounds: int = 16) -> bool
     element), so the representation is decomposable.  A random element T
     is sampled per round and checked exactly: T has a single eigenvalue
     iff T - (tr T / n) I is nilpotent.  Surviving all rounds is strong
-    randomised evidence of indecomposability, never a proof.
+    randomised evidence of indecomposability, never a proof.  T is drawn
+    as an integer multiple of the endomorphism, which changes neither test.
     """
     if rep.ambient == 0:
         return False
     basis = hom_space(rep, rep)
     if len(basis) == 1:
         return True
+    ints = _integer_basis(basis)
     rng = random.Random(seed)
     n = rep.ambient
     for _ in range(rounds):
-        t = _random_end_element(basis, rng)
+        t = _random_end_element(ints, rng)
         trace = sum(t[i][i] for i in range(n))
-        shift = Fraction(trace, n)
-        shifted = [[t[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
+        shifted = [[n * x - (trace if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(t)]
         if not _is_nilpotent(shifted):
             return False
     return True
@@ -270,7 +296,9 @@ def are_isomorphic(r1: SubspaceRep, r2: SubspaceRep, seed: int = 0,
     det(sum x_i C_i) over a Hom basis {C_i} is evaluated at `trials`
     random integer points drawn from a sample set of size 10**6; a nonzero
     determinant certifies an isomorphism, and surviving all trials bounds
-    the false-negative probability by (ambient/10**6)**trials.
+    the false-negative probability by (ambient/10**6)**trials.  The C_i
+    are scaled by one common denominator, which leaves every determinant's
+    zero set unchanged.
     """
     if r1.poset != r2.poset:
         raise PosetMismatch(f"{r1.poset.branches} vs {r2.poset.branches}")
@@ -281,16 +309,11 @@ def are_isomorphic(r1: SubspaceRep, r2: SubspaceRep, seed: int = 0,
     basis = hom_space(r1, r2)
     if not basis:
         return False
+    ints = _integer_basis(basis)
     rng = random.Random(seed)
-    n = r1.ambient
     for _ in range(trials):
-        coeffs = [Fraction(rng.randint(1, 10**6)) for _ in basis]
-        t = linalg.zeros(n, n)
-        for c, m in zip(coeffs, basis):
-            for i in range(n):
-                for j in range(n):
-                    t[i][j] += c * m[i][j]
-        if linalg.det(t) != 0:
+        coeffs = [rng.randint(1, 10**6) for _ in basis]
+        if linalg.det(_combination(coeffs, ints)) != 0:
             return True
     return False
 

@@ -12,17 +12,18 @@ therefore those of the rational tableau, so Bland's rule takes exactly the
 pivots a Fraction tableau would take and cannot cycle; basic values are
 read back as ``Fraction(rhs, coefficient)``.  A pivot touches only the
 rows with a nonzero entry in the pivot column and, in each, only the
-nonzero columns of the pivot row.
+nonzero columns of the pivot row.  The row scaling and the elimination
+step are those of the echelon kernel in `linalg`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .core import PosetRepError
+from .linalg import _eliminate, _primitive, _rationals, _scaled
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -38,43 +39,6 @@ class LpResult:
     status: str
     value: Fraction | None
     x: tuple[Fraction, ...] | None
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """row divided by the gcd of its entries."""
-    # A loop, not gcd(*row): unpacking long rows into argument tuples
-    # raised the peak memory of a full table run by about 4 %.
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    return [v // g for v in row] if g > 1 else row
-
-
-def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """(d, d*values) for d the lcm of the denominators of values."""
-    den = lcm(*{v.denominator for v in values if type(v) is not int})
-    if den == 1:
-        return 1, [v if type(v) is int else v.numerator for v in values]
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def _rationals(values: Sequence) -> list[Fraction | int]:
-    """values as ints and Fractions.  An int is tested by its exact type:
-    isinstance(v, Fraction) on an int fails only through the slow
-    abstract-base-class check."""
-    return [v if type(v) is int or isinstance(v, Fraction) else Fraction(v) for v in values]
-
-
-def _eliminate(target: list[int], a: int, f: int, prow: list[int], nz: list[int]) -> list[int]:
-    """Primitive positive multiple of target - (f/a)*prow, for a > 0."""
-    g = gcd(a, f)
-    a, f = a // g, f // g
-    out = [a * v for v in target] if a != 1 else list(target)
-    for j in nz:
-        out[j] -= f * prow[j]
-    return _primitive(out)
 
 
 def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:

@@ -1,17 +1,28 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as Q
 from pathlib import Path
 
 import posetrep
 from posetrep.cli import main
-from posetrep.core import parse_dim_string
+from posetrep.core import make_poset, parse_dim_string
 from posetrep.derive import paper_corpus
-from posetrep.linrep import family_1111, nonbrick_alpha, rep_to_json
+from posetrep.linrep import (
+    direct_sum,
+    family_1111,
+    family_222,
+    family_332,
+    family_521,
+    make_rep,
+    nonbrick_alpha,
+    rep_to_json,
+)
 
 
 def _run(capsys, *argv):
@@ -399,3 +410,119 @@ def test_optimized_interpreter_smoke(capsys):
     assert code == 0, err
     assert (code, out, err) == _run(capsys, *argv)
     assert len(out.splitlines()) == 8
+
+
+# --- golden outputs of the rep command ----------------------------------------
+
+
+def _change_of_basis(n):
+    """A fixed invertible n x n matrix L*U, unit lower times unit upper
+    triangular, with small integer and half-integer entries."""
+    lower = [[Q(1) if i == j else Q((2 * i + j) % 3 - 1) if j < i else Q(0)
+              for j in range(n)] for i in range(n)]
+    upper = [[Q(1) if i == j else Q((i + 2 * j) % 5 - 2, 1 + j % 2) if j > i else Q(0)
+              for j in range(n)] for i in range(n)]
+    return [[sum((lower[i][k] * upper[k][j] for k in range(n)), Q(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def _conjugate(rep):
+    m = _change_of_basis(rep.ambient)
+    bases = []
+    for e in range(rep.poset.n):
+        b = rep.basis(e)
+        k = len(b[0]) if b else 0
+        bases.append([[sum((m[i][t] * b[t][c] for t in range(rep.ambient)), Q(0))
+                       for c in range(k)] for i in range(rep.ambient)])
+    return make_rep(rep.poset, rep.ambient, bases)
+
+
+def _golden_reps():
+    f2, f3 = family_1111(2), family_1111(Q(-1, 3))
+    reps = {
+        "f1111_2": f2,
+        "f1111_m13": f3,
+        "f222": family_222(Q(5, 2)),
+        "f332": family_332(3),
+        "f521": family_521(Q(-2, 7)),
+        "nonbrick": nonbrick_alpha(Q(3, 2)),
+    }
+    reps["sum_1111"] = direct_sum(f2, f3)
+    reps["sum_1111_same"] = direct_sum(f2, f2)
+    reps["sum_222"] = direct_sum(reps["f222"], reps["f222"])
+    reps["sum_nonbrick"] = direct_sum(reps["nonbrick"], f3)
+    for name in list(reps):
+        reps[name + "_conj"] = _conjugate(reps[name])
+    return reps
+
+
+def _golden_rep_outputs(tmp_path, capsys):
+    """sha256 per kind of rep query over [argv tail, exit code, stdout]."""
+    reps = _golden_reps()
+    paths = {}
+    for name, rep in reps.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(rep_to_json(rep)))
+    pairs = [(name, name) for name in reps]
+    pairs += [(name, name + "_conj") for name in reps if not name.endswith("_conj")]
+    pairs += [("f1111_2", "f1111_m13"), ("f1111_2", "sum_1111"), ("sum_1111", "f1111_2"),
+              ("nonbrick", "f1111_2"), ("sum_nonbrick", "sum_1111_conj"),
+              ("sum_1111", "sum_1111_same"), ("f222", "f332")]
+    runs = {kind: [] for kind in ("hom", "isomorphic", "brick", "indecomposable", "dim")}
+    for a, b in pairs:
+        for kind in ("hom", "isomorphic"):
+            code, out, _ = _run(capsys, "rep", f"--{kind}", str(paths[a]), str(paths[b]))
+            runs[kind].append([a, b, code, out])
+    for name in reps:
+        for kind in ("brick", "indecomposable", "dim"):
+            code, out, _ = _run(capsys, "rep", "--file", str(paths[name]), "--check", kind)
+            runs[kind].append([name, code, out])
+    for a, seed in [("sum_1111", "5"), ("nonbrick_conj", "7"), ("sum_222_conj", "3")]:
+        code, out, _ = _run(capsys, "rep", "--file", str(paths[a]), "--check",
+                            "indecomposable", "--seed", seed)
+        runs["indecomposable"].append([a, seed, code, out])
+    for a, b, seed in [("f1111_2", "f1111_2_conj", "9"), ("f521", "f521_conj", "4")]:
+        code, out, _ = _run(capsys, "rep", "--isomorphic", str(paths[a]), str(paths[b]),
+                            "--seed", seed)
+        runs["isomorphic"].append([a, b, seed, code, out])
+    return {kind: hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+            for kind, rows in runs.items()}
+
+
+# Recorded before linalg and the Hom space moved to integer rows: every rep
+# output must stay byte-identical.
+_REP_SHA256 = {
+    "hom": "6ac7d9c5f6dc201cced095db616ee9793445b853fef1c1fbc1a0e38fdd7fc859",
+    "isomorphic": "89672c2b132428b22f77c1dd749d0d1c6f6ebffd06c85bbfe6c465ccae6ef9f2",
+    "brick": "70a0f0dd460ab6d4ba876b5fdc02ac600f3c57a175ac23df40f98441559f2ddf",
+    "indecomposable": "fd1bb93f98dd7308e0738be68b00e4f037090746c6a5e6ba1911af8ac54e4a62",
+    "dim": "dd2d2542af173926286115eee3896dbcc9281403e4f0e0e56924a85530bb314a",
+}
+
+
+def test_golden_rep_outputs(tmp_path, capsys):
+    assert _golden_rep_outputs(tmp_path, capsys) == _REP_SHA256
+
+
+def test_hom_size_bound(tmp_path, capsys):
+    def write(name, ambient, dim):
+        cols = [[Q(int(i == j)) for j in range(dim)] for i in range(ambient)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rep_to_json(make_rep(make_poset([1]), ambient, [cols]))))
+        return str(path)
+
+    r7, r8, r512 = write("r7", 7, 3), write("r8", 8, 3), write("r512", 512, 0)
+    code, out, err = _run(capsys, "rep", "--hom", r7, r7)
+    # at the bound: 49 unknowns, 4 * 3 constraints
+    assert code == 0 and json.loads(out)["dim"] == 49 - 4 * 3 and err == ""
+    for a, b, a1, a2 in [(r7, r8, 7, 8), (r8, r8, 8, 8), (r512, r512, 512, 512)]:
+        start = time.monotonic()
+        runs = [_run(capsys, "rep", "--hom", a, b)]
+        if a == b:  # reps of unequal dimension vectors are not isomorphic at once
+            runs += [_run(capsys, "rep", "--isomorphic", a, b)]
+            runs += [_run(capsys, "rep", "--file", a, "--check", check)
+                     for check in ("brick", "indecomposable")]
+        assert time.monotonic() - start < 1
+        message = (f"error: a Hom space between ambient dimensions {a1} and {a2} has "
+                   f"{a1 * a2} unknowns, above the supported 49\n")
+        assert runs == [(1, "", message)] * len(runs)

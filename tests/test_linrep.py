@@ -103,7 +103,8 @@ def test_brick_implies_indecomposable():
         cols1 = [[Q(rng.randint(-2, 2)) for _ in range(1)] for _ in range(3)]
         if all(x == 0 for row in cols1 for x in row):
             cols1[0][0] = Q(1)
-        reps.append(make_rep(p, 3, [cols1, linalg.identity(3)]))
+        identity = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
+        reps.append(make_rep(p, 3, [cols1, identity]))
     for r in reps:
         if is_brick(r):
             assert is_indecomposable(r)
@@ -231,3 +232,17 @@ def test_make_rep_bounds_ambient():
     assert make_rep(make_poset([1]), MAX_AMBIENT, [[]]).ambient == MAX_AMBIENT
     with pytest.raises(AmbientTooLarge):
         make_rep(make_poset([1]), MAX_AMBIENT + 1, [[]])
+
+
+def test_single_round_verdicts_follow_the_draws():
+    # With one round, a decomposable rep passes exactly when the drawn
+    # endomorphism has a single eigenvalue, so these seed lists (recorded
+    # with the Fraction implementation) pin the order of the random draws.
+    f = family_1111(2)
+    for rep, seeds in [
+        (direct_sum(f, f), [31, 137, 285, 307]),
+        (direct_sum(nonbrick_alpha(1), f),
+         [2, 16, 21, 58, 65, 100, 117, 127, 166, 172, 185, 288, 302, 305, 307, 332, 333,
+          361, 371, 373, 388, 396]),
+    ]:
+        assert [s for s in range(400) if is_indecomposable(rep, seed=s, rounds=1)] == seeds

@@ -60,9 +60,9 @@ def _eliminate(target: list[int], a: int, f: int, prow: list[int], nz: list[int]
     return _primitive(out)
 
 
-def _int_rows(m: Sequence[Sequence]) -> list[list[int]]:
-    """Each row of m scaled to a primitive integer row."""
-    return [_primitive(_scaled(_rationals(row))[1]) for row in m]
+def _int_row(values: Sequence) -> list[int]:
+    """values scaled to a primitive integer row."""
+    return _primitive(_scaled(_rationals(values))[1])
 
 
 def _echelon(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -77,7 +77,7 @@ def _echelon(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     for raw in m:
         if len(basis) == nc:
             break
-        row = _primitive(_scaled(_rationals(raw))[1])
+        row = _int_row(raw)
         for c, prow in basis.items():
             if row[c]:
                 row = _eliminate(row, prow[c], row[c], prow, support[c])
@@ -153,8 +153,8 @@ def rank(m: Matrix) -> int:
 
 def row_space_basis(m: Matrix) -> Matrix:
     """Canonical basis (nonzero rref rows); equal spans give equal output."""
-    rows, pivots = _echelon(m)
-    return [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
+    a, pivots = rref(m)
+    return a[: len(pivots)]
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:

@@ -200,9 +200,10 @@ def hom_space(r1: SubspaceRep, r2: SubspaceRep) -> list[Matrix]:
         b = r1.basis(e)
         if not b[0]:
             continue
-        annihilator = linalg._int_rows(
-            linalg.nullspace(linalg.transpose(r2.basis(e)), ncols=a2))
-        cols = linalg._int_rows(linalg.transpose(b))
+        w = r2.basis(e)
+        annihilator = [linalg._int_row(l)
+                       for l in linalg.nullspace(linalg.transpose(w), ncols=a2)]
+        cols = [linalg._int_row(col) for col in linalg.transpose(b)]
         for l in annihilator:
             for col in cols:
                 rows.append([ls * x for ls in l for x in col])

@@ -55,6 +55,7 @@ from .core import (
     Weight,
     _reduce,
     alpha_key,
+    format_dim_string,
     key_order,
     trace_condition,
 )
@@ -148,7 +149,7 @@ def _walk(
     roots = _positive_roots(p.branches)
     if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
         raise NotInEnumeration(
-            f"{d} is not an indecomposable dimension vector of {p.branches}"
+            f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}"
         )
 
     keys = p.variable_keys()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -55,12 +56,23 @@ class HomTooLarge(PosetRepError):
     """A Hom space with more than MAX_HOM_UNKNOWNS unknowns."""
 
 
+class RepTooLarge(PosetRepError):
+    """A representation whose validation takes more than MAX_RANK_WORK."""
+
+
 # Most entries a Hom-space map may have (ambient1 * ambient2).  Exact
 # elimination on dense data grows steeply with it: on one 2 vCPU machine the
 # slowest dense case found at 49 (a line mapped into 64 dense 24-dimensional
 # subspaces of a 49-dimensional space) took 1.3 s, the same shape at 64 took
 # 5 s and at 100 took 25 s.
 MAX_HOM_UNKNOWNS = 49
+
+# Most rank work `make_rep` takes on: the sum, over the rank computations it
+# makes, of rows * cols * min(rows, cols)^2 (elimination steps times the
+# growth of the fraction-free entries).  On one 2 vCPU machine the slowest
+# dense files found near it (64 dense 33-dimensional subspaces of a
+# 33-dimensional space) validate in about 2 s; 64 dense 50-of-100 took 7 s.
+MAX_RANK_WORK = 80_000_000
 
 
 @dataclass(frozen=True)
@@ -109,21 +121,27 @@ def make_rep(p: PrimitivePoset, ambient: int, bases: Sequence[Iterable]) -> Subs
             mats.append([[] for _ in range(ambient)])
             continue
         mats.append(_as_matrix(m, ambient))
-    for e, m in enumerate(mats):
-        ncols = len(m[0]) if m else 0
+    widths = [len(m[0]) if m else 0 for m in mats]
+    starts = accumulate(p.branches, initial=0)
+    pairs = [(pos + i, pos + i + 1) for pos, k in zip(starts, p.branches) for i in range(k - 1)]
+    pairs = [(lo, up) for lo, up in pairs if widths[lo]]  # a zero subspace is contained
+
+    def work(c: int) -> int:
+        return ambient * c * min(ambient, c) ** 2
+
+    total = sum(map(work, widths)) + sum(
+        work(widths[lo] + widths[up]) + work(widths[up]) for lo, up in pairs)
+    if total > MAX_RANK_WORK:
+        raise RepTooLarge(
+            f"validating the representation takes {total} units of rank work, "
+            f"above the supported {MAX_RANK_WORK}"
+        )
+    for e, (m, ncols) in enumerate(zip(mats, widths)):
         if linalg.rank(m) != ncols:
             raise RankDeficient(f"basis of element {e} has rank < {ncols}")
-    pos = 0
-    for k in p.branches:
-        for i in range(k - 1):
-            lower, upper = mats[pos + i], mats[pos + i + 1]
-            if (len(lower[0]) if lower else 0) == 0:
-                continue
-            if not linalg.column_span_contains(upper, lower):
-                raise ContainmentViolation(
-                    f"element {pos + i} is not contained in its successor"
-                )
-        pos += k
+    for lo, up in pairs:
+        if not linalg.column_span_contains(mats[up], mats[lo]):
+            raise ContainmentViolation(f"element {lo} is not contained in its successor")
     return SubspaceRep(p, ambient, tuple(_freeze(m) for m in mats))
 
 

@@ -2,30 +2,21 @@
 orthogonal projections onto nested column spans of one orthonormal frame
 per branch, whose weighted sum is the scalar matrix.
 
-When d is a positive root of a finite-type poset the answer is decided
-exactly first, by the derived conditions of d.  The descent of
-`derive_conditions` is walked once per (poset, d) and compiled to integer
-rows (`derive._criterion`, a bounded `lru_cache`): each condition is a
-row, and each state of the descent keeps its dimensions and the rows of
-its column weights and gamma.  An admissible weight's witness is then
-lifted up those states from the empty representation: every column weight
-and gamma is an exact integer dot product at the weight scaled to
-integers, checked to satisfy 0 < b < g, then divided once into a float.
-A reduction is undone by bookkeeping (a full element completes its
-branch's frame to a unitary); a downward transform is undone by the
-Coxeter reflections on *-representations (Kruglyak and Roiter, "Locally
-scalar representations of graphs in the category of Hilbert spaces",
-2005): rho at the centre through the kernel of the stacked frames, then
-sigma on each chain.
+For a finite-type poset the answer is exact.  A witness is an orthogonal
+direct sum of irreducible ones with the same weight; an irreducible
+locally scalar representation is indecomposable (Kruglyak and Roiter,
+"Locally scalar representations of graphs in the category of Hilbert
+spaces", 2005), and an indecomposable one has a root dimension (Gabriel;
+Kleiner for posets).  So a witness exists if and only if d is a sum of
+roots, repeats allowed, at each of which the weight is admissible
+(`_cover`), and then the block-diagonal sum of their witnesses is one.
+The witness of a root is lifted up its cached descent
+(`derive._criterion`) from the empty representation, on integer rows
+evaluated at the weight scaled to integers: a reduction is undone by
+bookkeeping, a downward transform by the Coxeter reflections on
+*-representations, rho at the centre and then sigma on each chain.
 
-An irreducible witness of a finite-type poset has a root dimension, so a
-weight that violates a condition of the root d, or any weight when d is
-not a root, is rejected exactly when d admits no trace split
-(`_has_trace_split`).  Otherwise a split of d into two roots that are
-both admissible gives an orthogonal direct sum of two lifts.
-
-Everything else (a trace split but no such split into roots, infinite
-type, posets above `roots.MAX_ELEMENTS`) falls back to the descent:
+Infinite type and posets above `roots.MAX_ELEMENTS` go to a descent:
 ||sum_i a_i P_i - g I||_F^2 is minimised over the frames with a
 Barzilai-Borwein step, Armijo backtracking and a QR retraction after
 every step; random restarts guard against saddle points.  Chain
@@ -39,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
-
 import numpy as np
 
 from .core import (
@@ -53,13 +42,17 @@ from .core import (
     format_dim_string,
     require_ambient,
 )
+from . import linalg
 from .coxeter import alpha_to_beta
-from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point, check_weight
+from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point
 from .roots import MAX_ELEMENTS, _positive_roots, dim_to_root, is_finite_type, root_to_dim
 
 # Largest restart and iteration budgets the descent accepts.
 MAX_RESTARTS = 1000
 MAX_ITER = 100_000
+
+# Most states the search for a cover of d by admissible roots visits.
+MAX_COVER_STATES = 20_000
 
 
 class TraceObstruction(PosetRepError):
@@ -70,10 +63,14 @@ class InvalidBudget(PosetRepError):
     """A restart or iteration budget outside its allowed range."""
 
 
+class CoverTooLarge(PosetRepError):
+    """The search for a cover of d visited more than MAX_COVER_STATES states."""
+
+
 class NoWitness(PosetRepError):
-    """The weight violates a derived condition of the root d, or d is not a
-    root, and no split of d meets the trace equality: no witness exists.
-    violated is empty when d is not a root."""
+    """No sum of roots at each of which the weight is admissible gives d: no
+    witness exists.  violated holds the violated conditions of d when d is
+    a root, and is empty otherwise."""
 
     def __init__(self, message: str, violated: tuple[Condition, ...]):
         super().__init__(message)
@@ -257,75 +254,60 @@ def _unreflect(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,
     return out
 
 
-def _has_trace_split(d: DimVector, w: Weight) -> bool:
-    """Whether some chain-monotone d' with 0 < d' < d and d - d'
-    chain-monotone meets its own trace equality at w.  Without one, every
-    witness of d is irreducible.  A chain's part is fixed by how much of
-    each step of the chain it takes, so a root has few parts."""
-    for top in range(1, d.d0):
-        sums = {Fraction(0)}
-        for dims, alphas in zip(d.branches, w.alphas):
-            steps = [b - a for a, b in zip((0,) + dims, dims)]
-            values = set()
-            for taken in product(*(range(s + 1) for s in steps)):
-                part = tuple(accumulate(taken))
-                if part[-1] <= top and dims[-1] - part[-1] <= d.d0 - top:
-                    values.add(sum(e * a for e, a in zip(part, alphas)))
-            sums = {x + y for x in sums for y in values}
-        if w.gamma * top in sums:
-            return True
-    return False
-
-
-def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(a) + len(b),) * 2, dtype=complex)
-    out[: len(a), : len(a)] = a
-    out[len(a):, len(a):] = b
-    return out
-
-
-def _split_witness(p: PrimitivePoset, d: DimVector, w: Weight,
-                   roots) -> tuple[tuple[np.ndarray, ...], int] | None:
-    """The orthogonal direct sum of the lifts of r and d - r for the first
-    split of d into two roots that are both admissible at w, or None."""
-    whole = dim_to_root(d)
-    for x in sorted(roots):
-        y = tuple(a - b for a, b in zip(whole, x))
-        if x > y or y not in roots:
-            continue
-        r, s = root_to_dim(p, x), root_to_dim(p, y)
-        if not (r.is_admissible(p) and s.is_admissible(p)):
-            continue
-        # check_weight tries the O(n) trace equality first
-        if check_weight(p, r, w).admissible and check_weight(p, s, w).admissible:
-            (pr, steps_r), (ps, steps_s) = _lift(p, r, w), _lift(p, s, w)
-            return tuple(map(_block_diagonal, pr, ps)), steps_r + steps_s
-    return None
-
-
-def _exact_witness(p: PrimitivePoset, d: DimVector,
-                   w: Weight) -> tuple[tuple[np.ndarray, ...], int] | None:
-    """Projectors and lift steps of a witness built without the descent,
-    None when only the descent can answer; raises NoWitness when exactly
-    no witness exists."""
-    if p.n > MAX_ELEMENTS or not is_finite_type(p):
-        return None
+def _cover(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[DimVector, ...] | None:
+    """Roots, largest first and repeats allowed, that sum to d and at each of
+    which w is admissible, or None.  d itself is tried first; then an
+    ordered depth-first search takes each other candidate with every
+    multiplicity that fits, largest first, and remembers failed states."""
     roots = _positive_roots(p.branches)
-    if dim_to_root(d) in roots:
-        # the caller has checked the trace equality
-        violated = _criterion(p, d).violated(w)
-        if not violated:
-            return _lift(p, d, w)
-        reason = f"weight violates {len(violated)} derived condition(s)"
-    else:  # an irreducible witness would have a root dimension
-        violated = ()
-        reason = f"{format_dim_string(d)} is not a root of {p.branches}"
-    if not _has_trace_split(d, w):
-        raise NoWitness(
-            f"{reason} and no split of the dimension vector meets the trace equality",
-            violated,
-        )
-    return _split_witness(p, d, w, roots)
+    whole = dim_to_root(d)
+    if whole in roots and not _criterion(p, d).violated(w):
+        return (d,)
+    x, _ = _integer_point(w)
+    trace = (-x[-1], *x[:-1])  # sum a_i r_i - g r0 over root coordinates
+    candidates = []
+    for r in sorted(roots, reverse=True):
+        if r == whole or r[0] < 1 or _dot(trace, r) or any(a > b for a, b in zip(r, whole)):
+            continue
+        part = root_to_dim(p, r)
+        if part.is_admissible(p) and not _criterion(p, part).violated(w):
+            candidates.append(r)
+    # solo[i]: candidates i.. as columns if independent (one decomposition at most)
+    solo = [linalg.transpose(candidates[i:]) if linalg.rank(candidates[i:]) == len(candidates) - i
+            else None for i in range(len(candidates))]
+    dead: set[tuple[int, tuple[int, ...]]] = set()
+    states = 0
+
+    def search(i: int, rest: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
+        # multiplicity 0 moves on in the loop: recursion depth <= distinct parts
+        nonlocal states
+        path = []
+        while any(rest):
+            states += 1
+            if states > MAX_COVER_STATES:
+                raise CoverTooLarge(f"covering {format_dim_string(d)} by admissible roots "
+                                    f"takes more than {MAX_COVER_STATES} search states")
+            if i == len(candidates) or (i, rest) in dead:
+                break
+            path.append((i, rest))
+            if solo[i] is not None:
+                mult = linalg.solve(solo[i], [[v] for v in rest])
+                if mult is not None and all(v >= 0 and v.denominator == 1 for (v,) in mult):
+                    return tuple(r for r, (v,) in zip(candidates[i:], mult) for _ in range(int(v)))
+                break
+            r = candidates[i]
+            for m in range(min(a // b for a, b in zip(rest, r) if b), 0, -1):
+                found = search(i + 1, tuple(a - m * b for a, b in zip(rest, r)))
+                if found is not None:
+                    return (r,) * m + found
+            i += 1
+        else:
+            return ()
+        dead.update(path)
+        return None
+
+    parts = search(0, whole)
+    return None if parts is None else tuple(root_to_dim(p, r) for r in parts)
 
 
 def unitarize(
@@ -358,10 +340,25 @@ def unitarize(
         return NumericRep(p, d, w, tuple(np.zeros((0, 0), dtype=complex)
                                          for _ in range(p.n)), 0.0, 0, 0, seed)
 
-    exact = _exact_witness(p, d, w)
-    if exact is None:
+    if p.n > MAX_ELEMENTS or not is_finite_type(p):
         return _descend(p, d, w, target, inner_tol, max_iter, restarts, seed)
-    projectors, steps = exact
+    parts = _cover(p, d, w)
+    if parts is None:  # d is a root exactly when it violates a condition
+        dim, roots = format_dim_string(d), _positive_roots(p.branches)
+        violated = _criterion(p, d).violated(w) if dim_to_root(d) in roots else ()
+        reason = (f"the weight violates {len(violated)} derived condition(s) of {dim}"
+                  if violated else f"{dim} is not a root of {p.branches}")
+        raise NoWitness(f"{reason}, and no sum of roots at which the weight is admissible "
+                        f"gives {dim}", violated)
+    # the block-diagonal sum of the lifts of the parts, each lifted once
+    lifts = {r: _lift(p, r, w) for r in set(parts)}
+    projectors = tuple(np.zeros((n, n), dtype=complex) for _ in range(p.n))
+    pos = 0
+    for r in parts:
+        for out, m in zip(projectors, lifts[r][0]):
+            out[pos: pos + r.d0, pos: pos + r.d0] = m
+        pos += r.d0
+    steps = sum(lifts[r][1] for r in parts)
     residual = _residual(p, w, projectors, n)
     rep = NumericRep(p, d, w, projectors, residual, steps, 0, seed)
     if not residual <= target:  # NaN fails too

@@ -105,6 +105,10 @@ def test_check_weight_exit_codes(capsys):
         "--weight", "3;2;2;3",
     )
     assert code == 2 and "violated" in out
+    code, out, err = _run(capsys, "check-weight", "--poset", "1,1,1", "--dim", "0;1;1;2",
+                          "--weight", "8;6;1;7/2")
+    assert (code, out) == (1, "")
+    assert err == "error: 0;1;1;2 is not an indecomposable dimension vector of (1, 1, 1)\n"
 
 
 def test_hostile_numerals_rejected(tmp_path, capsys):
@@ -190,8 +194,13 @@ def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
           "--weight", "1,4/3;1,1/3;1/3;1"], "violated: γ<β₂+δ"),
         # not a root: (0;1;0;1) + (0;0;1;1), and neither part meets its trace
         (["unitarize", "--poset", "1,1,1", "--dim", "0;1;1;2", "--weight", "8;6;1;7/2"],
-         "0;1;1;2 is not a root of (1, 1, 1) and no split of the dimension vector "
-         "meets the trace equality"),
+         "0;1;1;2 is not a root of (1, 1, 1), and no sum of roots at which the weight "
+         "is admissible gives 0;1;1;2"),
+        # a sum of four roots of (2,2,1), and no root below it is admissible
+        (["unitarize", "--poset", "2,2,1", "--dim", "3,4;4,5;2;6",
+          "--weight", "1/2,2;1,5/2;3/2;29/6"],
+         "3,4;4,5;2;6 is not a root of (2, 2, 1), and no sum of roots at which the weight "
+         "is admissible gives 3,4;4,5;2;6"),
     ]:
         code, out, err = _run(capsys, *argv)
         assert code == 2
@@ -203,6 +212,21 @@ def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
         code, out, err = _run(capsys, *argv, "--out", str(out_path))
         assert code == 2 and out == f"no witness -> {out_path}\n"
         assert json.loads(out_path.read_text()) == payload
+
+
+def test_cover_search_bound(capsys, monkeypatch):
+    from posetrep import numeric
+
+    monkeypatch.setattr(numeric, "MAX_COVER_STATES", 0)
+    code, out, err = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                          "--weight", "1;1/2;1/2;1")  # d violates, two roots cover it
+    assert (code, out) == (1, "")
+    assert err == ("error: covering 1;1;1;2 by admissible roots takes more than "
+                   "0 search states\n")
+    # an admissible root answers before any search
+    code, _, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                      "--weight", "1;1;1;3/2")
+    assert code == 0
 
 
 def test_python_dash_m_entry_point():
@@ -253,6 +277,15 @@ def test_budget_and_size_bounds(tmp_path, capsys):
     code, out, err = _run(capsys, "rep", "--file", str(rep_path), "--check", "dim")
     assert (code, out) == (1, "")
     assert err == "error: ambient dimension 1000000000 is above the supported 512\n"
+    # validation work: one 94 x 94 basis is accepted, 95 x 95 is refused before any rank
+    for n, code_out in [(94, (0, "94;94\n")), (95, (1, ""))]:
+        identity = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+        rep_path.write_text(json.dumps({"poset": {"branches": [1]}, "ambient": n,
+                                        "bases": [identity]}))
+        code, out, err = _run(capsys, "rep", "--file", str(rep_path), "--check", "dim")
+        assert (code, out) == code_out
+    assert err == ("error: validating the representation takes 81450625 units of rank "
+                   "work, above the supported 80000000\n")
 
 
 def test_coxeter_dim_steps(capsys):

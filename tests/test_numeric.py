@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import le, mul
+
 import numpy as np
 import pytest
 
@@ -225,43 +229,201 @@ def test_lifted_witness_above_tolerance_is_no_convergence():
     assert 0 < best.residual <= 1e-8 * np.sqrt(3)
 
 
-def test_trace_split_matches_exhaustive_scan():
-    """`_has_trace_split` against every integer vector below d."""
+def _sum_dims(parts, p):
+    from posetrep.roots import dim_to_root, root_to_dim
+
+    total = [sum(x) for x in zip(*map(dim_to_root, parts))]
+    return root_to_dim(p, tuple(total))
+
+
+def _reachable_by_admissible_roots(p, roots, d, w):
+    """Whether d is a sum of roots, repeats allowed, at each of which
+    check_weight admits w: every sum below d, grown one root at a time.
+    roots are p's chain-monotone roots with d0 >= 1."""
+    from posetrep.derive import check_weight
+    from posetrep.roots import dim_to_root
+
+    whole = dim_to_root(d)
+    values = (-w.gamma,) + tuple(a for b in w.alphas for a in b)
+    scale = lcm(*(v.denominator for v in values))
+    values = [int(v * scale) for v in values]
+    admissible = []
+    for r in roots:
+        x = dim_to_root(r)
+        # the trace equality first, as check_weight does, on integers
+        if (all(map(le, x, whole)) and not sum(map(mul, values, x))
+                and check_weight(p, r, w).admissible):
+            admissible.append(x)
+    seen = {(0,) * len(whole)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for v in frontier:
+            for r in admissible:
+                s = tuple(a + b for a, b in zip(v, r))
+                if s not in seen and all(map(le, s, whole)):
+                    seen.add(s)
+                    fresh.append(s)
+        frontier = fresh
+    return whole in seen
+
+
+@pytest.mark.parametrize("solve", [True, False], ids=["solve", "search-only"])
+def test_cover_matches_exhaustive_search(solve, monkeypatch):
+    """`_cover` against every sum of admissible roots, on every
+    chain-monotone d with d0 <= 4 of (2,2,1) and (3,2,1); search-only
+    never treats the candidates as independent, so the multiplicity
+    search answers alone."""
     import itertools
     import random
 
+    from posetrep import numeric
     from posetrep.core import DimVector, Weight
-    from posetrep.numeric import _has_trace_split
+    from posetrep.derive import check_weight
+    from posetrep.numeric import _cover
     from posetrep.roots import enumerate_indec_dims
 
-    def scan(d, w):
-        flat = [e for b in d.branches for e in b]
-        for d0 in range(1, d.d0):
-            for part in itertools.product(*(range(e + 1) for e in flat)):
-                it = iter(part)
-                branches = tuple(tuple(next(it) for _ in b) for b in d.branches)
-                rest = tuple(tuple(x - y for x, y in zip(b, c))
-                             for b, c in zip(d.branches, branches))
-                p = make_poset([len(b) for b in d.branches])
-                if not (DimVector(d0, branches).is_admissible(p)
-                        and DimVector(d.d0 - d0, rest).is_admissible(p)):
-                    continue
-                value = sum(e * a for b, c in zip(branches, w.alphas) for e, a in zip(b, c))
-                if value == w.gamma * d0:
-                    return True
-        return False
+    if not solve:
+        monkeypatch.setattr(numeric.linalg, "rank", lambda m: -1)
+
+    def chains(k, top):
+        return [c for c in itertools.product(range(top + 1), repeat=k)
+                if all(a <= b for a, b in zip(c, c[1:]))]
 
     rng = random.Random(5)
-    hits = 0
+    covered = rejected = 0
     for branches in [(2, 2, 1), (3, 2, 1)]:
         p = make_poset(branches)
-        for d in enumerate_indec_dims(p):
-            if d.d0 > 4:
-                continue
-            for _ in range(3):
-                w = Weight(tuple(tuple(rng.randint(1, 3) for _ in range(k)) for k in branches),
-                           rng.randint(1, 4))
-                found = _has_trace_split(d, w)
-                assert found == scan(d, w), (d, w)
-                hits += found
-    assert hits > 20
+        roots = [r for r in enumerate_indec_dims(p) if r.d0 >= 1]
+        for d0 in range(1, 5):
+            for dims in itertools.product(*(chains(k, d0) for k in branches)):
+                d = DimVector(d0, dims)
+                alphas = tuple(tuple(rng.randint(1, 3) for _ in range(k)) for k in branches)
+                trace = sum(a * e for b, c in zip(alphas, dims) for a, e in zip(b, c))
+                if not trace:  # gamma would be 0
+                    continue
+                w = Weight(alphas, Fraction(trace, d0))
+                parts = _cover(p, d, w)
+                assert (parts is not None) == _reachable_by_admissible_roots(p, roots, d, w), (d, w)
+                if parts is None:
+                    rejected += 1
+                    continue
+                assert _sum_dims(parts, p) == d
+                assert all(check_weight(p, r, w).admissible for r in parts)
+                covered += 1
+    assert covered > 200 and rejected > 1000
+
+
+def _sums_of_roots():
+    from hypothesis import assume
+    from hypothesis import strategies as st
+
+    from posetrep.core import Weight
+    from posetrep.derive import interior_point
+    from posetrep.roots import enumerate_indec_dims
+
+    @st.composite
+    def draw(draw):
+        p = make_poset(draw(st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1)])))
+        roots = [r for r in enumerate_indec_dims(p) if r.d0 >= 1]
+        parts = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=3))
+        d = _sum_dims(parts, p)
+        if draw(st.booleans()):  # a multiple of one root at an admissible weight
+            w = interior_point(derive_conditions(p, parts[0])[0], p)
+            assume(w is not None)
+            return p, _sum_dims([parts[0]] * len(parts), p), w
+        alphas = tuple(tuple(draw(st.integers(1, 4)) for _ in range(k)) for k in p.branches)
+        trace = sum(a * e for b, c in zip(alphas, d.branches) for a, e in zip(b, c))
+        assume(trace)  # gamma would be 0
+        return p, d, Weight(alphas, Fraction(trace, d.d0))
+
+    return draw()
+
+
+def _check_cover_against_descent(case):
+    from posetrep import numeric
+
+    p, d, w = case
+    target = 1e-8 * float(w.gamma) * np.sqrt(d.d0)
+    parts = numeric._cover(p, d, w)
+    if parts is None:
+        with pytest.raises(NoConvergence):
+            numeric._descend(p, d, w, target, 1e-12, 300, 2, 0)
+        return
+    rep = unitarize(p, d, w)
+    assert rep.residual <= target
+    assert structure_check(rep, p, d).ok
+
+
+def test_descent_converges_only_with_a_cover():
+    """On random sums of roots: when the descent converges a cover exists,
+    and every cover lifts to a witness."""
+    from hypothesis import given, settings
+
+    run = settings(max_examples=60, deadline=None, derandomize=True, database=None)(
+        given(_sums_of_roots())(_check_cover_against_descent))
+    run()
+
+
+def test_slow_sum_of_roots_decided_exactly(monkeypatch):
+    """d is a sum of four roots of (2,2,1) and no root below it is
+    admissible at w; the descent once ran for tens of seconds on it."""
+    from posetrep import numeric
+    from posetrep.numeric import NoWitness
+
+    monkeypatch.setattr(numeric, "_descend", _no_descent)
+    p = make_poset([2, 2, 1])
+    w = parse_weight_string("1/2,2;1,5/2;3/2;29/6")
+    with pytest.raises(NoWitness) as exc:
+        unitarize(p, parse_dim_string("3,4;4,5;2;6"), w)
+    assert exc.value.violated == ()
+    assert "not a root" in str(exc.value)
+    # a cover by three roots, two of them equal
+    d = parse_dim_string("2,2;2,3;1;3")
+    w = parse_weight_string("1/2,1/2;2,3;3;6")
+    assert numeric._cover(p, d, w) == tuple(
+        map(parse_dim_string, ["1,1;1,1;0;1", "1,1;1,1;0;1", "0,0;0,1;1;1"]))
+    rep = unitarize(p, d, w)
+    assert rep.residual <= 1e-8 * 6 * np.sqrt(3) and structure_check(rep, p, d).ok
+    assert commutant_dim(rep) >= 3
+    # the candidates are independent, so one state decides a cover of 60 parts
+    monkeypatch.setattr(numeric, "MAX_COVER_STATES", 1)
+    assert len(numeric._cover(p, parse_dim_string("40,40;40,60;20;60"), w)) == 60
+    # a repeated part is lifted once, and its lift steps count each time
+    p = make_poset([1, 1, 1])
+    w = parse_weight_string("1;1;1;3/2")
+    root = unitarize(p, parse_dim_string("1;1;1;2"), w)
+    rep = unitarize(p, parse_dim_string("2;2;2;4"), w)
+    assert root.iterations > 0 and rep.iterations == 2 * root.iterations
+    assert rep.residual <= 1e-8 * 1.5 * 2 and structure_check(rep, p, rep.dims).ok
+
+
+def test_finite_type_never_descends(monkeypatch):
+    """Every finite-type poset up to 64 elements is decided by the cover:
+    a witness, or an exact reject."""
+    import random
+
+    from posetrep import numeric
+    from posetrep.core import Weight
+    from posetrep.numeric import NoWitness
+    from posetrep.roots import enumerate_indec_dims
+
+    monkeypatch.setattr(numeric, "_descend", _no_descent)
+    rng = random.Random(11)
+    outcomes = set()
+    for branches in [(1, 1, 1), (5, 1, 1), (4, 2, 1), (6, 5), (32, 32), (63,)]:
+        p = make_poset(branches)
+        roots = [r for r in enumerate_indec_dims(p) if 1 <= r.d0 <= 3]
+        for _ in range(6):
+            d = _sum_dims(rng.sample(roots, 2), p)
+            alphas = tuple(tuple(rng.randint(1, 3) for _ in range(k)) for k in branches)
+            trace = sum(a * e for b, c in zip(alphas, d.branches) for a, e in zip(b, c))
+            w = Weight(alphas, Fraction(trace, d.d0))
+            try:
+                rep = unitarize(p, d, w)
+            except NoWitness:
+                outcomes.add("no witness")
+            else:
+                assert structure_check(rep, p, d).ok
+                outcomes.add("witness")
+    assert outcomes == {"witness", "no witness"}

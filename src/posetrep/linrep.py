@@ -71,7 +71,7 @@ MAX_HOM_UNKNOWNS = 49
 # makes, of rows * cols * min(rows, cols)^2 (elimination steps times the
 # growth of the fraction-free entries).  On one 2 vCPU machine the slowest
 # dense files found near it (64 dense 33-dimensional subspaces of a
-# 33-dimensional space) validate in about 2 s; 64 dense 50-of-100 took 7 s.
+# 33-dimensional space) validate in about 2 s; 64 dense 50-of-100 took 5-7 s.
 MAX_RANK_WORK = 80_000_000
 
 

@@ -234,6 +234,27 @@ def test_make_rep_bounds_ambient():
         make_rep(make_poset([1]), MAX_AMBIENT + 1, [[]])
 
 
+def test_make_rep_bounds_rank_work():
+    """The work of a chain pair counts its two bases, the stacked pair and
+    the upper basis again; a zero lower subspace adds no containment
+    check.  Every basis here is zero, so an accepted one is rank deficient."""
+    from posetrep.linrep import MAX_RANK_WORK, RepTooLarge
+
+    def zeros(rows, cols):
+        return [[0] * cols for _ in range(rows)]
+
+    work = {c: 70 * c * min(70, c) ** 2 for c in (60, 70, 130)}
+    total = work[60] + work[70] + work[130] + work[70]
+    assert work[60] + work[70] <= MAX_RANK_WORK < total
+    with pytest.raises(RepTooLarge, match=f"takes {total} units"):
+        make_rep(make_poset([2]), 70, [zeros(70, 60), zeros(70, 70)])
+    with pytest.raises(RankDeficient):
+        make_rep(make_poset([1, 1]), 70, [zeros(70, 60), zeros(70, 70)])
+    assert 80**4 <= MAX_RANK_WORK < 3 * 80**4
+    with pytest.raises(RankDeficient):
+        make_rep(make_poset([2]), 80, [[], zeros(80, 80)])
+
+
 def test_single_round_verdicts_follow_the_draws():
     # With one round, a decomposable rep passes exactly when the drawn
     # endomorphism has a single eigenvalue, so these seed lists (recorded

@@ -6,8 +6,10 @@ from operator import le, mul
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from posetrep.core import make_poset, parse_dim_string, parse_weight_string
+from posetrep.core import Weight, make_poset, parse_dim_string, parse_weight_string
 from posetrep.derive import derive_conditions, interior_point
 from posetrep.numeric import (
     NoConvergence,
@@ -19,6 +21,7 @@ from posetrep.numeric import (
     trace_precheck,
     unitarize,
 )
+from posetrep.roots import enumerate_indec_dims
 
 
 def test_equiangular_lines_closed_form():
@@ -190,7 +193,7 @@ def test_non_root_exact_reject(monkeypatch):
         unitarize(p, d, parse_weight_string("8;6;1;7/2"))  # no part has b = g or d = g
     assert exc.value.violated == ()
     assert "not a root" in str(exc.value)
-    # with a trace split, the split into two roots still answers
+    # at a weight admissible for both roots, their sum is a cover
     rep = unitarize(p, d, parse_weight_string("8;1;1;1"))
     assert rep.residual <= 1e-8 * np.sqrt(2) and structure_check(rep, p, d).ok
 
@@ -268,23 +271,15 @@ def _reachable_by_admissible_roots(p, roots, d, w):
     return whole in seen
 
 
-@pytest.mark.parametrize("solve", [True, False], ids=["solve", "search-only"])
-def test_cover_matches_exhaustive_search(solve, monkeypatch):
+def _check_cover_exhaustively():
     """`_cover` against every sum of admissible roots, on every
-    chain-monotone d with d0 <= 4 of (2,2,1) and (3,2,1); search-only
-    never treats the candidates as independent, so the multiplicity
-    search answers alone."""
+    chain-monotone d with d0 <= 4 of (2,2,1) and (3,2,1)."""
     import itertools
     import random
 
-    from posetrep import numeric
-    from posetrep.core import DimVector, Weight
+    from posetrep.core import DimVector
     from posetrep.derive import check_weight
     from posetrep.numeric import _cover
-    from posetrep.roots import enumerate_indec_dims
-
-    if not solve:
-        monkeypatch.setattr(numeric.linalg, "rank", lambda m: -1)
 
     def chains(k, top):
         return [c for c in itertools.product(range(top + 1), repeat=k)
@@ -314,55 +309,54 @@ def test_cover_matches_exhaustive_search(solve, monkeypatch):
     assert covered > 200 and rejected > 1000
 
 
-def _sums_of_roots():
-    from hypothesis import assume
-    from hypothesis import strategies as st
-
-    from posetrep.core import Weight
-    from posetrep.derive import interior_point
-    from posetrep.roots import enumerate_indec_dims
-
-    @st.composite
-    def draw(draw):
-        p = make_poset(draw(st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1)])))
-        roots = [r for r in enumerate_indec_dims(p) if r.d0 >= 1]
-        parts = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=3))
-        d = _sum_dims(parts, p)
-        if draw(st.booleans()):  # a multiple of one root at an admissible weight
-            w = interior_point(derive_conditions(p, parts[0])[0], p)
-            assume(w is not None)
-            return p, _sum_dims([parts[0]] * len(parts), p), w
-        alphas = tuple(tuple(draw(st.integers(1, 4)) for _ in range(k)) for k in p.branches)
-        trace = sum(a * e for b, c in zip(alphas, d.branches) for a, e in zip(b, c))
-        assume(trace)  # gamma would be 0
-        return p, d, Weight(alphas, Fraction(trace, d.d0))
-
-    return draw()
+def test_cover_matches_exhaustive_search():
+    _check_cover_exhaustively()
 
 
-def _check_cover_against_descent(case):
+def test_cover_search_alone_matches_exhaustive_search(monkeypatch):
+    """No candidate set counts as independent, so the multiplicity search
+    answers without the exact solve."""
+    from posetrep import numeric
+
+    monkeypatch.setattr(numeric.linalg, "rank", lambda m: -1)
+    _check_cover_exhaustively()
+
+
+@st.composite
+def _sums_of_roots(draw):
+    """A poset, a sum d of one to three of its roots, and a weight: an
+    admissible one of the first root with d that root repeated, or small
+    integers with gamma set by d's trace equality."""
+    p = make_poset(draw(st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1)])))
+    roots = [r for r in enumerate_indec_dims(p) if r.d0 >= 1]
+    parts = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        w = interior_point(derive_conditions(p, parts[0])[0], p)
+        assume(w is not None)
+        return p, _sum_dims([parts[0]] * len(parts), p), w
+    d = _sum_dims(parts, p)
+    alphas = tuple(tuple(draw(st.integers(1, 4)) for _ in range(k)) for k in p.branches)
+    trace = sum(a * e for b, c in zip(alphas, d.branches) for a, e in zip(b, c))
+    assume(trace)  # gamma would be 0
+    return p, d, Weight(alphas, Fraction(trace, d.d0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sums_of_roots())
+def test_descent_converges_only_with_a_cover(case):
+    """On random sums of roots: when the descent converges a cover exists,
+    and every cover lifts to a witness."""
     from posetrep import numeric
 
     p, d, w = case
     target = 1e-8 * float(w.gamma) * np.sqrt(d.d0)
-    parts = numeric._cover(p, d, w)
-    if parts is None:
+    if numeric._cover(p, d, w) is None:
         with pytest.raises(NoConvergence):
             numeric._descend(p, d, w, target, 1e-12, 300, 2, 0)
         return
     rep = unitarize(p, d, w)
     assert rep.residual <= target
     assert structure_check(rep, p, d).ok
-
-
-def test_descent_converges_only_with_a_cover():
-    """On random sums of roots: when the descent converges a cover exists,
-    and every cover lifts to a witness."""
-    from hypothesis import given, settings
-
-    run = settings(max_examples=60, deadline=None, derandomize=True, database=None)(
-        given(_sums_of_roots())(_check_cover_against_descent))
-    run()
 
 
 def test_slow_sum_of_roots_decided_exactly(monkeypatch):
@@ -404,9 +398,7 @@ def test_finite_type_never_descends(monkeypatch):
     import random
 
     from posetrep import numeric
-    from posetrep.core import Weight
     from posetrep.numeric import NoWitness
-    from posetrep.roots import enumerate_indec_dims
 
     monkeypatch.setattr(numeric, "_descend", _no_descent)
     rng = random.Random(11)

@@ -1,6 +1,7 @@
 """Derivation of the exact weight conditions of an indecomposable
-representation, LP-backed region simplification/comparison, and the
-condition tables (bundled reference corpus plus generated output).
+representation, region simplification/comparison (exact certificates,
+with an LP where none applies), and the condition tables (bundled
+reference corpus plus generated output).
 
 The derivation walks the representation down to a degenerate one:
 
@@ -60,7 +61,7 @@ from .core import (
     trace_condition,
 )
 from .coxeter import NegativeEntry, _phiminus_forms, fminus_dim
-from .linalg import row_space_basis
+from .linalg import _echelon, _eliminate, _primitive, _scaled
 from .roots import (
     FiniteTypeRequired,
     _positive_roots,
@@ -371,43 +372,166 @@ def interior_point(c: ConditionSet, p: PrimitivePoset) -> Weight | None:
     return Weight(alphas, Fraction(1))
 
 
+# --- exact certificates that settle a region question without an LP ------
+#
+# An interior point z of a region (g = 1) keeps a strict row i when the ray
+# from z along the row's normal, projected onto the null space of the
+# equality rows, meets row i strictly before every other row and every
+# coordinate hyperplane: just past that hit is a positive point that meets
+# every equality, violates row i and strictly satisfies every other row
+# (Clarkson 1994 finds the facets of a polytope by such ray shooting).
+
+
+def _project(row: list[int], basis: list[list[int]]) -> list[int]:
+    """A positive multiple of row projected orthogonally off the span of
+    basis, whose rows are mutually orthogonal integer rows."""
+    for u in basis:
+        f = _dot(u, row)
+        if f:
+            row = _eliminate(row, _dot(u, u), f, u, [j for j, v in enumerate(u) if v])
+    return list(row)
+
+
+def _orthogonal(rows: list[list[int]]) -> list[list[int]]:
+    """A basis of the span of rows, mutually orthogonal, as integer rows
+    (fraction-free Gram-Schmidt)."""
+    basis: list[list[int]] = []
+    for row in rows:
+        row = _project(row, basis)
+        if any(row):
+            basis.append(row)
+    return basis
+
+
+def _strictly_inside(
+    x: list[Fraction], strict: list[RegionRow], equal: list[RegionRow] = ()
+) -> bool:
+    """Whether x (with g = 1) satisfies every row of strict strictly and
+    every row of equal."""
+    scale, xs = _scaled(x)
+    return all(_dot(c, xs) + g * scale < 0 for c, _, g in strict) and all(
+        _dot(c, xs) + g * scale == 0 for c, _, g in equal)
+
+
+def _ray_hits(
+    strict: list[RegionRow], equal: list[RegionRow], z: list[Fraction]
+) -> dict[int, tuple[list[int], Fraction]]:
+    """The strict rows that the ray from the interior point z keeps, each
+    as i -> (v, t): v is the ray's integer direction, and z + t*v lies
+    between the hit of row i and the next hit, or at twice the distance
+    of the hit when nothing else is hit."""
+    scale, zs = _scaled(z)
+    basis = _orthogonal([c for c, _, _ in equal])
+    supports = [[(j, v) for j, v in enumerate(c) if v] for c, _, _ in strict]
+    # scale times each row's value at z: negative, as z is interior.  The
+    # ray zs + t*v meets row j at t = -at_z[j] / rate[j] when rate[j] > 0,
+    # and coordinate k at t = zs[k] / -v[k] when v[k] < 0.
+    at_z = [sum(a * zs[j] for j, a in s) + g * scale for s, (_, _, g) in zip(supports, strict)]
+    hits = {}
+    for i, (c, _, _) in enumerate(strict):
+        v = _project(c, basis)
+        rates = [sum(a * v[j] for j, a in s) for s in supports]
+        num, den = -at_z[i], rates[i]
+        if den <= 0:
+            continue  # row i is constant along the equalities
+        others = [(-a, r) for j, (a, r) in enumerate(zip(at_z, rates)) if r > 0 and j != i]
+        others += [(x, -u) for x, u in zip(zs, v) if u < 0]
+        # the hit of row i at num/den must come strictly first; nxt is the next
+        nxt = None
+        for hit in others:
+            if hit[0] * den <= num * hit[1]:
+                break
+            if nxt is None or hit[0] * nxt[1] < nxt[0] * hit[1]:
+                nxt = hit
+        else:
+            t = Fraction(num, den)
+            t = (t + Fraction(*nxt)) / 2 if nxt else 2 * t
+            hits[i] = (v, t / scale)
+    return hits
+
+
+def _normal_forms(rows: list[RegionRow], span: list[list[int]], pivots: list[int]) -> list[tuple]:
+    """Each row (c, c_g) reduced modulo the span of the equality rows, given
+    by the rows and pivots of their `_echelon`: a primitive integer row,
+    equal for two rows exactly when one is a positive multiple of the
+    other modulo the span."""
+    supports = [[j for j, v in enumerate(prow) if v] for prow in span]
+    out = []
+    for c, _, g in rows:
+        row = _primitive(c + [g])
+        for prow, col, nz in zip(span, pivots, supports):
+            if row[col]:
+                row = _eliminate(row, prow[col], row[col], prow, nz)
+        out.append(tuple(row))
+    return out
+
+
 def simplify(c: ConditionSet) -> ConditionSet:
     """Drop duplicate conditions and inequalities implied by the rest of
-    the system together with base positivity; the region is unchanged."""
+    the system together with base positivity; the region is unchanged.
+
+    Each inequality is kept when the LP of the rest with it reversed,
+    `_max_slack(rest, [row])`, has a strictly feasible point.  A row the
+    ray from the interior point keeps needs no LP; any other row first gets
+    that LP over the ray-kept rows alone, whose answer settles it when it
+    is empty or its point strictly satisfies the rest as well."""
     var_keys = _sorted_var_keys(c.variables())
+    n = len(var_keys)
     rows, equal = _region(var_keys, c)
     inequalities = c.inequalities
+    z = _max_slack(n, rows, equal) if rows else None
+    certified = _ray_hits(rows, equal, z) if z is not None else {}
     kept = list(range(len(rows)))
     for i in range(len(rows)):
+        if i in certified:
+            continue
         rest = [rows[j] for j in kept if j != i]
-        if _max_slack(len(var_keys), rest, equal, [rows[i]]) is None:
+        if z is not None:
+            # the ray-kept rows are a subset of the rest
+            point = _max_slack(n, [rows[j] for j in certified], equal, [rows[i]])
+            if point is None:
+                kept.remove(i)
+                continue
+            if _strictly_inside(point, rest):
+                continue
+        if _max_slack(n, rest, equal, [rows[i]]) is None:
             kept.remove(i)
     return ConditionSet([inequalities[j] for j in kept] + list(c.equalities))
 
 
 def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     """Whether the two solution sets inside the open positive orthant
-    (with gamma normalised to 1) coincide."""
+    (with gamma normalised to 1) coincide.
+
+    The first region's interior point, when it lies inside the second,
+    shows the second nonempty.  Once the equality spans agree, a strict row
+    whose normal form modulo the span the other side holds is implied
+    there and needs no LP."""
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
     n = len(var_keys)
     strict1, equal1 = _region(var_keys, c1)
     strict2, equal2 = _region(var_keys, c2)
-    nonempty1 = _max_slack(n, strict1, equal1) is not None
-    nonempty2 = _max_slack(n, strict2, equal2) is not None
+    z1 = _max_slack(n, strict1, equal1)
+    nonempty1 = z1 is not None
+    if nonempty1 and _strictly_inside(z1, strict2, equal2):
+        nonempty2 = True
+    else:
+        nonempty2 = _max_slack(n, strict2, equal2) is not None
     if not nonempty1 and not nonempty2:
         return True
     if nonempty1 != nonempty2:
         return False
-    full_keys = var_keys + [GAMMA_KEY]
-    span1 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c1.equalities])
-    span2 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c2.equalities])
-    if span1 != span2:
+    span1 = _echelon([c + [g] for c, _, g in equal1])
+    if span1 != _echelon([c + [g] for c, _, g in equal2]):
         return False
-    for row in strict1:
-        if _max_slack(n, strict2, equal2, [row]) is not None:
+    forms1 = _normal_forms(strict1, *span1)
+    forms2 = _normal_forms(strict2, *span1)
+    held1, held2 = set(forms1), set(forms2)
+    for row, form in zip(strict1, forms1):
+        if form not in held2 and _max_slack(n, strict2, equal2, [row]) is not None:
             return False
-    for row in strict2:
-        if _max_slack(n, strict1, equal1, [row]) is not None:
+    for row, form in zip(strict2, forms2):
+        if form not in held1 and _max_slack(n, strict1, equal1, [row]) is not None:
             return False
     return True
 

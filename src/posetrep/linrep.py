@@ -95,33 +95,29 @@ def _freeze(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
-def _as_matrix(rows: Iterable[Iterable], ambient: int) -> Matrix:
-    m = linalg.mat(rows)
-    if len(m) != ambient:
-        raise ShapeMismatch(f"basis has {len(m)} rows, ambient is {ambient}")
-    width = len(m[0]) if m else 0
-    if any(len(r) != width for r in m):
-        raise ShapeMismatch("ragged basis matrix")
-    return m
-
-
-def make_rep(p: PrimitivePoset, ambient: int, bases: Sequence[Iterable]) -> SubspaceRep:
-    """Validate and build a representation; `bases` is branch-major and a
-    basis matrix is ambient x dim (columns are the spanning vectors)."""
+def _widths(p: PrimitivePoset, ambient: int, bases: Sequence[Sequence[Sequence]]) -> list[int]:
+    """The column count of each basis matrix (ambient x dim, rows given as
+    sequences), after the shape checks of `make_rep`.  Reads no entry."""
     if len(bases) != p.n:
         raise ShapeMismatch(f"poset {p.branches} needs {p.n} bases, got {len(bases)}")
     require_ambient(ambient)
-    mats = []
-    for raw in bases:
-        m = [list(r) for r in raw]
-        if ambient == 0:
-            mats.append([])
+    widths = []
+    for m in bases:
+        if ambient == 0 or not m or not m[0]:
+            widths.append(0)
             continue
-        if not m or not m[0]:
-            mats.append([[] for _ in range(ambient)])
-            continue
-        mats.append(_as_matrix(m, ambient))
-    widths = [len(m[0]) if m else 0 for m in mats]
+        if len(m) != ambient:
+            raise ShapeMismatch(f"basis has {len(m)} rows, ambient is {ambient}")
+        if any(len(r) != len(m[0]) for r in m):
+            raise ShapeMismatch("ragged basis matrix")
+        widths.append(len(m[0]))
+    return widths
+
+
+def _chain_pairs(p: PrimitivePoset, ambient: int, widths: list[int]) -> list[tuple[int, int]]:
+    """The chain pairs (lower, upper) whose containment `make_rep` checks.
+    Raises RepTooLarge when the rank work of the validation, which depends
+    on the shapes alone, is above MAX_RANK_WORK."""
     starts = accumulate(p.branches, initial=0)
     pairs = [(pos + i, pos + i + 1) for pos, k in zip(starts, p.branches) for i in range(k - 1)]
     pairs = [(lo, up) for lo, up in pairs if widths[lo]]  # a zero subspace is contained
@@ -136,6 +132,16 @@ def make_rep(p: PrimitivePoset, ambient: int, bases: Sequence[Iterable]) -> Subs
             f"validating the representation takes {total} units of rank work, "
             f"above the supported {MAX_RANK_WORK}"
         )
+    return pairs
+
+
+def make_rep(p: PrimitivePoset, ambient: int, bases: Sequence[Iterable]) -> SubspaceRep:
+    """Validate and build a representation; `bases` is branch-major and a
+    basis matrix is ambient x dim (columns are the spanning vectors)."""
+    rows = [[list(r) for r in raw] for raw in bases]
+    widths = _widths(p, ambient, rows)
+    pairs = _chain_pairs(p, ambient, widths)
+    mats = [linalg.mat(m) if c else [[] for _ in range(ambient)] for m, c in zip(rows, widths)]
     for e, (m, ncols) in enumerate(zip(mats, widths)):
         if linalg.rank(m) != ncols:
             raise RankDeficient(f"basis of element {e} has rank < {ncols}")
@@ -172,7 +178,11 @@ def rep_from_json(obj: Mapping) -> SubspaceRep:
     try:
         p = PrimitivePoset.from_json(obj["poset"])
         ambient = int(obj["ambient"])
-        bases = [[[_numeral(x) for x in row] for row in b] for b in obj["bases"]]
+        raw = obj["bases"]
+        # the rank work depends on the shapes alone: a file too large to
+        # validate is refused before any numeral is converted
+        _chain_pairs(p, ambient, _widths(p, ambient, raw))
+        bases = [[[_numeral(x) for x in row] for row in b] for b in raw]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise PosetRepError(f"malformed representation: {exc}") from exc
     return make_rep(p, ambient, bases)

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,9 @@ from posetrep.derive import (
     TraceStep,
     Verdict,
     _criterion,
+    _max_slack,
+    _ray_hits,
+    _region,
     _sorted_var_keys,
     check_weight,
     derive_conditions,
@@ -52,6 +56,7 @@ from posetrep.derive import (
     regions_equivalent,
     simplify,
     step_to_json,
+    verify_tables,
 )
 from posetrep.linalg import row_space_basis
 from posetrep.roots import (
@@ -579,6 +584,13 @@ _TABLE_SHA256 = {
     (4, 2, 1): "9d730a3ed623dca00dce4577ef694a146b7e9bcef2b92af8507f3da07cb5826a",
 }
 _VERIFY_SHA256 = "091dc1092eb49ac8d36733bddc76354260ea31c6a466b4d9a647d54220631b64"
+# The same for two wide (k,1,1) shapes, recorded while simplify ran one LP
+# per inequality: no raw inequality of theirs is redundant (16,1,1 keeps all
+# 408), and their rays often meet a coordinate hyperplane first.
+_WIDE_TABLE_SHA256 = {
+    (8, 1, 1): "140a67d5943b7983281575dcf13ecf5b64d9e10cc81a5d47f7a6ee67d4380788",
+    (16, 1, 1): "a33411042074d4be5aeebd42d4691f3e6adfed5b39b6a50a24470a9ad95f7d25",
+}
 
 
 def _sha256(obj):
@@ -598,6 +610,13 @@ def test_golden_tables_and_verify_rows(verify_report):
     assert _sha256(rows) == _VERIFY_SHA256
 
 
+def test_golden_wide_tables():
+    for b, digest in _WIDE_TABLE_SHA256.items():
+        table = generate_table(make_poset(b))
+        assert _sha256(table.to_json()) == digest, b
+    assert sum(len(r.conditions.inequalities) for r in table.rows) == 408
+
+
 def test_interior_point_is_strictly_inside_every_table_row():
     nonempty = 0
     for b in _TABLES:
@@ -611,6 +630,200 @@ def test_interior_point_is_strictly_inside_every_table_row():
             assert all(q.holds_at(w) for q in row.conditions), (b, row.dim)
             nonempty += 1
     assert nonempty > 150
+
+
+# --- oracle: the region operations with one LP per question ---------------
+#
+# simplify and regions_equivalent as they stood before the certificates,
+# kept verbatim: one _max_slack LP per inequality and per non-emptiness
+# question.  The certificates only settle questions these LPs would answer
+# the same way, so the kept conditions, their order and every verdict must
+# come out the same.
+
+
+def _lp_simplify(c: ConditionSet) -> ConditionSet:
+    """Drop duplicate conditions and inequalities implied by the rest of
+    the system together with base positivity; the region is unchanged."""
+    var_keys = _sorted_var_keys(c.variables())
+    rows, equal = _region(var_keys, c)
+    inequalities = c.inequalities
+    kept = list(range(len(rows)))
+    for i in range(len(rows)):
+        rest = [rows[j] for j in kept if j != i]
+        if _max_slack(len(var_keys), rest, equal, [rows[i]]) is None:
+            kept.remove(i)
+    return ConditionSet([inequalities[j] for j in kept] + list(c.equalities))
+
+
+def _lp_regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
+    """Whether the two solution sets inside the open positive orthant
+    (with gamma normalised to 1) coincide."""
+    var_keys = _sorted_var_keys(c1.variables() | c2.variables())
+    n = len(var_keys)
+    strict1, equal1 = _region(var_keys, c1)
+    strict2, equal2 = _region(var_keys, c2)
+    nonempty1 = _max_slack(n, strict1, equal1) is not None
+    nonempty2 = _max_slack(n, strict2, equal2) is not None
+    if not nonempty1 and not nonempty2:
+        return True
+    if nonempty1 != nonempty2:
+        return False
+    full_keys = var_keys + [GAMMA_KEY]
+    span1 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c1.equalities])
+    span2 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c2.equalities])
+    if span1 != span2:
+        return False
+    for row in strict1:
+        if _max_slack(n, strict2, equal2, [row]) is not None:
+            return False
+    for row in strict2:
+        if _max_slack(n, strict1, equal1, [row]) is not None:
+            return False
+    return True
+
+
+@st.composite
+def _integer_systems(draw):
+    """Two integer condition sets over one poset's variables.  The first
+    has zero to two equalities (trace-like, or arbitrary) and a few strict
+    rows, sparse ones on a wide (k,1,1) shape; some of its rows are
+    positive multiples of another plus a multiple of an equality, and some
+    contradict another, so empty regions occur.  The second permutes the
+    first, replaces some rows by such equivalents or by their negations and
+    may drop or add one."""
+    shape = draw(st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1), (6, 1, 1), (12, 1, 1)]))
+    keys = make_poset(shape).variable_keys()
+    alphas = keys[:-1]
+
+    def form(coeffs):
+        return LinearForm({k: v for k, v in coeffs.items() if v})
+
+    def strict_form():
+        support = draw(st.lists(st.sampled_from(alphas), min_size=1, max_size=4, unique=True))
+        kind = draw(st.integers(0, 4))
+        coeffs = {k: draw(st.integers(1, 2)) for k in support}
+        total = sum(coeffs.values())
+        if kind < 2:  # an upper bound sum(c_i a_i) < m g, loose at a = g
+            coeffs[GAMMA_KEY] = -total - draw(st.integers(0, 2))
+        elif kind < 4:  # a lower bound m g < sum(c_i a_i), loose at a = g
+            coeffs = {k: -v for k, v in coeffs.items()}
+            coeffs[GAMMA_KEY] = total - draw(st.integers(0, 2))
+        else:
+            coeffs = {k: draw(st.integers(-2, 2)) for k in support}
+            coeffs[GAMMA_KEY] = draw(st.integers(-3, 3))
+        return form(coeffs)
+
+    def equality_form():
+        if draw(st.integers(0, 3)):  # sum(d_i a_i) = d0 g, as the trace is
+            coeffs = {k: draw(st.integers(0, 2)) for k in alphas}
+            d0 = sum(coeffs.values()) + draw(st.integers(-1, 1))
+            return form({**coeffs, GAMMA_KEY: -d0})
+        return form({k: draw(st.integers(-2, 2)) for k in keys})
+
+    def shifted(f):
+        """A positive multiple of f plus a multiple of an equality."""
+        g = form({k: draw(st.integers(1, 3)) * v for k, v in f.coeffs.items()})
+        if equal:
+            e = draw(st.sampled_from(equal))
+            g = form({k: g.coeff(k) + draw(st.integers(-2, 2)) * e.coeff(k) for k in keys})
+        return g
+
+    def negated(f):
+        return form({k: -v for k, v in f.coeffs.items()})
+
+    equal = [equality_form() for _ in range(draw(st.integers(0, 2)))]
+    strict = [strict_form() for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        strict.append(shifted(draw(st.sampled_from(strict))))
+    if draw(st.integers(0, 4)) == 4:  # a contradiction: f < 0 and -f < 0
+        strict.append(negated(draw(st.sampled_from(strict))))
+    first = [Condition(f, LT_ZERO) for f in strict] + [Condition(e, EQ_ZERO) for e in equal]
+    second = [Condition(draw(st.sampled_from([f, shifted(f), negated(f)])), LT_ZERO)
+              for f in strict]
+    second = draw(st.permutations(second))
+    if second and draw(st.booleans()):
+        second = second[1:]
+    if draw(st.booleans()):
+        second = second + [Condition(strict_form(), LT_ZERO)]
+    second = list(second) + [Condition(shifted(e), EQ_ZERO) if draw(st.booleans())
+                             else Condition(e, EQ_ZERO) for e in equal]
+    return ConditionSet(first), ConditionSet(second)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_integer_systems())
+def test_region_ops_match_one_lp_per_question(case):
+    c1, c2 = case
+    for c in (c1, c2):
+        assert tuple(simplify(c)) == tuple(_lp_simplify(c)), c
+    for a, b in ((c1, c2), (c2, c1), (c1, simplify(c1)), (c1, c1)):
+        assert regions_equivalent(a, b) == _lp_regions_equivalent(a, b), (a, b)
+
+
+def test_region_ops_match_one_lp_per_question_on_wide_rows():
+    for b in [(8, 1, 1), (5, 5)]:
+        p = make_poset(b)
+        rows = [_derived(p, d) for d in enumerate_indec_dims(p)]
+        for c in rows:
+            out = simplify(c)
+            assert tuple(out) == tuple(_lp_simplify(c)), (b, c)
+            fewer = _without_first_inequality(out)
+            assert regions_equivalent(c, fewer) == _lp_regions_equivalent(c, fewer), (b, c)
+
+
+# --- certificates: the rows the ray keeps, and the LPs they save -----------
+
+
+def _raw_table_rows():
+    for b in _TABLES:
+        p = make_poset(b)
+        for d in enumerate_indec_dims(p):
+            yield _derived(p, d)
+
+
+def test_every_ray_certificate_checks_exactly():
+    """For each row the ray keeps, rebuild the point just past its hit and
+    check it on integers in O(rows * cols), without the simplex: positive,
+    on every equality, outside that row and strictly inside every other."""
+    certified = kept = 0
+    for c in _raw_table_rows():
+        var_keys = _sorted_var_keys(c.variables())
+        rows, equal = _region(var_keys, c)
+        z = _max_slack(len(var_keys), rows, equal) if rows else None
+        if z is None:
+            continue
+        hits = _ray_hits(rows, equal, z)
+        for i, (v, t) in hits.items():
+            x = [a + t * b for a, b in zip(z, v)]
+            scale = lcm(*(a.denominator for a in x))
+            xs = [int(a * scale) for a in x]
+            assert all(a > 0 for a in xs), c
+            assert all(sum(map(mul, e, xs)) + g * scale == 0 for e, _, g in equal), c
+            values = [sum(map(mul, r, xs)) + g * scale for r, _, g in rows]
+            assert values[i] > 0 and all(u < 0 for j, u in enumerate(values) if j != i), c
+        out = simplify(c).inequalities
+        assert all(c.inequalities[i] in out for i in hits), c
+        certified += len(hits)
+        kept += len(out)
+    assert (certified, kept) == (516, 518)
+
+
+def test_region_lp_count(monkeypatch):
+    """Region LPs for the five tables plus verify_tables: 849 + 577 = 1,426
+    with one LP per question, fewer once the certificates settle most."""
+    calls = []
+    solve = lp.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    for b in _TABLES:
+        generate_table(make_poset(b))
+    tables = len(calls)
+    assert verify_tables().all_ok
+    assert (tables, len(calls) - tables) == (454, 153)
 
 
 # --- oracle: the descent as walked on LinearForms ---------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from posetrep import linalg
-from posetrep.core import make_poset, parse_dim_string
+from posetrep.core import ShapeMismatch, make_poset, parse_dim_string
 from posetrep.linrep import (
     ContainmentViolation,
     ForbiddenParameter,
@@ -253,6 +253,29 @@ def test_make_rep_bounds_rank_work():
     assert 80**4 <= MAX_RANK_WORK < 3 * 80**4
     with pytest.raises(RankDeficient):
         make_rep(make_poset([2]), 80, [[], zeros(80, 80)])
+
+
+def test_rep_from_json_bounds_rank_work_before_parsing(monkeypatch):
+    """The rank work depends on the shapes alone, so a file too large to
+    validate converts no numeral; an accepted one converts each entry once."""
+    import posetrep.linrep as linrep
+
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return Q(x)
+
+    monkeypatch.setattr(linrep, "_numeral", counting)
+    dense = [["1/2"] * 100 for _ in range(100)]  # 100 * 100 * 100^2 units
+    with pytest.raises(linrep.RepTooLarge):
+        rep_from_json({"poset": {"branches": [1]}, "ambient": 100, "bases": [dense]})
+    assert calls == []
+    with pytest.raises(ShapeMismatch):
+        rep_from_json({"poset": {"branches": [1]}, "ambient": 100, "bases": [dense[:99]]})
+    assert calls == []
+    rep = rep_from_json({"poset": {"branches": [1, 1]}, "ambient": 2, "bases": [[["1"], ["0"]], []]})
+    assert len(calls) == 2 and rep.dims() == [1, 0]
 
 
 def test_single_round_verdicts_follow_the_draws():

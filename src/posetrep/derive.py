@@ -350,7 +350,7 @@ def _max_slack(
     if res.status != lp.OPTIMAL or res.value <= 0:
         return None
     s = res.x[n]
-    return [y + s for y in res.x[:n]]
+    return [y + s if y else s for y in res.x[:n]]
 
 
 def _sorted_var_keys(cs_vars: set[str]) -> list[str]:
@@ -436,7 +436,8 @@ def _ray_hits(
             continue  # row i is constant along the equalities
         others = [(-a, r) for j, (a, r) in enumerate(zip(at_z, rates)) if r > 0 and j != i]
         others += [(x, -u) for x, u in zip(zs, v) if u < 0]
-        # the hit of row i at num/den must come strictly first; nxt is the next
+        # the hit of row i at num/den must come strictly first; nxt is the
+        # earliest other hit
         nxt = None
         for hit in others:
             if hit[0] * den <= num * hit[1]:
@@ -470,11 +471,11 @@ def simplify(c: ConditionSet) -> ConditionSet:
     """Drop duplicate conditions and inequalities implied by the rest of
     the system together with base positivity; the region is unchanged.
 
-    Each inequality is kept when the LP of the rest with it reversed,
-    `_max_slack(rest, [row])`, has a strictly feasible point.  A row the
-    ray from the interior point keeps needs no LP; any other row first gets
-    that LP over the ray-kept rows alone, whose answer settles it when it
-    is empty or its point strictly satisfies the rest as well."""
+    An inequality is kept when the rest with the inequality reversed
+    (`_max_slack(rest, [row])`, row >= 0) has a strictly feasible point.
+    A row the ray from the interior point keeps needs no LP.  Any other
+    row first gets that LP over the ray-kept rows alone, which settles it
+    when it is empty or its point strictly satisfies the rest as well."""
     var_keys = _sorted_var_keys(c.variables())
     n = len(var_keys)
     rows, equal = _region(var_keys, c)

@@ -95,9 +95,14 @@ def _freeze(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
-def _widths(p: PrimitivePoset, ambient: int, bases: Sequence[Sequence[Sequence]]) -> list[int]:
+def _shape(
+    p: PrimitivePoset, ambient: int, bases: Sequence[Sequence[Sequence]]
+) -> tuple[list[int], list[tuple[int, int]]]:
     """The column count of each basis matrix (ambient x dim, rows given as
-    sequences), after the shape checks of `make_rep`.  Reads no entry."""
+    sequences) and the chain pairs (lower, upper) whose containment
+    `make_rep` checks, after its shape checks.  Reads no entry, and
+    raises RepTooLarge when the rank work of the validation, which depends
+    on the shapes alone, is above MAX_RANK_WORK."""
     if len(bases) != p.n:
         raise ShapeMismatch(f"poset {p.branches} needs {p.n} bases, got {len(bases)}")
     require_ambient(ambient)
@@ -111,13 +116,6 @@ def _widths(p: PrimitivePoset, ambient: int, bases: Sequence[Sequence[Sequence]]
         if any(len(r) != len(m[0]) for r in m):
             raise ShapeMismatch("ragged basis matrix")
         widths.append(len(m[0]))
-    return widths
-
-
-def _chain_pairs(p: PrimitivePoset, ambient: int, widths: list[int]) -> list[tuple[int, int]]:
-    """The chain pairs (lower, upper) whose containment `make_rep` checks.
-    Raises RepTooLarge when the rank work of the validation, which depends
-    on the shapes alone, is above MAX_RANK_WORK."""
     starts = accumulate(p.branches, initial=0)
     pairs = [(pos + i, pos + i + 1) for pos, k in zip(starts, p.branches) for i in range(k - 1)]
     pairs = [(lo, up) for lo, up in pairs if widths[lo]]  # a zero subspace is contained
@@ -132,15 +130,14 @@ def _chain_pairs(p: PrimitivePoset, ambient: int, widths: list[int]) -> list[tup
             f"validating the representation takes {total} units of rank work, "
             f"above the supported {MAX_RANK_WORK}"
         )
-    return pairs
+    return widths, pairs
 
 
 def make_rep(p: PrimitivePoset, ambient: int, bases: Sequence[Iterable]) -> SubspaceRep:
     """Validate and build a representation; `bases` is branch-major and a
     basis matrix is ambient x dim (columns are the spanning vectors)."""
     rows = [[list(r) for r in raw] for raw in bases]
-    widths = _widths(p, ambient, rows)
-    pairs = _chain_pairs(p, ambient, widths)
+    widths, pairs = _shape(p, ambient, rows)
     mats = [linalg.mat(m) if c else [[] for _ in range(ambient)] for m, c in zip(rows, widths)]
     for e, (m, ncols) in enumerate(zip(mats, widths)):
         if linalg.rank(m) != ncols:
@@ -181,7 +178,7 @@ def rep_from_json(obj: Mapping) -> SubspaceRep:
         raw = obj["bases"]
         # the rank work depends on the shapes alone: a file too large to
         # validate is refused before any numeral is converted
-        _chain_pairs(p, ambient, _widths(p, ambient, raw))
+        _shape(p, ambient, raw)
         bases = [[[_numeral(x) for x in row] for row in b] for b in raw]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise PosetRepError(f"malformed representation: {exc}") from exc

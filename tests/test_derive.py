@@ -585,8 +585,8 @@ _TABLE_SHA256 = {
 }
 _VERIFY_SHA256 = "091dc1092eb49ac8d36733bddc76354260ea31c6a466b4d9a647d54220631b64"
 # The same for two wide (k,1,1) shapes, recorded while simplify ran one LP
-# per inequality: no raw inequality of theirs is redundant (16,1,1 keeps all
-# 408), and their rays often meet a coordinate hyperplane first.
+# per inequality: none of their raw inequalities is redundant (16,1,1 keeps
+# all 408), and the ray leaves some of their rows to an LP.
 _WIDE_TABLE_SHA256 = {
     (8, 1, 1): "140a67d5943b7983281575dcf13ecf5b64d9e10cc81a5d47f7a6ee67d4380788",
     (16, 1, 1): "a33411042074d4be5aeebd42d4691f3e6adfed5b39b6a50a24470a9ad95f7d25",

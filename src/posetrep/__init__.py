@@ -57,8 +57,6 @@ from .linrep import (
 )
 from .numeric import (
     NumericRep,
-    commutant_dim,
-    relation_residual,
     structure_check,
     unitarize,
 )

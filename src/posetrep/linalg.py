@@ -138,23 +138,8 @@ def from_columns(cols: Iterable[Iterable], nrows: int) -> Matrix:
     return [[Fraction(c[r]) for c in cols] for r in range(nrows)]
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the pivot column indices."""
-    rows, pivots = _echelon(m)
-    nc = len(m[0]) if m else 0
-    out = [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
-    out += [[Fraction(0)] * nc for _ in range(len(m) - len(pivots))]
-    return out, pivots
-
-
 def rank(m: Matrix) -> int:
     return len(_echelon(m)[1])
-
-
-def row_space_basis(m: Matrix) -> Matrix:
-    """Canonical basis (nonzero rref rows); equal spans give equal output."""
-    a, pivots = rref(m)
-    return a[: len(pivots)]
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[Vector]:

@@ -10,6 +10,12 @@ spaces", 2005), and an indecomposable one has a root dimension (Gabriel;
 Kleiner for posets).  So a witness exists if and only if d is a sum of
 roots, repeats allowed, at each of which the weight is admissible
 (`_cover`), and then the block-diagonal sum of their witnesses is one.
+The roots on the weight's trace equality at which it is admissible are
+the dimension vectors of the stable representations of one slope (King,
+"Moduli of representations of finite dimensional algebras", 1994), an
+exceptional sequence, so they are linearly independent (Crawley-Boevey,
+"Exceptional sequences of representations of quivers", 1993) and one
+exact solve decides the sum.
 The witness of a root is lifted up its cached descent
 (`derive._criterion`) from the empty representation, on integer rows
 evaluated at the weight scaled to integers: a reduction is undone by
@@ -51,20 +57,14 @@ from .roots import MAX_ELEMENTS, _positive_roots, dim_to_root, is_finite_type, r
 MAX_RESTARTS = 1000
 MAX_ITER = 100_000
 
-# Most states the search for a cover of d by admissible roots visits.
-MAX_COVER_STATES = 20_000
-
 
 class TraceObstruction(PosetRepError):
     """The necessary trace equality fails; no witness can exist."""
 
 
 class InvalidBudget(PosetRepError):
-    """A restart or iteration budget outside its allowed range."""
-
-
-class CoverTooLarge(PosetRepError):
-    """The search for a cover of d visited more than MAX_COVER_STATES states."""
+    """A restart or iteration budget, or a success tolerance, outside its
+    allowed range."""
 
 
 class NoWitness(PosetRepError):
@@ -256,9 +256,18 @@ def _unreflect(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,
 
 def _cover(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[DimVector, ...] | None:
     """Roots, largest first and repeats allowed, that sum to d and at each of
-    which w is admissible, or None.  d itself is tried first; then an
-    ordered depth-first search takes each other candidate with every
-    multiplicity that fits, largest first, and remembers failed states."""
+    which w is admissible, or None.
+
+    d itself is tried first.  Otherwise the candidates are the roots r < d
+    with r0 >= 1 on w's trace equality at which w is admissible.  They are
+    the dimension vectors of the stable representations of one slope
+    (King, "Moduli of representations of finite dimensional algebras",
+    1994): pairwise Hom-orthogonal exceptional modules of a Dynkin quiver,
+    so an exceptional sequence, whose dimension vectors are linearly
+    independent (Crawley-Boevey, "Exceptional sequences of representations
+    of quivers", 1993).  So at most one combination of them gives d, and
+    one exact solve finds it; a dependent set would make `linalg.solve`
+    raise rather than answer."""
     roots = _positive_roots(p.branches)
     whole = dim_to_root(d)
     if whole in roots and not _criterion(p, d).violated(w):
@@ -272,42 +281,12 @@ def _cover(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[DimVector, ...] 
         part = root_to_dim(p, r)
         if part.is_admissible(p) and not _criterion(p, part).violated(w):
             candidates.append(r)
-    # solo[i]: candidates i.. as columns if independent (one decomposition at most)
-    solo = [linalg.transpose(candidates[i:]) if linalg.rank(candidates[i:]) == len(candidates) - i
-            else None for i in range(len(candidates))]
-    dead: set[tuple[int, tuple[int, ...]]] = set()
-    states = 0
-
-    def search(i: int, rest: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
-        # multiplicity 0 moves on in the loop: recursion depth <= distinct parts
-        nonlocal states
-        path = []
-        while any(rest):
-            states += 1
-            if states > MAX_COVER_STATES:
-                raise CoverTooLarge(f"covering {format_dim_string(d)} by admissible roots "
-                                    f"takes more than {MAX_COVER_STATES} search states")
-            if i == len(candidates) or (i, rest) in dead:
-                break
-            path.append((i, rest))
-            if solo[i] is not None:
-                mult = linalg.solve(solo[i], [[v] for v in rest])
-                if mult is not None and all(v >= 0 and v.denominator == 1 for (v,) in mult):
-                    return tuple(r for r, (v,) in zip(candidates[i:], mult) for _ in range(int(v)))
-                break
-            r = candidates[i]
-            for m in range(min(a // b for a, b in zip(rest, r) if b), 0, -1):
-                found = search(i + 1, tuple(a - m * b for a, b in zip(rest, r)))
-                if found is not None:
-                    return (r,) * m + found
-            i += 1
-        else:
-            return ()
-        dead.update(path)
+    if not candidates:
         return None
-
-    parts = search(0, whole)
-    return None if parts is None else tuple(root_to_dim(p, r) for r in parts)
+    mult = linalg.solve(linalg.transpose(candidates), [[v] for v in whole])
+    if mult is None or not all(v >= 0 and v.denominator == 1 for (v,) in mult):
+        return None
+    return tuple(root_to_dim(p, r) for r, (v,) in zip(candidates, mult) for _ in range(int(v)))
 
 
 def unitarize(
@@ -327,14 +306,18 @@ def unitarize(
     if not 1 <= restarts <= MAX_RESTARTS:
         bound = "at least 1" if restarts < 1 else f"at most {MAX_RESTARTS}"
         raise InvalidBudget(f"restarts must be {bound}, got {restarts}")
-    if max_iter > MAX_ITER:
-        raise InvalidBudget(f"max_iter must be at most {MAX_ITER}, got {max_iter}")
+    if not 1 <= max_iter <= MAX_ITER:
+        bound = "at least 1" if max_iter < 1 else f"at most {MAX_ITER}"
+        raise InvalidBudget(f"max_iter must be {bound}, got {max_iter}")
+    if not 0 < success_tol < float("inf"):  # NaN fails too
+        raise InvalidBudget(f"success_tol must be finite and positive, got {success_tol}")
     trace_precheck(p, d, w)
     if not d.is_admissible(p):
         raise ShapeMismatch(f"dimension vector {d} is not chain-monotone")
     require_ambient(d.d0)
     n = d.d0
-    target = success_tol * float(w.gamma) * np.sqrt(max(n, 1))
+    # a Python float, whose square overflows to inf without a NumPy warning
+    target = success_tol * float(w.gamma) * float(np.sqrt(max(n, 1)))
 
     if n == 0:
         return NumericRep(p, d, w, tuple(np.zeros((0, 0), dtype=complex)
@@ -435,12 +418,6 @@ def _descend(p: PrimitivePoset, d: DimVector, w: Weight, target: float,
     return rep
 
 
-def relation_residual(rep: NumericRep, w: Weight) -> float:
-    """||sum a_i P_i - g I||_F for the stored projectors under w."""
-    w.require_fits(rep.poset)
-    return _residual(rep.poset, w, rep.projectors, rep.dims.d0)
-
-
 @dataclass(frozen=True)
 class StructureReport:
     checks: tuple[tuple[str, bool, float], ...]
@@ -474,19 +451,3 @@ def structure_check(rep: NumericRep, p: PrimitivePoset, d: DimVector,
             checks.append((f"containment({j},{i + 1})", dev <= tol, dev))
         pos += k
     return StructureReport(tuple(checks))
-
-
-def commutant_dim(rep: NumericRep, tol: float = 1e-8) -> int:
-    """Dimension of {X : X P_i = P_i X for all i}, via the singular values
-    of the stacked commutator system."""
-    n = rep.dims.d0
-    if n == 0:
-        return 0
-    eye = np.eye(n)
-    blocks = []
-    for proj in rep.projectors:
-        blocks.append(np.kron(eye, proj) - np.kron(proj.T, eye))
-    stacked = np.vstack(blocks) if blocks else np.zeros((1, n * n))
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    svals = np.concatenate([svals, np.zeros(max(0, n * n - len(svals)))])
-    return int((svals < tol).sum())

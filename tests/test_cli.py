@@ -214,21 +214,6 @@ def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
         assert json.loads(out_path.read_text()) == payload
 
 
-def test_cover_search_bound(capsys, monkeypatch):
-    from posetrep import numeric
-
-    monkeypatch.setattr(numeric, "MAX_COVER_STATES", 0)
-    code, out, err = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
-                          "--weight", "1;1/2;1/2;1")  # d violates, two roots cover it
-    assert (code, out) == (1, "")
-    assert err == ("error: covering 1;1;1;2 by admissible roots takes more than "
-                   "0 search states\n")
-    # an admissible root answers before any search
-    code, _, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
-                      "--weight", "1;1;1;3/2")
-    assert code == 0
-
-
 def test_python_dash_m_entry_point():
     env = dict(os.environ, PYTHONIOENCODING="utf-8")
     src = str(Path(posetrep.__file__).resolve().parents[1])
@@ -255,12 +240,21 @@ def test_unitarize_decomposable_witness(capsys):
 
 def test_budget_and_size_bounds(tmp_path, capsys):
     base = ["unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2", "--weight", "1;1;1;3/2"]
+    infinite = ["unitarize", "--poset", "1,1,1,1", "--dim", "1;1;1;1;2",
+                "--weight", "1;1;1;1;2", "--restarts", "2", "--max-iter", "50"]
     for flag, value, message in [
         ("--restarts", "1001", "restarts must be at most 1000, got 1001"),
         ("--max-iter", "100001", "max_iter must be at most 100000, got 100001"),
+        ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+        ("--max-iter", "-3", "max_iter must be at least 1, got -3"),
+        ("--tol", "nan", "success_tol must be finite and positive, got nan"),
+        ("--tol", "inf", "success_tol must be finite and positive, got inf"),
+        ("--tol", "0", "success_tol must be finite and positive, got 0.0"),
+        ("--tol", "-1", "success_tol must be finite and positive, got -1.0"),
     ]:
-        code, out, err = _run(capsys, *base, flag, value)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        for argv in (base, infinite):  # finite type, and the descent's infinite type
+            code, out, err = _run(capsys, *argv, flag, value)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
     code, out, err = _run(capsys, "coxeter", "--op", "phiminus", "--poset", "1,1,1",
                           "--symbolic", "--steps", "1000000000")
     assert (code, out, err) == (1, "", "error: steps must be at most 1000, got 1000000000\n")

@@ -58,7 +58,6 @@ from posetrep.derive import (
     step_to_json,
     verify_tables,
 )
-from posetrep.linalg import row_space_basis
 from posetrep.roots import (
     FiniteTypeRequired,
     PosetTooLarge,
@@ -69,6 +68,8 @@ from posetrep.roots import (
     positive_roots,
     star_graph,
 )
+
+from test_linalg import _fraction_rref
 
 
 def _conds(p, *texts):
@@ -474,6 +475,13 @@ def _oracle_simplify(c):
     return ConditionSet(kept + equalities)
 
 
+def _equality_span(c, keys):
+    """Canonical basis of the span of c's equalities over keys: the nonzero
+    rows of its reduced row echelon form, so equal spans compare equal."""
+    a, pivots = _fraction_rref([[Fraction(q.form.coeff(k)) for k in keys] for q in c.equalities])
+    return a[: len(pivots)]
+
+
 def _oracle_regions_equivalent(c1, c2):
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
     nonempty1 = _oracle_max_slack(var_keys, c1) is not None
@@ -483,9 +491,7 @@ def _oracle_regions_equivalent(c1, c2):
     if nonempty1 != nonempty2:
         return False
     full_keys = var_keys + [GAMMA_KEY]
-    span1 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c1.equalities])
-    span2 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c2.equalities])
-    if span1 != span2:
+    if _equality_span(c1, full_keys) != _equality_span(c2, full_keys):
         return False
     for cond in c1.inequalities:
         if _oracle_max_slack(var_keys, c2, [cond.form]) is not None:
@@ -669,9 +675,7 @@ def _lp_regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     if nonempty1 != nonempty2:
         return False
     full_keys = var_keys + [GAMMA_KEY]
-    span1 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c1.equalities])
-    span2 = row_space_basis([[q.form.coeff(k) for k in full_keys] for q in c2.equalities])
-    if span1 != span2:
+    if _equality_span(c1, full_keys) != _equality_span(c2, full_keys):
         return False
     for row in strict1:
         if _max_slack(n, strict2, equal2, [row]) is not None:

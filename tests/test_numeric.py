@@ -15,13 +15,38 @@ from posetrep.numeric import (
     NoConvergence,
     NumericRep,
     TraceObstruction,
-    commutant_dim,
-    relation_residual,
     structure_check,
     trace_precheck,
     unitarize,
 )
 from posetrep.roots import enumerate_indec_dims
+
+# --- oracles on projector tuples --------------------------------------------------
+
+
+def relation_residual(rep, w):
+    """||sum a_i P_i - g I||_F for the stored projectors under w."""
+    w.require_fits(rep.poset)
+    m = -float(w.gamma) * np.eye(rep.dims.d0, dtype=complex)
+    for (j, i), proj in zip(rep.poset.elements(), rep.projectors):
+        m += float(w.entry(j, i)) * proj
+    return float(np.linalg.norm(m))
+
+
+def commutant_dim(rep, tol=1e-8):
+    """Dimension of {X : X P_i = P_i X for all i}, via the singular values
+    of the stacked commutator system."""
+    n = rep.dims.d0
+    if n == 0:
+        return 0
+    eye = np.eye(n)
+    blocks = []
+    for proj in rep.projectors:
+        blocks.append(np.kron(eye, proj) - np.kron(proj.T, eye))
+    stacked = np.vstack(blocks) if blocks else np.zeros((1, n * n))
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    svals = np.concatenate([svals, np.zeros(max(0, n * n - len(svals)))])
+    return int((svals < tol).sum())
 
 
 def test_equiangular_lines_closed_form():
@@ -313,13 +338,57 @@ def test_cover_matches_exhaustive_search():
     _check_cover_exhaustively()
 
 
-def test_cover_search_alone_matches_exhaustive_search(monkeypatch):
-    """No candidate set counts as independent, so the multiplicity search
-    answers without the exact solve."""
+def test_admissible_roots_on_a_trace_hyperplane_are_independent():
+    """The invariant `_cover` solves by: on grids of small integer alphas,
+    gamma set so that some root meets the trace equality, the roots on that
+    hyperplane at which the weight is admissible are linearly independent."""
+    import itertools
+    from collections import defaultdict
+
+    from posetrep import linalg
+    from posetrep.derive import _criterion
+    from posetrep.roots import _positive_roots, root_to_dim
+
+    largest = {}
+    for branches, values in [((1, 1, 1), range(1, 6)), ((2, 1, 1), range(1, 4)),
+                             ((2, 2), range(1, 5)), ((3, 3), (1, 2)), ((5, 1, 1), (1, 2)),
+                             ((2, 2, 1), (1, 2, 3)), ((3, 2, 1), (1, 2)), ((4, 2, 1), (1, 2))]:
+        p = make_poset(branches)
+        roots = [(r, _criterion(p, root_to_dim(p, r))) for r in _positive_roots(branches)
+                 if r[0] >= 1 and root_to_dim(p, r).is_admissible(p)]
+        largest[branches] = 0
+        for flat in itertools.product(values, repeat=p.n):
+            it = iter(flat)
+            alphas = tuple(tuple(next(it) for _ in range(k)) for k in branches)
+            on = defaultdict(list)  # gamma -> the roots whose trace equality it meets
+            for r, criterion in roots:
+                on[Fraction(sum(map(mul, flat, r[1:])), r[0])].append((r, criterion))
+            on.pop(0, None)
+            for gamma, group in on.items():
+                w = Weight(alphas, gamma)
+                admissible = [r for r, criterion in group if not criterion.violated(w)]
+                assert linalg.rank(admissible) == len(admissible), (branches, w, admissible)
+                largest[branches] = max(largest[branches], len(admissible))
+    assert largest[(4, 2, 1)] == 7 and largest[(3, 2, 1)] == 6
+
+
+def test_dependent_candidates_raise_instead_of_answering(monkeypatch):
+    """With every root admissible, the roots 1;0;0;1, 0;1;1;1 and their sum
+    1;1;1;2 all meet the trace equality of 1;1/2;1/2;1: the solve has no
+    unique answer and raises rather than give a verdict."""
+    from types import SimpleNamespace
+
     from posetrep import numeric
 
-    monkeypatch.setattr(numeric.linalg, "rank", lambda m: -1)
-    _check_cover_exhaustively()
+    p = make_poset([1, 1, 1])
+    d = parse_dim_string("2;1;1;3")  # 2 (1;0;0;1) + (0;1;1;1), not a root
+    w = parse_weight_string("1;1/2;1/2;1")
+    assert numeric._cover(p, d, w) == tuple(
+        map(parse_dim_string, ["1;0;0;1", "1;0;0;1", "0;1;1;1"]))
+    monkeypatch.setattr(numeric, "_criterion",
+                        lambda p, d: SimpleNamespace(violated=lambda w: ()))
+    with pytest.raises(ValueError, match="full column rank"):
+        numeric._cover(p, d, w)
 
 
 @st.composite
@@ -380,8 +449,7 @@ def test_slow_sum_of_roots_decided_exactly(monkeypatch):
     rep = unitarize(p, d, w)
     assert rep.residual <= 1e-8 * 6 * np.sqrt(3) and structure_check(rep, p, d).ok
     assert commutant_dim(rep) >= 3
-    # the candidates are independent, so one state decides a cover of 60 parts
-    monkeypatch.setattr(numeric, "MAX_COVER_STATES", 1)
+    # the candidates are independent, so one solve decides a cover of 60 parts
     assert len(numeric._cover(p, parse_dim_string("40,40;40,60;20;60"), w)) == 60
     # a repeated part is lifted once, and its lift steps count each time
     p = make_poset([1, 1, 1])

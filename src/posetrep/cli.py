@@ -177,10 +177,7 @@ def _cmd_unitarize(args) -> int:
     d = _dim(p, args.dim)
     w = _weight(p, args.weight)
     try:
-        rep = numeric.unitarize(
-            p, d, w, success_tol=args.tol, restarts=args.restarts,
-            max_iter=args.max_iter, seed=args.seed,
-        )
+        rep = numeric.unitarize(p, d, w, success_tol=args.tol, seed=args.seed)
         ok = True
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
@@ -220,6 +217,8 @@ def _cmd_coxeter(args) -> int:
     given = [x is not None for x in (args.dim, args.weight)] + [args.symbolic]
     if sum(given) != 1:
         raise PosetRepError("exactly one of --dim, --weight, --symbolic is required")
+    if args.steps < 1:
+        raise PosetRepError(f"steps must be at least 1, got {args.steps}")
     if args.steps > MAX_STEPS:
         raise PosetRepError(f"steps must be at most {MAX_STEPS}, got {args.steps}")
     if args.dim is not None:
@@ -339,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dim", required=True)
     q.add_argument("--weight", required=True)
     q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("--restarts", type=int, default=32)
-    q.add_argument("--max-iter", type=int, default=5000)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_unitarize)

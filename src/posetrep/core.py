@@ -127,7 +127,7 @@ class DimVector:
 
     def __post_init__(self) -> None:
         if self.d0 < 0 or any(e < 0 for b in self.branches for e in b):
-            raise ShapeMismatch(f"negative entry in dimension vector {self}")
+            raise ShapeMismatch(f"negative entry in dimension vector {format_dim_string(self)}")
         object.__setattr__(
             self, "branches", tuple(tuple(int(e) for e in b) for b in self.branches)
         )
@@ -137,7 +137,9 @@ class DimVector:
 
     def require_fits(self, p: PrimitivePoset) -> None:
         if not self.fits(p):
-            raise ShapeMismatch(f"dimension vector {self} does not fit poset {p.branches}")
+            raise ShapeMismatch(
+                f"dimension vector {format_dim_string(self)} does not fit poset {p.branches}"
+            )
 
     def is_admissible(self, p: PrimitivePoset) -> bool:
         """Chain-monotone: 0 <= d1 <= ... <= d_k <= d0 on every branch."""

@@ -33,6 +33,7 @@ from .core import (
     PrimitivePoset,
     SymbolicWeight,
     Weight,
+    format_dim_string,
 )
 
 
@@ -49,7 +50,9 @@ class NotStrictlyDecreasing(PosetRepError):
 
 def _require_admissible(p: PrimitivePoset, d: DimVector) -> None:
     if not d.is_admissible(p):
-        raise NegativeEntry(f"dimension vector {d} is not admissible for {p.branches}")
+        raise NegativeEntry(
+            f"dimension vector {format_dim_string(d)} is not admissible for {p.branches}"
+        )
 
 
 def sigma_dim(p: PrimitivePoset, d: DimVector) -> DimVector:
@@ -74,7 +77,7 @@ def rho_dim(p: PrimitivePoset, d: DimVector) -> DimVector:
     )
     out = DimVector(d0_new, branches)
     if not out.is_admissible(p):
-        raise NegativeEntry(f"rho output {out} is not admissible")
+        raise NegativeEntry(f"rho output {format_dim_string(out)} is not admissible")
     return out
 
 

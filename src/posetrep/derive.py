@@ -62,13 +62,7 @@ from .core import (
 )
 from .coxeter import NegativeEntry, _phiminus_forms, fminus_dim
 from .linalg import _echelon, _eliminate, _primitive, _scaled
-from .roots import (
-    FiniteTypeRequired,
-    _positive_roots,
-    dim_to_root,
-    enumerate_indec_dims,
-    is_finite_type,
-)
+from .roots import _positive_roots, dim_to_root, enumerate_indec_dims, require_finite_type
 
 
 class NotInEnumeration(PosetRepError):
@@ -144,9 +138,7 @@ def _walk(
     Every form along the descent has integer coefficients, so the walk
     holds them as `_Row`s over p.variable_keys(); a `LinearForm` is built
     only for an emitted tail and for the terminal equality."""
-    if not is_finite_type(p):
-        raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
-    # the cached root set checks MAX_ELEMENTS before building any graph
+    require_finite_type(p)
     roots = _positive_roots(p.branches)
     if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
         raise NotInEnumeration(
@@ -183,13 +175,15 @@ def _walk(
         try:
             next_d = fminus_dim(sub_poset, state_d)
         except NegativeEntry as exc:
-            raise OrbitEscape(f"downward transform failed at {state_d}: {exc}") from exc
+            raise OrbitEscape(
+                f"downward transform failed at {format_dim_string(state_d)}: {exc}"
+            ) from exc
         forms, gamma = _phiminus_forms(forms, gamma)
         tails = tuple(form(b[-1]) for b in forms)
         conditions.extend(Condition(-tail, LT_ZERO) for tail in tails)
         steps.append(ApplyPhiMinus(tails))
         d0, dims = next_d.d0, next_d.branches
-    raise OrbitEscape(f"descent from {d} exceeded {len(roots)} steps")
+    raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {len(roots)} steps")
 
 
 def derive_conditions(
@@ -549,11 +543,13 @@ class Verdict:
 def check_weight(p: PrimitivePoset, d: DimVector, w: Weight) -> Verdict:
     """Exact evaluation of the derived conditions at w.
 
-    The necessary trace equality is checked first in O(n); when it fails
-    the derivation is skipped entirely.  Otherwise the conditions are
-    those of the cached `_criterion`, whose integer rows are evaluated at
-    w scaled to integers.
+    A poset outside `roots.require_finite_type` is refused first.  The
+    necessary trace equality is checked next in O(n); when it fails the
+    derivation is skipped entirely.  Otherwise the conditions are those of
+    the cached `_criterion`, whose integer rows are evaluated at w scaled
+    to integers.
     """
+    require_finite_type(p)
     d.require_fits(p)
     w.require_fits(p)
     trace = trace_condition(p, d)

@@ -22,14 +22,8 @@ evaluated at the weight scaled to integers: a reduction is undone by
 bookkeeping, a downward transform by the Coxeter reflections on
 *-representations, rho at the centre and then sigma on each chain.
 
-Infinite type and posets above `roots.MAX_ELEMENTS` go to a descent:
-||sum_i a_i P_i - g I||_F^2 is minimised over the frames with a
-Barzilai-Borwein step, Armijo backtracking and a QR retraction after
-every step; random restarts guard against saddle points.  Chain
-containment is exact by construction (nested columns of a single frame),
-so only the relation residual is ever optimised.  Failure of the descent
-to converge is reported best-effort and is never a certificate that no
-witness exists.
+Infinite type and posets above `roots.MAX_ELEMENTS` lie outside that
+scope and are refused (`roots.require_finite_type`).
 """
 
 from __future__ import annotations
@@ -49,13 +43,8 @@ from .core import (
     require_ambient,
 )
 from . import linalg
-from .coxeter import alpha_to_beta
 from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point
-from .roots import MAX_ELEMENTS, _positive_roots, dim_to_root, is_finite_type, root_to_dim
-
-# Largest restart and iteration budgets the descent accepts.
-MAX_RESTARTS = 1000
-MAX_ITER = 100_000
+from .roots import _positive_roots, dim_to_root, require_finite_type, root_to_dim
 
 
 class TraceObstruction(PosetRepError):
@@ -63,8 +52,7 @@ class TraceObstruction(PosetRepError):
 
 
 class InvalidBudget(PosetRepError):
-    """A restart or iteration budget, or a success tolerance, outside its
-    allowed range."""
+    """A success tolerance that is not finite and positive."""
 
 
 class NoWitness(PosetRepError):
@@ -78,7 +66,8 @@ class NoWitness(PosetRepError):
 
 
 class NoConvergence(PosetRepError):
-    """No witness within the success tolerance; best attempt attached."""
+    """A lifted witness whose residual misses the success tolerance; it is
+    attached as best."""
 
     def __init__(self, message: str, best: "NumericRep"):
         super().__init__(message)
@@ -88,8 +77,8 @@ class NoConvergence(PosetRepError):
 @dataclass(frozen=True)
 class NumericRep:
     """Projection matrices (per element, branch-major) plus solve metadata:
-    a lifted witness counts the downward transforms it undid as iterations
-    and uses no restarts."""
+    iterations counts the downward transforms the lift undid; restarts_used
+    is always 0 and seed is only recorded."""
 
     poset: PrimitivePoset
     dims: DimVector
@@ -129,39 +118,10 @@ def trace_precheck(p: PrimitivePoset, d: DimVector, w: Weight) -> None:
         )
 
 
-def _column_weights(p: PrimitivePoset, d: DimVector, w: Weight) -> list[np.ndarray]:
-    """Weight carried by each frame column: column c of branch j lies in the
-    subspaces of the elements with d_i >= c, so it carries the suffix sum
-    b_i = a_i + ... + a_k of the first of them (`alpha_to_beta`)."""
-    return [
-        np.repeat([float(x) for x in betas], np.diff((0,) + dims))
-        for betas, dims in zip(alpha_to_beta(p, w).betas, d.branches)
-    ]
-
-
-def _orthonormalize(m: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(m)
-    return q
-
-
 def _complement(q: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of q's columns."""
     full, _ = np.linalg.qr(q, mode="complete")
     return full[:, q.shape[1]:]
-
-
-def _random_frame(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:
-    raw = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
-    return _orthonormalize(raw)
-
-
-def _mismatch(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,
-              n: int) -> np.ndarray:
-    m = -gamma * np.eye(n, dtype=complex)
-    for q, wts in zip(frames, col_w):
-        if q.shape[1]:
-            m += (q * wts) @ q.conj().T
-    return m
 
 
 def _projectors(p: PrimitivePoset, d: DimVector, frames: list[np.ndarray],
@@ -180,9 +140,6 @@ def _residual(p: PrimitivePoset, w: Weight, projectors, n: int) -> float:
     for (j, i), proj in zip(p.elements(), projectors):
         m += float(w.entry(j, i)) * proj
     return float(np.linalg.norm(m))
-
-
-# --- the exact path ------------------------------------------------------------
 
 
 def _lift(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[tuple[np.ndarray, ...], int]:
@@ -294,26 +251,18 @@ def unitarize(
     d: DimVector,
     w: Weight,
     success_tol: float = 1e-8,
-    inner_tol: float = 1e-12,
-    max_iter: int = 5000,
-    restarts: int = 32,
     seed: int = 0,
 ) -> NumericRep:
     """Find projections onto nested subspaces of the stated dimensions
-    satisfying the weighted sum relation up to success_tol * g * sqrt(d0):
-    exactly decided and lifted where the module docstring says, by the
-    descent otherwise."""
-    if not 1 <= restarts <= MAX_RESTARTS:
-        bound = "at least 1" if restarts < 1 else f"at most {MAX_RESTARTS}"
-        raise InvalidBudget(f"restarts must be {bound}, got {restarts}")
-    if not 1 <= max_iter <= MAX_ITER:
-        bound = "at least 1" if max_iter < 1 else f"at most {MAX_ITER}"
-        raise InvalidBudget(f"max_iter must be {bound}, got {max_iter}")
+    satisfying the weighted sum relation up to success_tol * g * sqrt(d0),
+    exactly decided and lifted as the module docstring says.  seed is only
+    recorded in the result."""
     if not 0 < success_tol < float("inf"):  # NaN fails too
         raise InvalidBudget(f"success_tol must be finite and positive, got {success_tol}")
+    require_finite_type(p)
     trace_precheck(p, d, w)
     if not d.is_admissible(p):
-        raise ShapeMismatch(f"dimension vector {d} is not chain-monotone")
+        raise ShapeMismatch(f"dimension vector {format_dim_string(d)} is not chain-monotone")
     require_ambient(d.d0)
     n = d.d0
     # a Python float, whose square overflows to inf without a NumPy warning
@@ -323,8 +272,6 @@ def unitarize(
         return NumericRep(p, d, w, tuple(np.zeros((0, 0), dtype=complex)
                                          for _ in range(p.n)), 0.0, 0, 0, seed)
 
-    if p.n > MAX_ELEMENTS or not is_finite_type(p):
-        return _descend(p, d, w, target, inner_tol, max_iter, restarts, seed)
     parts = _cover(p, d, w)
     if parts is None:  # d is a root exactly when it violates a condition
         dim, roots = format_dim_string(d), _positive_roots(p.branches)
@@ -347,73 +294,6 @@ def unitarize(
     if not residual <= target:  # NaN fails too
         raise NoConvergence(
             f"lifted witness residual {residual:.3e} above tolerance {target:.3e}", rep
-        )
-    return rep
-
-
-def _descend(p: PrimitivePoset, d: DimVector, w: Weight, target: float,
-             inner_tol: float, max_iter: int, restarts: int, seed: int) -> NumericRep:
-    """Barzilai-Borwein descent over frames from random restarts."""
-    n = d.d0
-    gamma = float(w.gamma)
-    col_w = _column_weights(p, d, w)
-    best: tuple[float, list[np.ndarray], int, int] | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        frames = [_random_frame(rng, n, len(cw)) for cw in col_w]
-        m = _mismatch(frames, col_w, gamma, n)
-        f = float(np.linalg.norm(m) ** 2)
-        step = 1.0 / (1.0 + gamma)
-        prev_frames = None
-        prev_grads = None
-        it = 0
-        while it < max_iter and f > target * target:
-            grads = [4.0 * (m @ (q * cw)) for q, cw in zip(frames, col_w)]
-            gnorm2 = sum(float(np.linalg.norm(g) ** 2) for g in grads)
-            if gnorm2 < inner_tol * inner_tol:
-                break
-            if prev_frames is not None:
-                s_dot_y = 0.0
-                s_dot_s = 0.0
-                for q, pq, g, pg in zip(frames, prev_frames, grads, prev_grads):
-                    s = q - pq
-                    y = g - pg
-                    s_dot_y += float(np.real(np.vdot(s, y)))
-                    s_dot_s += float(np.real(np.vdot(s, s)))
-                if s_dot_y > 1e-300:
-                    step = s_dot_s / s_dot_y
-            step = min(max(step, 1e-12), 1e6)
-            prev_frames = [q.copy() for q in frames]
-            prev_grads = [g.copy() for g in grads]
-            improved = False
-            t = step
-            for _ in range(40):
-                cand = [
-                    _orthonormalize(q - t * g) if q.shape[1] else q
-                    for q, g in zip(frames, grads)
-                ]
-                m_cand = _mismatch(cand, col_w, gamma, n)
-                f_cand = float(np.linalg.norm(m_cand) ** 2)
-                if f_cand <= f - 1e-4 * t * gnorm2 or f_cand < f * (1 - 1e-16):
-                    frames, m, f = cand, m_cand, f_cand
-                    improved = True
-                    break
-                t *= 0.5
-            it += 1
-            if not improved:
-                break
-        if best is None or f < best[0]:
-            best = (f, frames, it, r)
-        if f <= target * target:
-            break
-
-    f, frames, it, r = best
-    residual = float(np.sqrt(f))
-    rep = NumericRep(p, d, w, _projectors(p, d, frames, n), residual, it, r + 1, seed)
-    if residual > target:
-        raise NoConvergence(
-            f"best residual {residual:.3e} above tolerance {target:.3e} "
-            f"after {restarts} restarts", rep,
         )
     return rep
 

@@ -79,6 +79,18 @@ def is_finite_type(p: PrimitivePoset) -> bool:
     return m <= 2 or (m == 3 and sum(Fraction(1, k + 1) for k in p.branches) > 1)
 
 
+def require_finite_type(p: PrimitivePoset) -> None:
+    """The scope of every root-based answer: raises FiniteTypeRequired for
+    infinite type, then PosetTooLarge above MAX_ELEMENTS elements.  It
+    computes no root."""
+    if not is_finite_type(p):
+        raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
+    if p.n > MAX_ELEMENTS:
+        raise PosetTooLarge(
+            f"poset {p.branches} has {p.n} elements; at most {MAX_ELEMENTS} are supported"
+        )
+
+
 def _reflection_closure(g: StarGraph) -> frozenset[IntVector]:
     """Positive roots as the closure of simple roots under the simple
     reflections, discarding reflections that leave the positive cone."""
@@ -138,8 +150,7 @@ def dim_to_root(d: DimVector) -> IntVector:
 def enumerate_indec_dims(p: PrimitivePoset) -> tuple[DimVector, ...]:
     """Dimension vectors of the indecomposable representations: the
     chain-monotone positive roots, sorted by (d0, branch entries)."""
-    if not is_finite_type(p):
-        raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
+    require_finite_type(p)
     dims = []
     for x in _positive_roots(p.branches):
         d = root_to_dim(p, x)

@@ -190,7 +190,7 @@ def test_criterion_5_numeric_witnesses():
                 empty += 1
                 continue
             start = time.monotonic()
-            rep = unitarize(p, d, w, restarts=32)
+            rep = unitarize(p, d, w)
             elapsed = time.monotonic() - start
             bound = 1e-8 * float(w.gamma) * np.sqrt(d.d0)
             assert rep.residual <= bound
@@ -225,7 +225,7 @@ def test_criterion_6_table_421(table421):
         if w is None:
             empty += 1
             continue
-        rep = unitarize(p, row.dim, w, restarts=32)
+        rep = unitarize(p, row.dim, w)
         assert rep.residual <= 1e-8 * float(w.gamma) * np.sqrt(row.dim.d0)
         assert structure_check(rep, p, row.dim, tol=1e-8).ok
         witnessed += 1

@@ -170,23 +170,7 @@ def test_unitarize_success_and_obstruction(tmp_path, capsys):
     assert code == 2 and "trace obstruction" in err
 
 
-def test_unitarize_rejects_restarts_below_one(capsys):
-    for restarts in ["0", "-1"]:
-        code, out, err = _run(
-            capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
-            "--weight", "1;1;1;3/2", "--restarts", restarts,
-        )
-        assert code == 1 and out == ""
-        assert err == f"error: restarts must be at least 1, got {restarts}\n"
-
-
-def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
-    from posetrep import numeric
-
-    def no_descent(*args, **kwargs):
-        raise AssertionError("the descent ran")
-
-    monkeypatch.setattr(numeric, "_descend", no_descent)
+def test_unitarize_exact_reject(tmp_path, capsys):
     _, admissible, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
                             "--weight", "1;1;1;3/2")
     for argv, message in [
@@ -212,6 +196,42 @@ def test_unitarize_exact_reject(tmp_path, capsys, monkeypatch):
         code, out, err = _run(capsys, *argv, "--out", str(out_path))
         assert code == 2 and out == f"no witness -> {out_path}\n"
         assert json.loads(out_path.read_text()) == payload
+
+
+def test_unitarize_and_check_weight_refuse_outside_finite_type(capsys):
+    """Infinite type and posets above 64 elements are refused before any
+    trace verdict, whatever d0 and whether or not the weight meets the
+    trace equality."""
+    for branches, message in [
+        ((1, 1, 1, 1), "poset (1, 1, 1, 1) has infinite type"),
+        ((2, 2, 2), "poset (2, 2, 2) has infinite type"),
+        ((40, 30), "poset (40, 30) has 70 elements; at most 64 are supported"),  # finite type
+    ]:
+        poset, n = ",".join(map(str, branches)), sum(branches)
+        zeros, ones = (";".join(",".join([e] * k) for k in branches) for e in "01")
+        # all-ones alphas on all-ones dimensions have trace sum n
+        for d, w in [(f"{zeros};0", f"{ones};1"),  # d0 = 0
+                     (f"{ones};1", f"{ones};{n + 1}"),  # misses the trace equality
+                     (f"{ones};1", f"{ones};{n}")]:  # meets it
+            for command in ("unitarize", "check-weight"):
+                code, out, err = _run(capsys, command, "--poset", poset, "--dim", d,
+                                      "--weight", w)
+                assert (code, out, err) == (1, "", f"error: {message}\n"), (command, d, w)
+    code, out, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                        "--weight", "1;1;1;3/2", "--restarts", "2")
+    assert (code, out) == (1, "")
+
+
+def test_errors_print_dimension_strings(capsys):
+    for argv, code, message in [
+        (["coxeter", "--op", "sigma", "--poset", "2", "--dim", "2,1;2"], 2,
+         "dimension vector 2,1;2 is not admissible for (2,)"),
+        (["unitarize", "--poset", "2", "--dim", "2,1;2", "--weight", "1,1;3/2"], 1,
+         "dimension vector 2,1;2 is not chain-monotone"),
+        (["conditions", "--poset", "1,1", "--dim", "1;1;1;2"], 1,
+         "dimension vector 1;1;1;2 does not fit poset (1, 1)"),
+    ]:
+        assert _run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 def test_python_dash_m_entry_point():
@@ -241,23 +261,21 @@ def test_unitarize_decomposable_witness(capsys):
 def test_budget_and_size_bounds(tmp_path, capsys):
     base = ["unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2", "--weight", "1;1;1;3/2"]
     infinite = ["unitarize", "--poset", "1,1,1,1", "--dim", "1;1;1;1;2",
-                "--weight", "1;1;1;1;2", "--restarts", "2", "--max-iter", "50"]
+                "--weight", "1;1;1;1;2"]
     for flag, value, message in [
-        ("--restarts", "1001", "restarts must be at most 1000, got 1001"),
-        ("--max-iter", "100001", "max_iter must be at most 100000, got 100001"),
-        ("--max-iter", "0", "max_iter must be at least 1, got 0"),
-        ("--max-iter", "-3", "max_iter must be at least 1, got -3"),
         ("--tol", "nan", "success_tol must be finite and positive, got nan"),
         ("--tol", "inf", "success_tol must be finite and positive, got inf"),
         ("--tol", "0", "success_tol must be finite and positive, got 0.0"),
         ("--tol", "-1", "success_tol must be finite and positive, got -1.0"),
     ]:
-        for argv in (base, infinite):  # finite type, and the descent's infinite type
+        for argv in (base, infinite):  # the tolerance is checked before the scope
             code, out, err = _run(capsys, *argv, flag, value)
             assert (code, out, err) == (1, "", f"error: {message}\n")
-    code, out, err = _run(capsys, "coxeter", "--op", "phiminus", "--poset", "1,1,1",
-                          "--symbolic", "--steps", "1000000000")
-    assert (code, out, err) == (1, "", "error: steps must be at most 1000, got 1000000000\n")
+    for steps, bound in [("1000000000", "at most 1000"), ("0", "at least 1"),
+                         ("-3", "at least 1")]:
+        code, out, err = _run(capsys, "coxeter", "--op", "phiminus", "--poset", "1,1,1",
+                              "--symbolic", "--steps", steps)
+        assert (code, out, err) == (1, "", f"error: steps must be {bound}, got {steps}\n")
     # not a root, meets every other check, and would need a 100000 x 100000 matrix
     start = time.monotonic()
     code, out, err = _run(capsys, "unitarize", "--poset", "1", "--dim", "1;100000",

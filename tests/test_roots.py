@@ -9,10 +9,13 @@ from posetrep.core import make_poset, parse_dim_string
 from posetrep.roots import (
     FiniteTypeRequired,
     NotDynkin,
+    PosetTooLarge,
+    _positive_roots,
     dim_to_root,
     enumerate_indec_dims,
     is_finite_type,
     positive_roots,
+    require_finite_type,
     root_to_dim,
     star_graph,
     tits_form,
@@ -107,6 +110,17 @@ def test_root_counts_dual_oracle():
 def test_positive_roots_rejects_non_dynkin():
     with pytest.raises(NotDynkin):
         positive_roots(star_graph(make_poset([2, 2, 2])))
+
+
+def test_require_finite_type_order_and_no_roots():
+    """Infinite type is named before size, and the check computes no root."""
+    before = _positive_roots.cache_info()
+    require_finite_type(make_poset([40, 24]))  # 64 elements
+    with pytest.raises(PosetTooLarge, match=r"^poset \(40, 30\) has 70 elements"):
+        require_finite_type(make_poset([40, 30]))
+    with pytest.raises(FiniteTypeRequired, match=r"^poset \(40, 30, 1\) has infinite type$"):
+        require_finite_type(make_poset([40, 30, 1]))
+    assert _positive_roots.cache_info() == before
 
 
 def test_is_finite_type():

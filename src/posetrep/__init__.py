@@ -4,7 +4,6 @@ representations of primitive posets of finite representation type."""
 from .core import (
     Condition,
     ConditionSet,
-    DegeneracyReport,
     DimVector,
     LinearForm,
     PosetRepError,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 
@@ -82,9 +83,13 @@ class PrimitivePoset:
     branches: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.branches) == 0 or any(k < 1 for k in self.branches):
+        try:
+            branches = tuple(map(index, self.branches))
+        except TypeError:  # a length that is no integer
+            branches = ()
+        if not branches or min(branches) < 1:
             raise EmptyOrNonPositiveBranch(f"invalid branch lengths {self.branches}")
-        object.__setattr__(self, "branches", tuple(int(k) for k in self.branches))
+        object.__setattr__(self, "branches", branches)
 
     @property
     def width(self) -> int:
@@ -126,11 +131,17 @@ class DimVector:
     branches: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.d0 < 0 or any(e < 0 for b in self.branches for e in b):
+        try:
+            d0 = index(self.d0)
+            branches = tuple(tuple(map(index, b)) for b in self.branches)
+        except TypeError as exc:
+            raise ShapeMismatch(
+                f"non-integer entry in dimension vector {format_dim_string(self)}"
+            ) from exc
+        if d0 < 0 or any(e < 0 for b in branches for e in b):
             raise ShapeMismatch(f"negative entry in dimension vector {format_dim_string(self)}")
-        object.__setattr__(
-            self, "branches", tuple(tuple(int(e) for e in b) for b in self.branches)
-        )
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "branches", branches)
 
     def fits(self, p: PrimitivePoset) -> bool:
         return tuple(len(b) for b in self.branches) == p.branches
@@ -162,7 +173,7 @@ class DimVector:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DimVector":
-        return cls(int(obj["d0"]), tuple(tuple(b) for b in obj["branches"]))
+        return cls(obj["d0"], tuple(tuple(b) for b in obj["branches"]))
 
 
 def parse_dim_string(s: str) -> DimVector:
@@ -531,15 +542,6 @@ class Finding:
     index: int
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def non_degenerate(self) -> bool:
-        return not self.findings
-
-
 def _reduce(d0: int, dims: Iterable[Iterable[int]], forms: Iterable[Iterable],
             gamma_form) -> tuple[tuple, tuple, object, tuple[Finding, ...]]:
     """One reduction pass: delete zero-dimensional elements, merge
@@ -581,12 +583,13 @@ def _reduce(d0: int, dims: Iterable[Iterable[int]], forms: Iterable[Iterable],
     return tuple(out_dims), tuple(out_forms), gamma_form, tuple(zeros + merges + fulls)
 
 
-def classify_degeneracy(p: PrimitivePoset, d: DimVector) -> DegeneracyReport:
+def classify_degeneracy(p: PrimitivePoset, d: DimVector) -> tuple[Finding, ...]:
     """The findings of one reduction pass (`_reduce`) on d, in the order
-    they fire; positions are those of the state each rule fired in."""
+    they fire; positions are those of the state each rule fired in.  d is
+    non-degenerate exactly when there are none.  The findings depend on
+    the dimensions alone, so the pass carries them as its forms too."""
     d.require_fits(p)
-    w = SymbolicWeight.identity(p)
-    return DegeneracyReport(_reduce(d.d0, d.branches, w.branch_forms, w.gamma_form)[3])
+    return _reduce(d.d0, d.branches, d.branches, d.d0)[3]
 
 
 def trace_condition(p: PrimitivePoset, d: DimVector) -> Condition:

@@ -7,10 +7,11 @@ the dual-order outputs are re-normalised to increasing chain order
 immediately and a single DimVector representation is used throughout.
 
 `phiplus_weight` / `phiminus_weight` are the matching transforms on
-symbolic weights; concrete variants evaluate the forms and insist on
-positive results.  The form arithmetic of the downward transform,
-`_phiminus_forms`, works on any form type with + and -: `LinearForm`s
-here, integer rows in the descent of `derive`.
+symbolic weights.  The form arithmetic of each transform is one generic
+function, `_phiplus_forms` and `_phiminus_forms`, on any form type with +
+and -: `LinearForm`s for the symbolic transforms, the weight's `Fraction`s
+for the concrete ones (which insist on positive results) and, for the
+downward one, integer rows in the descent of `derive`.
 
 Note: the usual printed closed form of the downward composite has a
 garbled head, (m-1)d0 - sum_j d_j^(last); invertibility against the
@@ -21,14 +22,16 @@ element).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import TypeVar
 
 from .core import (
     DimVector,
-    LinearForm,
+    NonPositiveWeight,
     PosetRepError,
     PrimitivePoset,
     SymbolicWeight,
@@ -102,15 +105,7 @@ def phiplus_weight(p: PrimitivePoset, w: SymbolicWeight) -> SymbolicWeight:
     (g - A_j, a_1, ..., a_{k-1}) and g -> (m-1)g - sum_j a_k^(j)."""
     if not w.fits(p):
         raise PosetRepError(f"symbolic weight does not fit poset {p.branches}")
-    m = p.width
-    branches = []
-    for b in w.branch_forms:
-        branch_sum = sum(b, LinearForm())
-        branches.append((w.gamma_form - branch_sum,) + b[:-1])
-    gamma = w.gamma_form * Fraction(m - 1)
-    for b in w.branch_forms:
-        gamma = gamma - b[-1]
-    return SymbolicWeight(tuple(branches), gamma)
+    return SymbolicWeight(*_phiplus_forms(w.branch_forms, w.gamma_form))
 
 
 def phiminus_weight(p: PrimitivePoset, w: SymbolicWeight) -> SymbolicWeight:
@@ -119,6 +114,15 @@ def phiminus_weight(p: PrimitivePoset, w: SymbolicWeight) -> SymbolicWeight:
     if not w.fits(p):
         raise PosetRepError(f"symbolic weight does not fit poset {p.branches}")
     return SymbolicWeight(*_phiminus_forms(w.branch_forms, w.gamma_form))
+
+
+def _phiplus_forms(
+    branch_forms: tuple[tuple[_Form, ...], ...], gamma_form: _Form
+) -> tuple[tuple[tuple[_Form, ...], ...], _Form]:
+    """The branch forms and gamma form of `phiplus_weight`, for forms of
+    any type with + and - (every branch nonempty)."""
+    branches = tuple((gamma_form - reduce(add, b),) + b[:-1] for b in branch_forms)
+    return branches, reduce(add, (gamma_form - b[-1] for b in branch_forms)) - gamma_form
 
 
 def _phiminus_forms(
@@ -132,65 +136,43 @@ def _phiminus_forms(
     return branches, total - gamma_form
 
 
-def _evaluate_symbolic(p: PrimitivePoset, sw: SymbolicWeight, w: Weight) -> Weight:
-    from .core import NonPositiveWeight
-
+def _concrete(forms, p: PrimitivePoset, w: Weight) -> Weight:
+    """forms (`_phiplus_forms` or `_phiminus_forms`) applied to the
+    weight's Fractions; the result must stay positive."""
+    w.require_fits(p)
     try:
-        return sw.evaluate(w)
+        return Weight(*forms(w.alphas, w.gamma))
     except NonPositiveWeight as exc:
         raise NonPositiveWeight(f"transformed weight left the positive cone: {exc}") from exc
 
 
-@lru_cache(maxsize=256)
-def _image_of_identity(transform, p: PrimitivePoset) -> SymbolicWeight:
-    """transform(p, identity): the symbolic weight a concrete one evaluates."""
-    return transform(p, SymbolicWeight.identity(p))
-
-
 def phiplus_concrete(p: PrimitivePoset, w: Weight) -> Weight:
     """Apply the upward weight transform to a concrete weight."""
-    w.require_fits(p)
-    return _evaluate_symbolic(p, _image_of_identity(phiplus_weight, p), w)
+    return _concrete(_phiplus_forms, p, w)
 
 
 def phiminus_concrete(p: PrimitivePoset, w: Weight) -> Weight:
     """Apply the downward weight transform to a concrete weight."""
-    w.require_fits(p)
-    return _evaluate_symbolic(p, _image_of_identity(phiminus_weight, p), w)
+    return _concrete(_phiminus_forms, p, w)
 
 
+@dataclass(frozen=True)
 class StarWeight:
     """Weight in star-graph coordinates: strictly decreasing per branch."""
 
-    __slots__ = ("betas", "gamma")
+    betas: tuple[tuple[Fraction, ...], ...]
+    gamma: Fraction
 
-    def __init__(self, betas: tuple[tuple[Fraction, ...], ...], gamma: Fraction):
-        self.betas = tuple(tuple(Fraction(x) for x in b) for b in betas)
-        self.gamma = Fraction(gamma)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StarWeight)
-            and self.betas == other.betas
-            and self.gamma == other.gamma
-        )
-
-    def __repr__(self) -> str:
-        return f"StarWeight({self.betas!r}, {self.gamma!r})"
+    def __post_init__(self) -> None:
+        betas = tuple(tuple(Fraction(x) for x in b) for b in self.betas)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "gamma", Fraction(self.gamma))
 
 
 def alpha_to_beta(p: PrimitivePoset, w: Weight) -> StarWeight:
     """Suffix sums b_i = a_i + ... + a_k along each branch."""
     w.require_fits(p)
-    betas = []
-    for b in w.alphas:
-        suffix = []
-        running = Fraction(0)
-        for a in reversed(b):
-            running += a
-            suffix.append(running)
-        betas.append(tuple(reversed(suffix)))
-    return StarWeight(tuple(betas), w.gamma)
+    return StarWeight(tuple(tuple(accumulate(reversed(b)))[::-1] for b in w.alphas), w.gamma)
 
 
 def beta_to_alpha(p: PrimitivePoset, sw: StarWeight) -> Weight:

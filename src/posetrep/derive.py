@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
-from math import lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Union
 
@@ -138,7 +137,6 @@ def _walk(
     Every form along the descent has integer coefficients, so the walk
     holds them as `_Row`s over p.variable_keys(); a `LinearForm` is built
     only for an emitted tail and for the terminal equality."""
-    require_finite_type(p)
     roots = _positive_roots(p.branches)
     if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
         raise NotInEnumeration(
@@ -200,16 +198,14 @@ IntRow = tuple[int, ...]
 
 
 def _rows(forms, index: dict[str, int]) -> list[list[int]]:
-    """Rows over the variable index of forms, all scaled by one positive
-    common denominator into integers.  Built from the sparse
+    """Rows over the variable index of the forms of conditions, which are
+    canonical and so have integer coefficients.  Built from the sparse
     coefficients: most of a row is zero."""
-    ratios = [[(index[k], v.as_integer_ratio()) for k, v in f._coeffs.items()] for f in forms]
-    denom = lcm(*{q for r in ratios for _, (_, q) in r})
     rows = []
-    for r in ratios:
+    for f in forms:
         row = [0] * len(index)
-        for i, (n, q) in r:
-            row[i] = n * (denom // q)
+        for k, v in f._coeffs.items():
+            row[index[k]] = v.numerator
         rows.append(row)
     return rows
 
@@ -221,9 +217,16 @@ def _dot(row: IntRow, x: list[int]) -> int:
 def _integer_point(w: Weight) -> tuple[list[int], int]:
     """w times the lcm L of its denominators, as integers in variable order
     (`PrimitivePoset.variable_keys`), and L."""
-    ratios = [v.as_integer_ratio() for v in (*(a for b in w.alphas for a in b), w.gamma)]
-    scale = lcm(*(q for _, q in ratios))
-    return [n * (scale // q) for n, q in ratios], scale
+    scale, x = _scaled([*(a for b in w.alphas for a in b), w.gamma])
+    return x, scale
+
+
+def _trace_row(x: list[int]) -> IntRow:
+    """The trace form sum_i a_i r_i - g r0 at the integer point x of a
+    weight (`_integer_point`), as a row over root coordinates
+    (`roots.dim_to_root`): zero at a dimension vector exactly when the
+    weight meets its trace equality."""
+    return (-x[-1], *x[:-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -544,17 +547,16 @@ def check_weight(p: PrimitivePoset, d: DimVector, w: Weight) -> Verdict:
     """Exact evaluation of the derived conditions at w.
 
     A poset outside `roots.require_finite_type` is refused first.  The
-    necessary trace equality is checked next in O(n); when it fails the
-    derivation is skipped entirely.  Otherwise the conditions are those of
-    the cached `_criterion`, whose integer rows are evaluated at w scaled
-    to integers.
+    necessary trace equality is checked next in O(n) (`_trace_row`); when
+    it fails the derivation is skipped entirely.  Otherwise the conditions
+    are those of the cached `_criterion`, whose integer rows are evaluated
+    at w scaled to integers.
     """
     require_finite_type(p)
     d.require_fits(p)
     w.require_fits(p)
-    trace = trace_condition(p, d)
-    if not trace.holds_at(w):
-        return Verdict(False, (trace,))
+    if _dot(_trace_row(_integer_point(w)[0]), dim_to_root(d)):
+        return Verdict(False, (trace_condition(p, d),))
     violated = _criterion(p, d).violated(w)
     return Verdict(not violated, violated)
 
@@ -589,12 +591,13 @@ class Table:
         return cls(poset, rows)
 
 
-def generate_table(p: PrimitivePoset, simplified: bool = True) -> Table:
-    """One row per indecomposable dimension vector, in enumeration order."""
+def generate_table(p: PrimitivePoset) -> Table:
+    """One row per indecomposable dimension vector, in enumeration order,
+    with its conditions after `simplify`."""
     rows = []
     for d in enumerate_indec_dims(p):
         conditions, _ = derive_conditions(p, d)
-        rows.append(TableRow(d, simplify(conditions) if simplified else conditions))
+        rows.append(TableRow(d, simplify(conditions)))
     return Table(p, tuple(rows))
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -108,7 +109,7 @@ def _shape(
     require_ambient(ambient)
     widths = []
     for m in bases:
-        if ambient == 0 or not m or not m[0]:
+        if ambient == 0 or not any(m):  # every row empty: the zero subspace
             widths.append(0)
             continue
         if len(m) != ambient:
@@ -148,11 +149,6 @@ def make_rep(p: PrimitivePoset, ambient: int, bases: Sequence[Iterable]) -> Subs
     return SubspaceRep(p, ambient, tuple(_freeze(m) for m in mats))
 
 
-def validate_rep(rep: SubspaceRep) -> SubspaceRep:
-    """Re-run the construction checks on an existing representation."""
-    return make_rep(rep.poset, rep.ambient, rep.bases)
-
-
 def dim_vector(rep: SubspaceRep) -> DimVector:
     ds = rep.dims()
     branches = []
@@ -174,7 +170,7 @@ def rep_to_json(rep: SubspaceRep) -> dict:
 def rep_from_json(obj: Mapping) -> SubspaceRep:
     try:
         p = PrimitivePoset.from_json(obj["poset"])
-        ambient = int(obj["ambient"])
+        ambient = index(obj["ambient"])
         raw = obj["bases"]
         # the rank work depends on the shapes alone: a file too large to
         # validate is refused before any numeral is converted
@@ -393,11 +389,9 @@ def to_quiver_rep(rep: SubspaceRep) -> QuiverRep:
 def from_quiver_rep(q: QuiverRep) -> SubspaceRep:
     """Rebuild subspaces as images of the path compositions into the
     centre; every arrow matrix must be injective."""
-    for j, branch in enumerate(q.chain_maps, start=1):
-        for i, m in enumerate(branch, start=1):
-            mm = [list(r) for r in m]
-            ncols = len(mm[0]) if mm else 0
-            if linalg.rank(mm) != ncols:
+    for j, flags in enumerate(q.monomorphism_flags(), start=1):
+        for i, injective in enumerate(flags, start=1):
+            if not injective:
                 raise NonMonomorphicArrow(f"arrow {i} of branch {j} is not injective")
     ambient = q.dims.d0
     bases = []

@@ -43,7 +43,7 @@ from .core import (
     require_ambient,
 )
 from . import linalg
-from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point
+from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point, _trace_row
 from .roots import _positive_roots, dim_to_root, require_finite_type, root_to_dim
 
 
@@ -111,11 +111,11 @@ def trace_precheck(p: PrimitivePoset, d: DimVector, w: Weight) -> None:
     sum_i a_i d_i = g d0."""
     d.require_fits(p)
     w.require_fits(p)
-    total = sum((a * e for b, c in zip(w.alphas, d.branches) for a, e in zip(b, c)), Fraction(0))
-    if total != w.gamma * d.d0:
-        raise TraceObstruction(
-            f"trace obstruction: sum a*d = {total} but g*d0 = {w.gamma * d.d0}"
-        )
+    x, scale = _integer_point(w)
+    off = Fraction(_dot(_trace_row(x), dim_to_root(d)), scale)
+    if off:
+        g_d0 = w.gamma * d.d0
+        raise TraceObstruction(f"trace obstruction: sum a*d = {g_d0 + off} but g*d0 = {g_d0}")
 
 
 def _complement(q: np.ndarray) -> np.ndarray:
@@ -229,8 +229,7 @@ def _cover(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[DimVector, ...] 
     whole = dim_to_root(d)
     if whole in roots and not _criterion(p, d).violated(w):
         return (d,)
-    x, _ = _integer_point(w)
-    trace = (-x[-1], *x[:-1])  # sum a_i r_i - g r0 over root coordinates
+    trace = _trace_row(_integer_point(w)[0])
     candidates = []
     for r in sorted(roots, reverse=True):
         if r == whole or r[0] < 1 or _dot(trace, r) or any(a > b for a, b in zip(r, whole)):

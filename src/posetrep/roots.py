@@ -25,10 +25,6 @@ IntVector = tuple[int, ...]
 MAX_ELEMENTS = 64
 
 
-class NotDynkin(PosetRepError):
-    """Root enumeration requested for a graph of infinite type."""
-
-
 class FiniteTypeRequired(PosetRepError):
     """Operation only defined for posets of finite representation type."""
 
@@ -117,19 +113,13 @@ def _reflection_closure(g: StarGraph) -> frozenset[IntVector]:
 @cache
 def _positive_roots(branches: tuple[int, ...]) -> frozenset[IntVector]:
     p = PrimitivePoset(branches)
-    if p.n > MAX_ELEMENTS:
-        raise PosetTooLarge(
-            f"poset {branches} has {p.n} elements; at most {MAX_ELEMENTS} are supported"
-        )
-    if not is_finite_type(p):
-        raise NotDynkin(f"graph of poset {branches} is not a Dynkin diagram")
+    require_finite_type(p)
     return _reflection_closure(star_graph(p))
 
 
 def positive_roots(g: StarGraph) -> frozenset[IntVector]:
-    """The positive roots of g, by reflection closure of the simple roots;
-    raises NotDynkin for infinite type and PosetTooLarge above
-    MAX_ELEMENTS poset elements."""
+    """The positive roots of g, by reflection closure of the simple roots,
+    for a poset within `require_finite_type`'s scope."""
     return _positive_roots(g.poset.branches)
 
 
@@ -150,7 +140,6 @@ def dim_to_root(d: DimVector) -> IntVector:
 def enumerate_indec_dims(p: PrimitivePoset) -> tuple[DimVector, ...]:
     """Dimension vectors of the indecomposable representations: the
     chain-monotone positive roots, sorted by (d0, branch entries)."""
-    require_finite_type(p)
     dims = []
     for x in _positive_roots(p.branches):
         d = root_to_dim(p, x)

@@ -99,7 +99,7 @@ def test_criterion_3_functor_algebra():
                 except NegativeEntry:
                     continue
                 assert op(p, once) == d
-            if classify_degeneracy(p, d).non_degenerate:
+            if not classify_degeneracy(p, d):
                 assert fplus_dim(p, fminus_dim(p, d)) == d
                 assert fminus_dim(p, fplus_dim(p, d)) == d
                 sw = SymbolicWeight.identity(p)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -414,6 +415,49 @@ def test_rep_invalid_file(tmp_path, capsys):
             assert err.startswith("error: malformed representation") and err.count("\n") == 1
 
 
+def test_rep_ragged_basis_rejected(tmp_path, capsys):
+    """An empty row beside a nonempty one is ragged, whichever row it is:
+    only a basis whose rows are all empty is the zero subspace."""
+    bad = tmp_path / "ragged.json"
+    for first in ([[], ["1"]], [["1"], []]):
+        bad.write_text(json.dumps({
+            "poset": {"branches": [1, 1, 1]},
+            "ambient": 2,
+            "bases": [first, [["0"], ["1"]], [["1"], ["1"]]],
+        }))
+        for check in ["dim", "validate"]:
+            code, out, err = _run(capsys, "rep", "--file", str(bad), "--check", check)
+            assert (code, out, err) == (1, "", "error: ragged basis matrix\n")
+
+
+def test_non_integral_sizes_rejected(tmp_path, capsys):
+    """A float size in a rep file or a corpus row exits 1 with one error
+    line instead of being truncated."""
+    lines = {"poset": {"branches": [1, 1, 1]}, "ambient": 2,
+             "bases": [[["1"], ["0"]], [["0"], ["1"]], [["1"], ["1"]]]}
+    bad = tmp_path / "rep.json"
+    for key, value, message in [
+        ("poset", {"branches": [1.9, 1, 1]}, "invalid branch lengths (1.9, 1, 1)"),
+        ("ambient", 2.5,
+         "malformed representation: 'float' object cannot be interpreted as an integer"),
+    ]:
+        bad.write_text(json.dumps(dict(lines, **{key: value})))
+        code, out, err = _run(capsys, "rep", "--file", str(bad), "--check", "dim")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+    corpus_path = tmp_path / "corpus.json"
+    for edit in ["d0", "branch"]:
+        table = paper_corpus()[(1, 1, 1)].to_json()
+        dim = table["rows"][1]["dim"]
+        if edit == "d0":
+            dim["d0"] += 0.7
+        else:
+            dim["branches"][0][0] += 0.5
+        corpus_path.write_text(json.dumps({"tables": [table]}))
+        code, out, err = _run(capsys, "verify-tables", "--corpus", str(corpus_path))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: non-integer entry in dimension vector")
+
+
 def test_rep_validate_negative_verdict(tmp_path, capsys):
     payload = {
         "poset": {"branches": [2]},
@@ -431,6 +475,15 @@ def test_malformed_poset_and_usage(capsys):
     assert code == 1
     code, _, err = _run(capsys, "enumerate")
     assert code == 1  # missing required option
+
+
+def test_no_assert_statements_in_the_package():
+    """Invariants are typed errors, which survive ``python -O``; an assert
+    statement would not."""
+    for path in sorted(Path(posetrep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, (path.name, asserts)
 
 
 def _run_optimized(*argv):

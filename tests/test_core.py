@@ -45,6 +45,8 @@ def test_make_poset():
         make_poset([])
     with pytest.raises(EmptyOrNonPositiveBranch):
         make_poset([2, 0])
+    with pytest.raises(EmptyOrNonPositiveBranch, match=r"^invalid branch lengths \(1\.9, 1, 1\)$"):
+        PrimitivePoset((1.9, 1, 1))
 
 
 def test_poset_elements_and_keys():
@@ -63,6 +65,12 @@ def test_dim_vector_admissibility():
         d.require_fits(make_poset([1, 1, 1]))
     with pytest.raises(ShapeMismatch):
         parse_dim_string("1,-2;1,2;2;3")
+    # sizes are integers: a float is refused, not truncated
+    for d0, branches in [(2.7, ((1,),)), (2, ((1.5,),)), (2.0, ((1,),))]:
+        with pytest.raises(ShapeMismatch, match="^non-integer entry in dimension vector"):
+            DimVector(d0, branches)
+        with pytest.raises(ShapeMismatch, match="^non-integer entry in dimension vector"):
+            DimVector.from_json({"d0": d0, "branches": [list(b) for b in branches]})
 
 
 def test_dim_string_round_trip_random():
@@ -226,10 +234,10 @@ def test_condition_set_dedup_and_set_equality():
 def test_classify_degeneracy():
     p = make_poset([1, 1, 1])
     rep = classify_degeneracy(p, parse_dim_string("1;1;1;1"))
-    assert [f.kind for f in rep.findings] == ["full", "full", "full"]
-    assert classify_degeneracy(p, parse_dim_string("1;1;1;2")).non_degenerate
+    assert [f.kind for f in rep] == ["full", "full", "full"]
+    assert not classify_degeneracy(p, parse_dim_string("1;1;1;2"))
     rep2 = classify_degeneracy(make_poset([2, 1, 1]), parse_dim_string("1,1;1;1;2"))
-    assert [(f.kind, f.branch, f.index) for f in rep2.findings] == [("merge", 1, 1)]
+    assert [(f.kind, f.branch, f.index) for f in rep2] == [("merge", 1, 1)]
     with pytest.raises(ShapeMismatch):
         classify_degeneracy(p, parse_dim_string("1,1;1;1;2"))
 
@@ -249,7 +257,7 @@ def test_classify_degeneracy_matches_direct_scan():
         plain = all(
             e != 0 and e != d0 for b in d.branches for e in b
         ) and all(b[i] < b[i + 1] for b in d.branches for i in range(len(b) - 1))
-        assert report.non_degenerate == plain
+        assert (not report) == plain
 
 
 def test_trace_condition_examples():

@@ -8,6 +8,7 @@ import pytest
 from posetrep.core import (
     DimVector,
     LinearForm,
+    NonPositiveWeight,
     PrimitivePoset,
     SymbolicWeight,
     Weight,
@@ -26,6 +27,7 @@ from posetrep.coxeter import (
     fplus_dim,
     phiminus_concrete,
     phiminus_weight,
+    phiplus_concrete,
     phiplus_weight,
     rho_dim,
     sigma_dim,
@@ -99,7 +101,7 @@ def test_involutions_and_inverses_on_enumerated_dims():
                 r = None
             if r is not None:
                 assert rho_dim(p, r) == d
-            if classify_degeneracy(p, d).non_degenerate:
+            if not classify_degeneracy(p, d):
                 down = fminus_dim(p, d)
                 assert fplus_dim(p, down) == d
                 up = fplus_dim(p, d)
@@ -145,10 +147,49 @@ def test_phiminus_concrete_positivity():
     w = parse_weight_string("2;2;2;3")
     out = phiminus_concrete(p, w)
     assert out == parse_weight_string("1;1;1;3")
-    from posetrep.core import NonPositiveWeight
-
-    with pytest.raises(NonPositiveWeight):
+    with pytest.raises(NonPositiveWeight, match=r"^transformed weight left the positive cone: "
+                       r"weight entry must be positive, got -4$"):
         phiminus_concrete(p, parse_weight_string("1;1;5;10"))
+    with pytest.raises(NonPositiveWeight, match=r"^transformed weight left the positive cone: "
+                       r"weight entry must be positive, got -1/2$"):
+        phiplus_concrete(p, parse_weight_string("1;1;1;1/2"))
+
+
+# the poset shapes of the benchmark's queries workload (perfbench/wl_queries.py)
+QUERY_POSETS = ((1,), (4,), (8,), (2, 2), (4, 3), (5, 5), (6, 5), (6, 6),
+                (1, 1, 1), (2, 1, 1), (5, 1, 1), (8, 1, 1), (10, 1, 1),
+                (2, 2, 1), (3, 2, 1), (4, 2, 1))
+
+
+def _symbolic_image(transform, p: PrimitivePoset, w: Weight) -> Weight | str:
+    """Oracle: the symbolic transform of the identity weight evaluated at w,
+    or the error text of a concrete transform that leaves the cone."""
+    try:
+        return transform(p, SymbolicWeight.identity(p)).evaluate(w)
+    except NonPositiveWeight as exc:
+        return f"transformed weight left the positive cone: {exc}"
+
+
+def test_concrete_transforms_match_symbolic_images():
+    rng = random.Random(15)
+    outcomes = set()
+    for branches in QUERY_POSETS:
+        p = make_poset(branches)
+        for _ in range(25):
+            w = Weight(
+                tuple(tuple(Q(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(k))
+                      for k in branches),
+                Q(rng.randint(1, 60), rng.randint(1, 3)),
+            )
+            for concrete, symbolic in [(phiplus_concrete, phiplus_weight),
+                                       (phiminus_concrete, phiminus_weight)]:
+                try:
+                    got = concrete(p, w)
+                except NonPositiveWeight as exc:
+                    got = str(exc)
+                assert got == _symbolic_image(symbolic, p, w), (branches, w)
+                outcomes.add((concrete.__name__, type(got)))
+    assert len(outcomes) == 4  # each transform both stays in and leaves the cone
 
 
 def test_alpha_beta_round_trip():
@@ -219,7 +260,7 @@ def test_trace_defect_invariance_on_enumerated_dims():
     for branches in FINITE_POSETS:
         p = make_poset(branches)
         for d in enumerate_indec_dims(p):
-            if not classify_degeneracy(p, d).non_degenerate:
+            if classify_degeneracy(p, d):
                 continue
             sw = SymbolicWeight.identity(p)
             before = _defect_form(p, d, sw)

@@ -133,7 +133,7 @@ def test_degeneracy_report_is_the_first_reduction_pass():
                 if step["step"] not in ("zero", "merge", "full"):
                     break
                 leading.append((step["step"], step["branch"], step["index"]))
-            report = classify_degeneracy(p, d).findings
+            report = classify_degeneracy(p, d)
             assert [(f.kind, f.branch, f.index) for f in report] == leading, (branches, d)
 
 

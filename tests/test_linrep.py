@@ -31,7 +31,6 @@ from posetrep.linrep import (
     rep_from_json,
     rep_to_json,
     to_quiver_rep,
-    validate_rep,
 )
 
 FAMILIES = [family_1111, family_222, family_332, family_521]
@@ -45,7 +44,7 @@ def _three_lines():
 def test_make_rep_and_validation():
     r = _three_lines()
     assert dim_vector(r) == parse_dim_string("1;1;1;2")
-    assert validate_rep(r) == r
+    assert make_rep(r.poset, r.ambient, r.bases) == r
     with pytest.raises(ContainmentViolation):
         make_rep(make_poset([2]), 2, [[[1], [0]], [[0], [1]]])
     with pytest.raises(RankDeficient):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 from operator import le, mul
@@ -16,9 +17,10 @@ from posetrep.core import (
     make_poset,
     parse_dim_string,
     parse_weight_string,
+    trace_condition,
 )
 from posetrep.coxeter import alpha_to_beta
-from posetrep.derive import derive_conditions, interior_point
+from posetrep.derive import Verdict, check_weight, derive_conditions, interior_point
 from posetrep.numeric import (
     NoConvergence,
     NumericRep,
@@ -85,6 +87,39 @@ def test_trace_obstruction():
     with pytest.raises(TraceObstruction):
         unitarize(p, d, parse_weight_string("3;2;2;3"))
     trace_precheck(p, d, parse_weight_string("2;2;2;3"))  # no raise
+
+
+def test_trace_checks_agree_with_trace_condition():
+    """check_weight's trace verdict and trace_precheck's message against
+    trace_condition and the Fraction sum, on and off the trace."""
+    rng = random.Random(15)
+    for branches in [(1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1), (5, 5), (6, 1, 1)]:
+        p = make_poset(branches)
+        dims = enumerate_indec_dims(p)
+        for d in rng.sample(dims, min(12, len(dims))):
+            alphas = [[Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in b]
+                      for b in d.branches]
+            total = sum((a * e for b, c in zip(alphas, d.branches) for a, e in zip(b, c)),
+                        Fraction(0))
+            on = total / d.d0
+            for gamma in [on, on + Fraction(rng.randint(1, 9), rng.randint(2, 9)),
+                          on * Fraction(rng.randint(1, 5), 7)]:
+                if gamma <= 0:  # d = (1; 0, ..., 0) has no positive weight on its trace
+                    continue
+                w = Weight(tuple(map(tuple, alphas)), gamma)
+                trace = trace_condition(p, d)
+                meets = trace.holds_at(w)
+                assert meets == (gamma == on)
+                verdict = check_weight(p, d, w)
+                if meets:
+                    assert trace not in verdict.violated
+                    trace_precheck(p, d, w)
+                    continue
+                assert verdict == Verdict(False, (trace,))
+                with pytest.raises(TraceObstruction) as exc:
+                    trace_precheck(p, d, w)
+                assert str(exc.value) == (
+                    f"trace obstruction: sum a*d = {total} but g*d0 = {gamma * d.d0}")
 
 
 def test_unitarize_e6_row():

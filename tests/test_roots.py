@@ -8,7 +8,6 @@ import pytest
 from posetrep.core import make_poset, parse_dim_string
 from posetrep.roots import (
     FiniteTypeRequired,
-    NotDynkin,
     PosetTooLarge,
     _positive_roots,
     dim_to_root,
@@ -108,8 +107,18 @@ def test_root_counts_dual_oracle():
 
 
 def test_positive_roots_rejects_non_dynkin():
-    with pytest.raises(NotDynkin):
-        positive_roots(star_graph(make_poset([2, 2, 2])))
+    """positive_roots refuses through require_finite_type, with its error
+    and message: infinite type, and above MAX_ELEMENTS elements."""
+    for branches, error, message in [
+        ((2, 2, 2), FiniteTypeRequired, "poset (2, 2, 2) has infinite type"),
+        ((65,), PosetTooLarge, "poset (65,) has 65 elements; at most 64 are supported"),
+    ]:
+        p = make_poset(branches)
+        with pytest.raises(error) as scope:
+            require_finite_type(p)
+        with pytest.raises(error) as roots:
+            positive_roots(star_graph(p))
+        assert str(roots.value) == str(scope.value) == message
 
 
 def test_require_finite_type_order_and_no_roots():

@@ -311,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("conditions", help="weight conditions of one dimension vector")
     q.add_argument("--poset", required=True)
     q.add_argument("--dim", required=True)
-    group = q.add_mutually_exclusive_group()
-    group.add_argument("--raw", action="store_true")
-    group.add_argument("--simplified", action="store_true")
+    q.add_argument("--raw", action="store_true")
     q.add_argument("--format", choices=["text", "json", "latex"], default="text")
     q.add_argument("--trace", action="store_true")
     q.set_defaults(func=_cmd_conditions)

@@ -26,6 +26,12 @@ indecomposable dimension vector at all is a lookup in the cached positive
 roots, whose number also bounds the number of transforms.
 Positivity of the transformed gamma form is implied by the branch tails,
 so it is never emitted, and reductions emit no inequalities at all.
+
+A condition is one row from the walk to the LP: primitive integers over
+`PrimitivePoset.variable_keys()` (gamma last), an equality's first nonzero
+one positive, as `core.Condition` canonicalises.  The walk dedups these
+rows; `_form` builds a `LinearForm` only for what is returned, and `_rows`
+turns a public region operation's `ConditionSet`s into rows once.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import accumulate
 from operator import add, mul, neg, sub
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from . import lp
 from .core import (
@@ -112,7 +118,7 @@ def step_to_json(step: TraceStep) -> dict:
 
 class _Row(tuple):
     """An integer form: its coefficients over `PrimitivePoset.variable_keys`,
-    with elementwise +, - and unary -, so that `core._reduce` and
+    with elementwise + and -, so that `core._reduce` and
     `coxeter._phiminus_forms` run on it as on a `LinearForm`."""
 
     __slots__ = ()
@@ -123,38 +129,45 @@ class _Row(tuple):
     def __sub__(self, other: "_Row") -> "_Row":
         return _Row(map(sub, self, other))
 
-    def __neg__(self) -> "_Row":
-        return _Row(map(neg, self))
+
+IntRow = tuple[int, ...]
+RowCondition = tuple[IntRow, str]
+
+
+def _condition_row(form: Iterable[int], rel: str) -> RowCondition:
+    """form = 0 or form < 0 as a primitive row, canonical as in `Condition`."""
+    row = _primitive(list(form))
+    if rel == EQ_ZERO and next((v for v in row if v), 0) < 0:
+        row = [-v for v in row]
+    return tuple(row), rel
+
+
+def _form(keys, row) -> LinearForm:
+    """The form with integer coefficients row over keys."""
+    return LinearForm({k: v for k, v in zip(keys, row) if v})
 
 
 def _walk(
     p: PrimitivePoset, d: DimVector
-) -> tuple[list[Condition], list[TraceStep], list[tuple]]:
-    """The descent of `derive_conditions`: its conditions in emission order,
-    its trace steps, and its states, each (d0, dims, branch rows, gamma
-    row, reduced dims) as it stood before its reduction pass.
-
-    Every form along the descent has integer coefficients, so the walk
-    holds them as `_Row`s over p.variable_keys(); a `LinearForm` is built
-    only for an emitted tail and for the terminal equality."""
+) -> tuple[list[RowCondition], list[Finding | tuple[_Row, ...]], list[tuple]]:
+    """The descent of `derive_conditions`, on `_Row`s over p.variable_keys()
+    and without a `LinearForm`: its distinct conditions (`_condition_row`)
+    in emission order, its trace steps but the terminal one, a transform's
+    as its tail rows, and its states, each (d0, dims, branch rows, gamma
+    row, reduced dims) as it stood before its reduction pass."""
     roots = _positive_roots(p.branches)
     if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
         raise NotInEnumeration(
             f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}"
         )
 
-    keys = p.variable_keys()
-
-    def form(row: _Row) -> LinearForm:
-        return LinearForm({k: v for k, v in zip(keys, row) if v})
-
     # the identity weight: one unit row per variable, branch-major, g last
-    units = iter(_Row(int(i == j) for j in range(len(keys))) for i in range(len(keys)))
+    units = iter(_Row(int(i == j) for j in range(p.n + 1)) for i in range(p.n + 1))
     d0, dims = d.d0, d.branches
     forms = tuple(tuple(next(units) for _ in range(k)) for k in p.branches)
     gamma = next(units)
-    steps: list[TraceStep] = []
-    conditions: list[Condition] = []
+    steps: list[Finding | tuple[_Row, ...]] = []
+    conditions: dict[RowCondition, None] = {}
     states: list[tuple] = []
     # at most len(roots) transforms, each followed by a reduction pass
     for _ in range(len(roots) + 1):
@@ -163,10 +176,8 @@ def _walk(
         states.append(state + (dims,))
         steps.extend(findings)
         if not dims:
-            equality = Condition(form(gamma), EQ_ZERO)
-            conditions.append(equality)
-            steps.append(Terminal(equality))
-            return conditions, steps, states
+            conditions[_condition_row(gamma, EQ_ZERO)] = None
+            return list(conditions), steps, states
 
         sub_poset = PrimitivePoset(tuple(len(b) for b in dims))
         state_d = DimVector(d0, dims)
@@ -177,9 +188,9 @@ def _walk(
                 f"downward transform failed at {format_dim_string(state_d)}: {exc}"
             ) from exc
         forms, gamma = _phiminus_forms(forms, gamma)
-        tails = tuple(form(b[-1]) for b in forms)
-        conditions.extend(Condition(-tail, LT_ZERO) for tail in tails)
-        steps.append(ApplyPhiMinus(tails))
+        tails = tuple(b[-1] for b in forms)
+        conditions.update(dict.fromkeys(_condition_row(map(neg, t), LT_ZERO) for t in tails))
+        steps.append(tails)
         d0, dims = next_d.d0, next_d.branches
     raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {len(roots)} steps")
 
@@ -189,25 +200,14 @@ def derive_conditions(
 ) -> tuple[ConditionSet, DerivationTrace]:
     """Exact weight conditions for the indecomposable with dimensions d."""
     conditions, steps, _ = _walk(p, d)
-    return ConditionSet(conditions), DerivationTrace(tuple(steps))
+    keys = p.variable_keys()
+    cs = ConditionSet(Condition(_form(keys, row), rel) for row, rel in conditions)
+    trace = [s if isinstance(s, Finding) else ApplyPhiMinus(tuple(_form(keys, t) for t in s))
+             for s in steps]
+    return cs, DerivationTrace((*trace, Terminal(cs.equalities[0])))  # the one equality
 
 
 # --- the descent compiled to integer rows ---------------------------------
-
-IntRow = tuple[int, ...]
-
-
-def _rows(forms, index: dict[str, int]) -> list[list[int]]:
-    """Rows over the variable index of the forms of conditions, which are
-    canonical and so have integer coefficients.  Built from the sparse
-    coefficients: most of a row is zero."""
-    rows = []
-    for f in forms:
-        row = [0] * len(index)
-        for k, v in f._coeffs.items():
-            row[index[k]] = v.numerator
-        rows.append(row)
-    return rows
 
 
 def _dot(row: IntRow, x: list[int]) -> int:
@@ -247,25 +247,19 @@ class LiftState:
 
 @dataclass(frozen=True, slots=True)
 class Criterion:
-    """The descent of one (poset, d), compiled once: each derived condition
-    as an integer row over keys with its relation, in `ConditionSet` order,
-    and the states the lift walks back up.  Conditions are canonical, so
-    their rows are their integer coefficients."""
+    """The descent of one (poset, d), compiled once: the walk's condition
+    rows over keys with their relations, in `ConditionSet` order, and the
+    states the lift walks back up."""
 
     keys: tuple[str, ...]
-    conditions: tuple[tuple[IntRow, str], ...]
+    conditions: tuple[RowCondition, ...]
     states: tuple[LiftState, ...]
 
-    def violated(self, w: Weight) -> tuple[Condition, ...]:
-        """The conditions that fail at w (which must fit the poset), in order."""
-        x, _ = _integer_point(w)
-        out = []
-        for row, rel in self.conditions:
-            v = _dot(row, x)
-            if (v != 0) if rel == EQ_ZERO else (v >= 0):
-                form = LinearForm({k: c for k, c in zip(self.keys, row) if c})
-                out.append(Condition(form, rel))
-        return tuple(out)
+    def violated(self, x: list[int]) -> tuple[Condition, ...]:
+        """The conditions that fail at the integer point x of a weight that
+        fits the poset (`_integer_point`), in order."""
+        return tuple(Condition(_form(self.keys, row), rel) for row, rel in self.conditions
+                     if (_dot(row, x) != 0 if rel == EQ_ZERO else _dot(row, x) >= 0))
 
 
 def _lift_state(state: tuple, first: bool) -> LiftState:
@@ -286,12 +280,9 @@ def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
     """The descent of (p, d) walked once and compiled to integer rows.
     Holds no `LinearForm`; `cache_clear` empties it."""
     conditions, _, states = _walk(p, d)
-    keys = p.variable_keys()
-    cs = ConditionSet(conditions)
-    rows = _rows([c.form for c in cs], {k: i for i, k in enumerate(keys)})
     return Criterion(
-        tuple(keys),
-        tuple((tuple(r), c.rel) for r, c in zip(rows, cs)),
+        tuple(p.variable_keys()),
+        tuple(conditions),
         tuple(_lift_state(s, k == 0) for k, s in enumerate(states)),
     )
 
@@ -299,47 +290,44 @@ def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
 # --- LP-backed region operations ------------------------------------------
 #
 # A region lives in the open positive orthant of the weights, up to scale.
-# Its LP is stated homogeneously on integer rows: with x = y + s*1, y >= 0,
+# Its LP is stated homogeneously on rows (c, c_g): with x = y + s*1, y >= 0,
 # a strict condition c.x + c_g*g < 0 tightened by the slack s becomes
 # c.y + (sum(c) + 1)*s + c_g*g <= 0, so x_v >= s needs no row of its own,
 # every right-hand side is 0 and the scale is fixed by the one row g = 1.
 
-RegionRow = tuple[list[int], int, int]
 
-
-def _region(var_keys: list[str], c: ConditionSet) -> tuple[list[RegionRow], list[RegionRow]]:
-    """The strict and the equality rows of c, each (c, sum(c), c_g): the
-    condition's integer coefficients over var_keys, their sum and its
-    coefficient of g.  Canonical forms have integer coefficients, so the
-    rows are those coefficients."""
-    index = {k: i for i, k in enumerate(var_keys)}
-    n = index[GAMMA_KEY] = len(var_keys)
-    rows = _rows([q.form for q in c], index)
-    strict: list[RegionRow] = []
-    equal: list[RegionRow] = []
-    for q, r in zip(c, rows):
-        (equal if q.rel == EQ_ZERO else strict).append((r[:n], sum(r[:n]), r[n]))
+def _rows(var_keys: list[str], c: ConditionSet) -> tuple[list[list[int]], list[list[int]]]:
+    """The strict and the equality rows of c over var_keys, then g.
+    Canonical forms have integer coefficients, so the rows are those
+    coefficients, built from the sparse ones: most of a row is zero."""
+    index = {k: i for i, k in enumerate([*var_keys, GAMMA_KEY])}
+    strict, equal = [], []
+    for q in c:
+        row = [0] * len(index)
+        for k, v in q.form._coeffs.items():
+            row[index[k]] = v.numerator
+        (equal if q.rel == EQ_ZERO else strict).append(row)
     return strict, equal
 
 
 def _max_slack(
     n: int,
-    strict: list[RegionRow],
-    equal: list[RegionRow],
-    nonneg: Iterable[RegionRow] = (),
+    strict: Sequence[IntRow],
+    equal: Sequence[IntRow],
+    nonneg: Iterable[IntRow] = (),
 ) -> list[Fraction] | None:
     """Maximise the common slack s of {f + s <= 0 for f in strict, x_v >= s}
     over {f = 0 for f in equal, f >= 0 for f in nonneg, g = 1, x >= 0},
-    with s <= 1, as the LP in (y, s, g) above.
+    with s <= 1, as the LP in (y, s, g) above; n is the number of x_v.
 
     Returns the maximising x when the best slack is positive, which
     certifies a strictly feasible rational point, and None otherwise.
     """
     zeros = [0] * n
-    a_ub = [c + [total + 1, g] for c, total, g in strict]
-    a_ub += [[-v for v in c] + [-total, -g] for c, total, g in nonneg]
+    a_ub = [[*r[:n], sum(r[:n]) + 1, r[n]] for r in strict]
+    a_ub += [[*(-v for v in r[:n]), -sum(r[:n]), -r[n]] for r in nonneg]
     a_ub.append(zeros + [1, -1])  # s <= g
-    a_eq = [c + [total, g] for c, total, g in equal]
+    a_eq = [[*r[:n], sum(r[:n]), r[n]] for r in equal]
     a_eq.append(zeros + [0, 1])  # g = 1
     b_eq = [0] * len(a_eq)
     b_eq[-1] = 1
@@ -358,15 +346,12 @@ def interior_point(c: ConditionSet, p: PrimitivePoset) -> Weight | None:
     """A strictly feasible rational weight with gamma = 1 and maximin slack,
     or None when the region is empty."""
     var_keys = _sorted_var_keys(c.variables() | set(p.variable_keys()))
-    point = _max_slack(len(var_keys), *_region(var_keys, c))
+    point = _max_slack(len(var_keys), *_rows(var_keys, c))
     if point is None:
         return None
     value = dict(zip(var_keys, point))
-    alphas = tuple(
-        tuple(value[alpha_key(j, i)] for i in range(1, k + 1))
-        for j, k in enumerate(p.branches, start=1)
-    )
-    return Weight(alphas, Fraction(1))
+    return Weight(tuple(tuple(value[alpha_key(j, i)] for i in range(1, k + 1))
+                        for j, k in enumerate(p.branches, start=1)), Fraction(1))
 
 
 # --- exact certificates that settle a region question without an LP ------
@@ -379,7 +364,7 @@ def interior_point(c: ConditionSet, p: PrimitivePoset) -> Weight | None:
 # (Clarkson 1994 finds the facets of a polytope by such ray shooting).
 
 
-def _project(row: list[int], basis: list[list[int]]) -> list[int]:
+def _project(row: Sequence[int], basis: list[list[int]]) -> list[int]:
     """A positive multiple of row projected orthogonally off the span of
     basis, whose rows are mutually orthogonal integer rows."""
     for u in basis:
@@ -389,7 +374,7 @@ def _project(row: list[int], basis: list[list[int]]) -> list[int]:
     return list(row)
 
 
-def _orthogonal(rows: list[list[int]]) -> list[list[int]]:
+def _orthogonal(rows: list[Sequence[int]]) -> list[list[int]]:
     """A basis of the span of rows, mutually orthogonal, as integer rows
     (fraction-free Gram-Schmidt)."""
     basis: list[list[int]] = []
@@ -401,32 +386,33 @@ def _orthogonal(rows: list[list[int]]) -> list[list[int]]:
 
 
 def _strictly_inside(
-    x: list[Fraction], strict: list[RegionRow], equal: list[RegionRow] = ()
+    x: list[Fraction], strict: Sequence[IntRow], equal: Sequence[IntRow] = ()
 ) -> bool:
     """Whether x (with g = 1) satisfies every row of strict strictly and
     every row of equal."""
     scale, xs = _scaled(x)
-    return all(_dot(c, xs) + g * scale < 0 for c, _, g in strict) and all(
-        _dot(c, xs) + g * scale == 0 for c, _, g in equal)
+    xs.append(scale)  # g = 1
+    return all(_dot(r, xs) < 0 for r in strict) and all(_dot(r, xs) == 0 for r in equal)
 
 
 def _ray_hits(
-    strict: list[RegionRow], equal: list[RegionRow], z: list[Fraction]
+    strict: Sequence[IntRow], equal: Sequence[IntRow], z: list[Fraction]
 ) -> dict[int, tuple[list[int], Fraction]]:
     """The strict rows that the ray from the interior point z keeps, each
-    as i -> (v, t): v is the ray's integer direction, and z + t*v lies
-    between the hit of row i and the next hit, or at twice the distance
-    of the hit when nothing else is hit."""
+    as i -> (v, t): v is the ray's integer direction (0 at g), and z + t*v
+    lies between the hit of row i and the next hit, or at twice the
+    distance of the hit when nothing else is hit."""
     scale, zs = _scaled(z)
-    basis = _orthogonal([c for c, _, _ in equal])
-    supports = [[(j, v) for j, v in enumerate(c) if v] for c, _, _ in strict]
+    zs.append(scale)  # g = 1
+    basis = _orthogonal([r[:-1] for r in equal])
+    supports = [[(j, v) for j, v in enumerate(r) if v] for r in strict]
     # scale times each row's value at z: negative, as z is interior.  The
     # ray zs + t*v meets row j at t = -at_z[j] / rate[j] when rate[j] > 0,
     # and coordinate k at t = zs[k] / -v[k] when v[k] < 0.
-    at_z = [sum(a * zs[j] for j, a in s) + g * scale for s, (_, _, g) in zip(supports, strict)]
+    at_z = [sum(a * zs[j] for j, a in s) for s in supports]
     hits = {}
-    for i, (c, _, _) in enumerate(strict):
-        v = _project(c, basis)
+    for i, r in enumerate(strict):
+        v = _project(r[:-1], basis) + [0]  # the ray keeps g at 1
         rates = [sum(a * v[j] for j, a in s) for s in supports]
         num, den = -at_z[i], rates[i]
         if den <= 0:
@@ -448,15 +434,15 @@ def _ray_hits(
     return hits
 
 
-def _normal_forms(rows: list[RegionRow], span: list[list[int]], pivots: list[int]) -> list[tuple]:
-    """Each row (c, c_g) reduced modulo the span of the equality rows, given
-    by the rows and pivots of their `_echelon`: a primitive integer row,
-    equal for two rows exactly when one is a positive multiple of the
-    other modulo the span."""
+def _normal_forms(rows: Sequence[IntRow], span: list[list[int]], pivots: list[int]) -> list:
+    """Each row reduced modulo the span of the equality rows, given by the
+    rows and pivots of their `_echelon`: a primitive integer row, equal
+    for two rows exactly when one is a positive multiple of the other
+    modulo the span."""
     supports = [[j for j, v in enumerate(prow) if v] for prow in span]
     out = []
-    for c, _, g in rows:
-        row = _primitive(c + [g])
+    for r in rows:
+        row = _primitive(list(r))
         for prow, col, nz in zip(span, pivots, supports):
             if row[col]:
                 row = _eliminate(row, prow[col], row[col], prow, nz)
@@ -464,19 +450,8 @@ def _normal_forms(rows: list[RegionRow], span: list[list[int]], pivots: list[int
     return out
 
 
-def simplify(c: ConditionSet) -> ConditionSet:
-    """Drop duplicate conditions and inequalities implied by the rest of
-    the system together with base positivity; the region is unchanged.
-
-    An inequality is kept when the rest with the inequality reversed
-    (`_max_slack(rest, [row])`, row >= 0) has a strictly feasible point.
-    A row the ray from the interior point keeps needs no LP.  Any other
-    row first gets that LP over the ray-kept rows alone, which settles it
-    when it is empty or its point strictly satisfies the rest as well."""
-    var_keys = _sorted_var_keys(c.variables())
-    n = len(var_keys)
-    rows, equal = _region(var_keys, c)
-    inequalities = c.inequalities
+def _kept(n: int, rows: Sequence[IntRow], equal: Sequence[IntRow]) -> list[int]:
+    """The indices of the strict rows that `simplify` keeps; n counts the x_v."""
     z = _max_slack(n, rows, equal) if rows else None
     certified = _ray_hits(rows, equal, z) if z is not None else {}
     kept = list(range(len(rows)))
@@ -494,6 +469,21 @@ def simplify(c: ConditionSet) -> ConditionSet:
                 continue
         if _max_slack(n, rest, equal, [rows[i]]) is None:
             kept.remove(i)
+    return kept
+
+
+def simplify(c: ConditionSet) -> ConditionSet:
+    """Drop duplicate conditions and inequalities implied by the rest of
+    the system together with base positivity; the region is unchanged.
+
+    An inequality is kept when the rest with the inequality reversed
+    (`_max_slack(rest, [row])`, row >= 0) has a strictly feasible point.
+    A row the ray from the interior point keeps needs no LP.  Any other
+    row first gets that LP over the ray-kept rows alone, which settles it
+    when it is empty or its point strictly satisfies the rest as well."""
+    var_keys = _sorted_var_keys(c.variables())
+    inequalities = c.inequalities
+    kept = _kept(len(var_keys), *_rows(var_keys, c))
     return ConditionSet([inequalities[j] for j in kept] + list(c.equalities))
 
 
@@ -507,8 +497,8 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     there and needs no LP."""
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
     n = len(var_keys)
-    strict1, equal1 = _region(var_keys, c1)
-    strict2, equal2 = _region(var_keys, c2)
+    strict1, equal1 = _rows(var_keys, c1)
+    strict2, equal2 = _rows(var_keys, c2)
     z1 = _max_slack(n, strict1, equal1)
     nonempty1 = z1 is not None
     if nonempty1 and _strictly_inside(z1, strict2, equal2):
@@ -519,8 +509,8 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
         return True
     if nonempty1 != nonempty2:
         return False
-    span1 = _echelon([c + [g] for c, _, g in equal1])
-    if span1 != _echelon([c + [g] for c, _, g in equal2]):
+    span1 = _echelon(equal1)
+    if span1 != _echelon(equal2):
         return False
     forms1 = _normal_forms(strict1, *span1)
     forms2 = _normal_forms(strict2, *span1)
@@ -550,14 +540,15 @@ def check_weight(p: PrimitivePoset, d: DimVector, w: Weight) -> Verdict:
     necessary trace equality is checked next in O(n) (`_trace_row`); when
     it fails the derivation is skipped entirely.  Otherwise the conditions
     are those of the cached `_criterion`, whose integer rows are evaluated
-    at w scaled to integers.
+    at w scaled to integers, once.
     """
     require_finite_type(p)
     d.require_fits(p)
     w.require_fits(p)
-    if _dot(_trace_row(_integer_point(w)[0]), dim_to_root(d)):
+    x, _ = _integer_point(w)
+    if _dot(_trace_row(x), dim_to_root(d)):
         return Verdict(False, (trace_condition(p, d),))
-    violated = _criterion(p, d).violated(w)
+    violated = _criterion(p, d).violated(x)
     return Verdict(not violated, violated)
 
 
@@ -593,11 +584,14 @@ class Table:
 
 def generate_table(p: PrimitivePoset) -> Table:
     """One row per indecomposable dimension vector, in enumeration order,
-    with its conditions after `simplify`."""
+    with its conditions after `simplify`, which runs on the walk's rows."""
+    keys = p.variable_keys()
     rows = []
     for d in enumerate_indec_dims(p):
-        conditions, _ = derive_conditions(p, d)
-        rows.append(TableRow(d, simplify(conditions)))
+        *strict, equality = _walk(p, d)[0]  # the walk emits one equality, last
+        kept = [strict[j] for j in _kept(p.n, [row for row, _ in strict], [equality[0]])]
+        conditions = (Condition(_form(keys, row), rel) for row, rel in kept + [equality])
+        rows.append(TableRow(d, ConditionSet(conditions)))
     return Table(p, tuple(rows))
 
 

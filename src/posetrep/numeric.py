@@ -109,6 +109,11 @@ class NumericRep:
 def trace_precheck(p: PrimitivePoset, d: DimVector, w: Weight) -> None:
     """Exact O(n) necessary condition `core.trace_condition`:
     sum_i a_i d_i = g d0."""
+    _trace_checked_point(p, d, w)
+
+
+def _trace_checked_point(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[list[int], int]:
+    """`trace_precheck`, then `derive._integer_point(w)`: w scaled once."""
     d.require_fits(p)
     w.require_fits(p)
     x, scale = _integer_point(w)
@@ -116,6 +121,7 @@ def trace_precheck(p: PrimitivePoset, d: DimVector, w: Weight) -> None:
     if off:
         g_d0 = w.gamma * d.d0
         raise TraceObstruction(f"trace obstruction: sum a*d = {g_d0 + off} but g*d0 = {g_d0}")
+    return x, scale
 
 
 def _complement(q: np.ndarray) -> np.ndarray:
@@ -124,8 +130,8 @@ def _complement(q: np.ndarray) -> np.ndarray:
     return full[:, q.shape[1]:]
 
 
-def _projectors(p: PrimitivePoset, d: DimVector, frames: list[np.ndarray],
-                n: int) -> tuple[np.ndarray, ...]:
+def _projectors(p: PrimitivePoset, d: DimVector,
+                frames: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     mats = []
     for j, k in enumerate(p.branches, start=1):
         q = frames[j - 1]
@@ -142,9 +148,11 @@ def _residual(p: PrimitivePoset, w: Weight, projectors, n: int) -> float:
     return float(np.linalg.norm(m))
 
 
-def _lift(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[tuple[np.ndarray, ...], int]:
+def _lift(p: PrimitivePoset, d: DimVector, x: list[int],
+          scale: int) -> tuple[tuple[np.ndarray, ...], int]:
     """Projectors of a witness for the root d at the admissible weight w, and
-    the number of downward transforms undone.
+    the number of downward transforms undone; (x, scale) is
+    `derive._integer_point(w)`.
 
     The states are those of the cached descent (`derive._criterion`),
     walked back up from the empty one.  Column weights and gamma are those
@@ -153,7 +161,6 @@ def _lift(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[tuple[np.ndarray,
     divided once, so each float is the correctly rounded rational.
     """
     states = _criterion(p, d).states
-    x, scale = _integer_point(w)
     frames: list[np.ndarray] = []  # the terminal state: no branches, gamma 0
     for k in reversed(range(len(states))):
         s = states[k]
@@ -169,7 +176,7 @@ def _lift(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[tuple[np.ndarray,
         if k:
             col_w, gamma = _column_weights_exact(s, x, scale, d)
             frames = _unreflect(frames, col_w, gamma, states[k - 1].tops)
-    return _projectors(p, d, frames, d.d0), len(states) - 1
+    return _projectors(p, d, frames), len(states) - 1
 
 
 def _column_weights_exact(s: LiftState, x: list[int], scale: int,
@@ -211,9 +218,9 @@ def _unreflect(frames: list[np.ndarray], col_w: list[np.ndarray], gamma: float,
     return out
 
 
-def _cover(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[DimVector, ...] | None:
+def _cover(p: PrimitivePoset, d: DimVector, x: list[int]) -> tuple[DimVector, ...] | None:
     """Roots, largest first and repeats allowed, that sum to d and at each of
-    which w is admissible, or None.
+    which w is admissible, or None; x is `derive._integer_point(w)[0]`.
 
     d itself is tried first.  Otherwise the candidates are the roots r < d
     with r0 >= 1 on w's trace equality at which w is admissible.  They are
@@ -227,15 +234,15 @@ def _cover(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[DimVector, ...] 
     raise rather than answer."""
     roots = _positive_roots(p.branches)
     whole = dim_to_root(d)
-    if whole in roots and not _criterion(p, d).violated(w):
+    if whole in roots and not _criterion(p, d).violated(x):
         return (d,)
-    trace = _trace_row(_integer_point(w)[0])
+    trace = _trace_row(x)
     candidates = []
     for r in sorted(roots, reverse=True):
         if r == whole or r[0] < 1 or _dot(trace, r) or any(a > b for a, b in zip(r, whole)):
             continue
         part = root_to_dim(p, r)
-        if part.is_admissible(p) and not _criterion(p, part).violated(w):
+        if part.is_admissible(p) and not _criterion(p, part).violated(x):
             candidates.append(r)
     if not candidates:
         return None
@@ -259,7 +266,7 @@ def unitarize(
     if not 0 < success_tol < float("inf"):  # NaN fails too
         raise InvalidBudget(f"success_tol must be finite and positive, got {success_tol}")
     require_finite_type(p)
-    trace_precheck(p, d, w)
+    x, scale = _trace_checked_point(p, d, w)
     if not d.is_admissible(p):
         raise ShapeMismatch(f"dimension vector {format_dim_string(d)} is not chain-monotone")
     require_ambient(d.d0)
@@ -271,16 +278,16 @@ def unitarize(
         return NumericRep(p, d, w, tuple(np.zeros((0, 0), dtype=complex)
                                          for _ in range(p.n)), 0.0, 0, 0, seed)
 
-    parts = _cover(p, d, w)
+    parts = _cover(p, d, x)
     if parts is None:  # d is a root exactly when it violates a condition
         dim, roots = format_dim_string(d), _positive_roots(p.branches)
-        violated = _criterion(p, d).violated(w) if dim_to_root(d) in roots else ()
+        violated = _criterion(p, d).violated(x) if dim_to_root(d) in roots else ()
         reason = (f"the weight violates {len(violated)} derived condition(s) of {dim}"
                   if violated else f"{dim} is not a root of {p.branches}")
         raise NoWitness(f"{reason}, and no sum of roots at which the weight is admissible "
                         f"gives {dim}", violated)
     # the block-diagonal sum of the lifts of the parts, each lifted once
-    lifts = {r: _lift(p, r, w) for r in set(parts)}
+    lifts = {r: _lift(p, r, x, scale) for r in set(parts)}
     projectors = tuple(np.zeros((n, n), dtype=complex) for _ in range(p.n))
     pos = 0
     for r in parts:

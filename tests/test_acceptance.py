@@ -34,7 +34,6 @@ from posetrep.coxeter import NegativeEntry
 from posetrep.derive import (
     check_weight,
     derive_conditions,
-    generate_table,
     interior_point,
     paper_corpus,
 )
@@ -52,11 +51,11 @@ from posetrep.roots import enumerate_indec_dims, is_finite_type, positive_roots,
 FINITE = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1)]
 
 
-@pytest.fixture(scope="module")
-def table421():
-    start = time.monotonic()
-    table = generate_table(make_poset([4, 2, 1]))
-    return table, time.monotonic() - start
+@pytest.fixture
+def table421(five_tables):
+    """The (4,2,1) table and the seconds generate_table took."""
+    table, _, seconds = five_tables[(4, 2, 1)]
+    return table, seconds
 
 
 def test_criterion_1_table_reproduction(verify_report):

@@ -76,6 +76,14 @@ def test_conditions_json_with_trace(capsys):
     assert rels == {"lt0", "eq0"}
 
 
+def test_conditions_simplified_flag_is_gone(capsys):
+    # simplified is the default; the flag that said so had no effect
+    code, out, err = _run(capsys, "conditions", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                          "--simplified")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --simplified" in err
+
+
 def test_conditions_rejects_bad_dim(capsys):
     code, _, err = _run(capsys, "conditions", "--poset", "1,1,1", "--dim", "9;9;9;1")
     assert code == 1 and "error" in err

@@ -46,8 +46,9 @@ from posetrep.derive import (
     _criterion,
     _max_slack,
     _ray_hits,
-    _region,
+    _rows,
     _sorted_var_keys,
+    _walk,
     check_weight,
     derive_conditions,
     generate_table,
@@ -524,23 +525,27 @@ def _equivalence_matching_oracle(c1, c2):
     return verdict
 
 
-def test_region_ops_match_oracle_on_table_rows():
+def test_region_ops_match_oracle_on_table_rows(five_tables):
     verdicts = set()
     for b in _SHAPES:
         p = make_poset(b)
-        for d in enumerate_indec_dims(p):
-            out = _assert_simplify_matches_oracle(p, _derived(p, d))
+        if b in five_tables:
+            rows = five_tables[b].raw.values()
+        else:
+            rows = [_derived(p, d) for d in enumerate_indec_dims(p)]
+        for c in rows:
+            out = _assert_simplify_matches_oracle(p, c)
             verdicts.add(_equivalence_matching_oracle(out, _without_first_inequality(out)))
     assert verdicts == {True, False}
 
 
-def test_region_ops_match_oracle_on_published_rows():
+def test_region_ops_match_oracle_on_published_rows(five_tables):
     rows = 0
     verdicts = set()
     for table in paper_corpus().values():
         p = table.poset
         for row in table.rows:
-            derived = _derived(p, row.dim)
+            derived = five_tables[p.branches].raw[row.dim]
             _assert_simplify_matches_oracle(p, row.conditions)
             assert _equivalence_matching_oracle(derived, row.conditions)
             verdicts.add(_equivalence_matching_oracle(
@@ -592,10 +597,13 @@ _TABLE_SHA256 = {
 _VERIFY_SHA256 = "091dc1092eb49ac8d36733bddc76354260ea31c6a466b4d9a647d54220631b64"
 # The same for two wide (k,1,1) shapes, recorded while simplify ran one LP
 # per inequality: none of their raw inequalities is redundant (16,1,1 keeps
-# all 408), and the ray leaves some of their rows to an LP.
+# all 408), and the ray leaves some of their rows to an LP.  (10,10), a
+# two-chain shape whose rows carry only the trace equality, was recorded
+# while the descent still built a `LinearForm` for every condition.
 _WIDE_TABLE_SHA256 = {
     (8, 1, 1): "140a67d5943b7983281575dcf13ecf5b64d9e10cc81a5d47f7a6ee67d4380788",
     (16, 1, 1): "a33411042074d4be5aeebd42d4691f3e6adfed5b39b6a50a24470a9ad95f7d25",
+    (10, 10): "38ad7021ffba4a8c797cdf3d0521d0e4b25cd486effd5ea10cd876de843c0c67",
 }
 
 
@@ -603,31 +611,26 @@ def _sha256(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-@lru_cache(maxsize=None)
-def _table(branches):
-    return generate_table(make_poset(branches))
-
-
-def test_golden_tables_and_verify_rows(verify_report):
+def test_golden_tables_and_verify_rows(five_tables, verify_report):
     for b in _TABLES:
-        assert _sha256(_table(b).to_json()) == _TABLE_SHA256[b], b
+        assert _sha256(five_tables[b].table.to_json()) == _TABLE_SHA256[b], b
     report, _ = verify_report
     rows = [[list(r.poset), r.dim.to_json(), r.equivalent, r.detail] for r in report.rows]
     assert _sha256(rows) == _VERIFY_SHA256
 
 
 def test_golden_wide_tables():
+    tables = {b: generate_table(make_poset(b)) for b in _WIDE_TABLE_SHA256}
     for b, digest in _WIDE_TABLE_SHA256.items():
-        table = generate_table(make_poset(b))
-        assert _sha256(table.to_json()) == digest, b
-    assert sum(len(r.conditions.inequalities) for r in table.rows) == 408
+        assert _sha256(tables[b].to_json()) == digest, b
+    assert sum(len(r.conditions.inequalities) for r in tables[(16, 1, 1)].rows) == 408
 
 
-def test_interior_point_is_strictly_inside_every_table_row():
+def test_interior_point_is_strictly_inside_every_table_row(five_tables):
     nonempty = 0
     for b in _TABLES:
         p = make_poset(b)
-        for row in _table(b).rows:
+        for row in five_tables[b].table.rows:
             w = interior_point(row.conditions, p)
             if w is None:
                 continue
@@ -651,7 +654,7 @@ def _lp_simplify(c: ConditionSet) -> ConditionSet:
     """Drop duplicate conditions and inequalities implied by the rest of
     the system together with base positivity; the region is unchanged."""
     var_keys = _sorted_var_keys(c.variables())
-    rows, equal = _region(var_keys, c)
+    rows, equal = _rows(var_keys, c)
     inequalities = c.inequalities
     kept = list(range(len(rows)))
     for i in range(len(rows)):
@@ -666,8 +669,8 @@ def _lp_regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     (with gamma normalised to 1) coincide."""
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
     n = len(var_keys)
-    strict1, equal1 = _region(var_keys, c1)
-    strict2, equal2 = _region(var_keys, c2)
+    strict1, equal1 = _rows(var_keys, c1)
+    strict2, equal2 = _rows(var_keys, c2)
     nonempty1 = _max_slack(n, strict1, equal1) is not None
     nonempty2 = _max_slack(n, strict2, equal2) is not None
     if not nonempty1 and not nonempty2:
@@ -778,34 +781,39 @@ def test_region_ops_match_one_lp_per_question_on_wide_rows():
 # --- certificates: the rows the ray keeps, and the LPs they save -----------
 
 
-def _raw_table_rows():
-    for b in _TABLES:
-        p = make_poset(b)
-        for d in enumerate_indec_dims(p):
-            yield _derived(p, d)
+def _raw_table_rows(five_tables):
+    """Each row of the five tables: its raw derived conditions and the row."""
+    for table, raw, _ in five_tables.values():
+        for row in table.rows:
+            yield raw[row.dim], row
 
 
-def test_every_ray_certificate_checks_exactly():
+def test_every_ray_certificate_checks_exactly(five_tables):
     """For each row the ray keeps, rebuild the point just past its hit and
     check it on integers in O(rows * cols), without the simplex: positive,
-    on every equality, outside that row and strictly inside every other."""
+    on every equality, outside that row and strictly inside every other.
+    simplify on the raw conditions gives the generated row."""
     certified = kept = 0
-    for c in _raw_table_rows():
+    for c, row in _raw_table_rows(five_tables):
+        simplified = simplify(c)
+        assert tuple(simplified) == tuple(row.conditions), c
         var_keys = _sorted_var_keys(c.variables())
-        rows, equal = _region(var_keys, c)
+        rows, equal = _rows(var_keys, c)
         z = _max_slack(len(var_keys), rows, equal) if rows else None
         if z is None:
             continue
         hits = _ray_hits(rows, equal, z)
         for i, (v, t) in hits.items():
+            assert v[-1] == 0, c  # the ray keeps g at 1
             x = [a + t * b for a, b in zip(z, v)]
             scale = lcm(*(a.denominator for a in x))
             xs = [int(a * scale) for a in x]
             assert all(a > 0 for a in xs), c
-            assert all(sum(map(mul, e, xs)) + g * scale == 0 for e, _, g in equal), c
-            values = [sum(map(mul, r, xs)) + g * scale for r, _, g in rows]
+            xs.append(scale)  # g = 1
+            assert all(sum(map(mul, e, xs)) == 0 for e in equal), c
+            values = [sum(map(mul, r, xs)) for r in rows]
             assert values[i] > 0 and all(u < 0 for j, u in enumerate(values) if j != i), c
-        out = simplify(c).inequalities
+        out = simplified.inequalities
         assert all(c.inequalities[i] in out for i in hits), c
         certified += len(hits)
         kept += len(out)
@@ -929,13 +937,51 @@ def test_walk_matches_linear_form_oracle():
             assert cs.to_json() == ref.to_json(), (b, d)
             assert [step_to_json(s) for s in trace.steps] == list(map(step_to_json, steps))
 
+            # the walk's rows are the oracle's canonical forms, each
+            # equality's sign included, in ConditionSet order
+            walked, _, _ = _walk(p, d)
+            denom, rows = _oracle_rows([c.form for c in ref], keys)
+            expected = [(tuple(r), c.rel) for r, c in zip(rows, ref)]
+            assert denom == 1 and walked == expected, (b, d)
+            assert all(next(v for v in r if v) > 0 for r, rel in walked if rel == EQ_ZERO)
             compiled = _criterion.__wrapped__(p, d)
-            _, rows = _oracle_rows([c.form for c in ref], keys)
             assert compiled.keys == tuple(keys)
-            assert compiled.conditions == tuple((tuple(r), c.rel) for r, c in zip(rows, ref))
+            assert compiled.conditions == tuple(expected)
             lifted = [_oracle_lift_state(s, keys, k == 0) for k, s in enumerate(states)]
             assert all(state[3] == 1 for state in lifted), (b, d)  # the descent is integral
             assert [(s.d0, s.dims, s.tops, s.columns, s.gamma) for s in compiled.states] == [
                 state[:3] + state[4:] for state in lifted], (b, d)
             roots += 1
     assert roots == 397
+
+
+# --- one integer row per condition: a LinearForm only where one is returned --
+
+
+def _counting_forms(monkeypatch):
+    """A list that grows by one on every LinearForm construction."""
+    made = []
+    init = LinearForm.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearForm, "__init__", counting)
+    return made
+
+
+def test_compiled_descent_builds_no_linear_form(monkeypatch):
+    p = make_poset([4, 2, 1])
+    dims = enumerate_indec_dims(p)
+    made = _counting_forms(monkeypatch)
+    for d in dims:
+        _criterion.__wrapped__(p, d)
+    assert made == []
+
+
+def test_generate_table_builds_one_linear_form_per_condition(monkeypatch):
+    p = make_poset([4, 2, 1])
+    made = _counting_forms(monkeypatch)
+    table = generate_table(p)
+    assert len(made) == sum(len(r.conditions) for r in table.rows) > len(table.rows)

@@ -20,7 +20,13 @@ from posetrep.core import (
     trace_condition,
 )
 from posetrep.coxeter import alpha_to_beta
-from posetrep.derive import Verdict, check_weight, derive_conditions, interior_point
+from posetrep.derive import (
+    Verdict,
+    _integer_point,
+    check_weight,
+    derive_conditions,
+    interior_point,
+)
 from posetrep.numeric import (
     NoConvergence,
     NumericRep,
@@ -209,17 +215,9 @@ def test_unitarize_rejects_inadmissible_dims():
 # --- the exact path: decide, then lift -------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def five_tables():
-    from posetrep.derive import generate_table
-
-    return [generate_table(make_poset(b))
-            for b in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1)]]
-
-
 def test_lift_witnesses_every_table_row(five_tables):
     rows = 0
-    for table in five_tables:
+    for table, _, _ in five_tables.values():
         p = table.poset
         for row in table.rows:
             w = interior_point(row.conditions, p)
@@ -266,7 +264,36 @@ def test_lift_checks_column_weights_exactly():
     p = make_poset([2, 2, 1])
     d = parse_dim_string("0,1;0,1;1;2")
     with pytest.raises(OrbitEscape, match="column weight"):
-        _lift(p, d, parse_weight_string("1,4/3;1,1/3;1/3;1"))  # g < b2 + d fails
+        # g < b2 + d fails
+        _lift(p, d, *_integer_point(parse_weight_string("1,4/3;1,1/3;1/3;1")))
+
+
+def test_weight_scaled_to_integers_once(monkeypatch):
+    """check_weight and unitarize, admissible or rejected, scale the weight
+    to integers once per call."""
+    from posetrep import derive, numeric
+    from posetrep.numeric import NoWitness
+
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return _integer_point(w)
+
+    monkeypatch.setattr(derive, "_integer_point", counting)
+    monkeypatch.setattr(numeric, "_integer_point", counting)
+    p = make_poset([2, 2, 1])
+    d = parse_dim_string("1,2;1,2;2;3")
+    w = parse_weight_string("1,1;1,1;1;8/3")
+    assert check_weight(p, d, w).admissible
+    assert len(calls) == 1
+    calls.clear()
+    unitarize(p, d, w)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NoWitness) as exc:
+        unitarize(p, d, parse_weight_string("1,4;1,1;1;14/3"))
+    assert exc.value.violated and len(calls) == 1
 
 
 def test_two_root_split_gives_decomposable_witness():
@@ -356,7 +383,7 @@ def _check_cover_exhaustively():
                 if not trace:  # gamma would be 0
                     continue
                 w = Weight(alphas, Fraction(trace, d0))
-                parts = _cover(p, d, w)
+                parts = _cover(p, d, _integer_point(w)[0])
                 assert (parts is not None) == _reachable_by_admissible_roots(p, roots, d, w), (d, w)
                 if parts is None:
                     rejected += 1
@@ -399,7 +426,8 @@ def test_admissible_roots_on_a_trace_hyperplane_are_independent():
             on.pop(0, None)
             for gamma, group in on.items():
                 w = Weight(alphas, gamma)
-                admissible = [r for r, criterion in group if not criterion.violated(w)]
+                x, _ = _integer_point(w)
+                admissible = [r for r, criterion in group if not criterion.violated(x)]
                 assert linalg.rank(admissible) == len(admissible), (branches, w, admissible)
                 largest[branches] = max(largest[branches], len(admissible))
     assert largest[(4, 2, 1)] == 7 and largest[(3, 2, 1)] == 6
@@ -415,13 +443,13 @@ def test_dependent_candidates_raise_instead_of_answering(monkeypatch):
 
     p = make_poset([1, 1, 1])
     d = parse_dim_string("2;1;1;3")  # 2 (1;0;0;1) + (0;1;1;1), not a root
-    w = parse_weight_string("1;1/2;1/2;1")
-    assert numeric._cover(p, d, w) == tuple(
+    x, _ = _integer_point(parse_weight_string("1;1/2;1/2;1"))
+    assert numeric._cover(p, d, x) == tuple(
         map(parse_dim_string, ["1;0;0;1", "1;0;0;1", "0;1;1;1"]))
     monkeypatch.setattr(numeric, "_criterion",
-                        lambda p, d: SimpleNamespace(violated=lambda w: ()))
+                        lambda p, d: SimpleNamespace(violated=lambda x: ()))
     with pytest.raises(ValueError, match="full column rank"):
-        numeric._cover(p, d, w)
+        numeric._cover(p, d, x)
 
 
 @st.composite
@@ -541,7 +569,7 @@ def _descend(p: PrimitivePoset, d: DimVector, w: Weight, target: float,
 
     f, frames, it, r = best
     residual = float(np.sqrt(f))
-    rep = NumericRep(p, d, w, _projectors(p, d, frames, n), residual, it, r + 1, seed)
+    rep = NumericRep(p, d, w, _projectors(p, d, frames), residual, it, r + 1, seed)
     if residual > target:
         raise NoConvergence(
             f"best residual {residual:.3e} above tolerance {target:.3e} "
@@ -559,7 +587,7 @@ def test_descent_converges_only_with_a_cover(case):
 
     p, d, w = case
     target = 1e-8 * float(w.gamma) * np.sqrt(d.d0)
-    if numeric._cover(p, d, w) is None:
+    if numeric._cover(p, d, _integer_point(w)[0]) is None:
         with pytest.raises(NoConvergence):
             _descend(p, d, w, target, 1e-12, 300, 2, 0)
         return
@@ -583,13 +611,14 @@ def test_slow_sum_of_roots_decided_exactly():
     # a cover by three roots, two of them equal
     d = parse_dim_string("2,2;2,3;1;3")
     w = parse_weight_string("1/2,1/2;2,3;3;6")
-    assert numeric._cover(p, d, w) == tuple(
+    x, _ = _integer_point(w)
+    assert numeric._cover(p, d, x) == tuple(
         map(parse_dim_string, ["1,1;1,1;0;1", "1,1;1,1;0;1", "0,0;0,1;1;1"]))
     rep = unitarize(p, d, w)
     assert rep.residual <= 1e-8 * 6 * np.sqrt(3) and structure_check(rep, p, d).ok
     assert commutant_dim(rep) >= 3
     # the candidates are independent, so one solve decides a cover of 60 parts
-    assert len(numeric._cover(p, parse_dim_string("40,40;40,60;20;60"), w)) == 60
+    assert len(numeric._cover(p, parse_dim_string("40,40;40,60;20;60"), x)) == 60
     # a repeated part is lifted once, and its lift steps count each time
     p = make_poset([1, 1, 1])
     w = parse_weight_string("1;1;1;3/2")

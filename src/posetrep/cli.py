@@ -111,9 +111,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_conditions(args) -> int:
     p = _poset(args.poset)
     d = _dim(p, args.dim)
-    conditions, trace = derive.derive_conditions(p, d)
-    if not args.raw:
-        conditions = derive.simplify(conditions)
+    if args.raw or args.trace:
+        conditions, trace = derive.derive_conditions(p, d)
+        if not args.raw:
+            conditions = derive.simplify(conditions)
+    else:
+        conditions = derive._table_row(p, d)  # a table's row, with no trace to print
     if args.format == "json":
         out = {
             "poset": p.to_json(),

@@ -294,7 +294,7 @@ class LinearForm:
     orientation.  A form that is already canonical is returned as it is.
     """
 
-    __slots__ = ("_coeffs", "_key")
+    __slots__ = ("_coeffs", "_key", "_hash")
 
     def __init__(self, coeffs: Mapping[str, Fraction] | None = None):
         items = {}
@@ -307,6 +307,17 @@ class LinearForm:
                     items[k] = v
         self._coeffs = items
         self._key = tuple(sorted(items.items(), key=lambda kv: key_order(kv[0])))
+        self._hash = None
+
+    @classmethod
+    def _ordered(cls, items: tuple[tuple[str, Fraction], ...]) -> "LinearForm":
+        """The form of items, valid keys in key order with nonzero Fraction
+        coefficients, built without checking them."""
+        form = cls.__new__(cls)
+        form._coeffs = dict(items)
+        form._key = items
+        form._hash = None
+        return form
 
     @classmethod
     def variable(cls, key: str) -> "LinearForm":
@@ -372,7 +383,9 @@ class LinearForm:
         return isinstance(other, LinearForm) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         if not self._coeffs:

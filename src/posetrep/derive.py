@@ -1,7 +1,7 @@
 """Derivation of the exact weight conditions of an indecomposable
 representation, region simplification/comparison (exact certificates,
-with an LP where none applies), and the condition tables (bundled
-reference corpus plus generated output).
+then one simplex tableau per region for the questions they leave), and
+the condition tables (bundled reference corpus plus generated output).
 
 The derivation walks the representation down to a degenerate one:
 
@@ -143,8 +143,9 @@ def _condition_row(form: Iterable[int], rel: str) -> RowCondition:
 
 
 def _form(keys, row) -> LinearForm:
-    """The form with integer coefficients row over keys."""
-    return LinearForm({k: v for k, v in zip(keys, row) if v})
+    """The form with integer coefficients row over keys, which are valid
+    and in key order (`PrimitivePoset.variable_keys`)."""
+    return LinearForm._ordered(tuple((k, Fraction(v)) for k, v in zip(keys, row) if v))
 
 
 def _walk(
@@ -162,7 +163,8 @@ def _walk(
         )
 
     # the identity weight: one unit row per variable, branch-major, g last
-    units = iter(_Row(int(i == j) for j in range(p.n + 1)) for i in range(p.n + 1))
+    zero = (0,) * p.n
+    units = iter(_Row(zero[:i] + (1,) + zero[i:]) for i in range(p.n + 1))
     d0, dims = d.d0, d.branches
     forms = tuple(tuple(next(units) for _ in range(k)) for k in p.branches)
     gamma = next(units)
@@ -385,13 +387,20 @@ def _orthogonal(rows: list[Sequence[int]]) -> list[list[int]]:
     return basis
 
 
-def _strictly_inside(
-    x: list[Fraction], strict: Sequence[IntRow], equal: Sequence[IntRow] = ()
-) -> bool:
-    """Whether x (with g = 1) satisfies every row of strict strictly and
-    every row of equal."""
+def _homogeneous(x: Sequence[Fraction]) -> list[int]:
+    """The point x with g = 1, times the lcm of its denominators, as
+    integers with g last: each row's value there has the sign of its
+    value at x."""
     scale, xs = _scaled(x)
-    xs.append(scale)  # g = 1
+    xs.append(scale)
+    return xs
+
+
+def _strictly_inside(
+    xs: list[int], strict: Sequence[IntRow], equal: Sequence[IntRow] = ()
+) -> bool:
+    """Whether the point of `_homogeneous` xs satisfies every row of strict
+    strictly and every row of equal."""
     return all(_dot(r, xs) < 0 for r in strict) and all(_dot(r, xs) == 0 for r in equal)
 
 
@@ -402,8 +411,8 @@ def _ray_hits(
     as i -> (v, t): v is the ray's integer direction (0 at g), and z + t*v
     lies between the hit of row i and the next hit, or at twice the
     distance of the hit when nothing else is hit."""
-    scale, zs = _scaled(z)
-    zs.append(scale)  # g = 1
+    zs = _homogeneous(z)
+    scale = zs[-1]
     basis = _orthogonal([r[:-1] for r in equal])
     supports = [[(j, v) for j, v in enumerate(r) if v] for r in strict]
     # scale times each row's value at z: negative, as z is interior.  The
@@ -450,24 +459,70 @@ def _normal_forms(rows: Sequence[IntRow], span: list[list[int]], pivots: list[in
     return out
 
 
+def _maxima(
+    n: int, objectives: Sequence[IntRow], strict: Sequence[IntRow], equal: Sequence[IntRow]
+) -> list[lp.LpResult]:
+    """The maximum of each objective row over the closure of a nonempty
+    region, {f <= 0 for f in strict, f = 0 for f in equal, x >= 0, g = 1},
+    from one tableau; n is the number of x_v.
+
+    Let z be a strictly feasible point of the region at which the row r is
+    negative.  The region implies r < 0 exactly when the maximum of r is
+    finite and at most 0: if r vanished at a point of the open region, r
+    would be positive just past it on the line from z.  A positive or
+    unbounded maximum is met near points of the region itself."""
+    b_eq = [0] * (len(equal) + 1)
+    b_eq[-1] = 1
+    results = lp.maximize_each(objectives, strict, [0] * len(strict),
+                               [*equal, (0,) * n + (1,)], b_eq)
+    if results and results[0].status == lp.INFEASIBLE:
+        raise lp.LpError("the closure of a nonempty region is empty")
+    return results
+
+
+def _implied(res: lp.LpResult) -> bool:
+    """Whether a maximum of `_maxima` shows its row implied."""
+    return res.status == lp.OPTIMAL and res.value <= 0
+
+
+def _past_root(zs: list[int], p: Sequence[Fraction], row: IntRow) -> list[int]:
+    """The point z + t*(p - z), with t halfway between the root of row and
+    1, as `_homogeneous` integers; zs is z's.  Row is negative at z and
+    positive at p, a maximiser with g = 1 last, so the point violates row
+    and strictly satisfies every row that z satisfies strictly and p
+    satisfies.  With a = row.zs and b = row.ps for ps the `_homogeneous`
+    p, it is b*ps[-1]*zs + (b*zs[-1] - 2*a*ps[-1])*ps up to a positive
+    factor."""
+    ps = _homogeneous(p[:-1])
+    a, b = _dot(row, zs), _dot(row, ps)
+    u, v = b * ps[-1], b * zs[-1] - 2 * a * ps[-1]
+    return [u * y + v * x for y, x in zip(zs, ps)]
+
+
 def _kept(n: int, rows: Sequence[IntRow], equal: Sequence[IntRow]) -> list[int]:
     """The indices of the strict rows that `simplify` keeps; n counts the x_v."""
     z = _max_slack(n, rows, equal) if rows else None
     certified = _ray_hits(rows, equal, z) if z is not None else {}
+    open_rows = [i for i in range(len(rows)) if i not in certified]
+    maxima = {}
+    if z is not None:
+        zs = _homogeneous(z)
+        # one tableau over the ray-kept rows, a subset of every rest below
+        maxima = dict(zip(open_rows, _maxima(
+            n, [rows[i] for i in open_rows], [rows[j] for j in certified], equal)))
     kept = list(range(len(rows)))
-    for i in range(len(rows)):
-        if i in certified:
-            continue
+    for i in open_rows:
         rest = [rows[j] for j in kept if j != i]
-        if z is not None:
-            # the ray-kept rows are a subset of the rest
-            point = _max_slack(n, [rows[j] for j in certified], equal, [rows[i]])
-            if point is None:
-                kept.remove(i)
-                continue
-            if _strictly_inside(point, rest):
-                continue
-        if _max_slack(n, rest, equal, [rows[i]]) is None:
+        top = maxima.get(i)
+        if top is None:  # no interior point
+            implied = _max_slack(n, rest, equal, [rows[i]]) is None
+        elif _implied(top):
+            implied = True
+        elif top.x is not None and _strictly_inside(_past_root(zs, top.x, rows[i]), rest):
+            implied = False
+        else:
+            implied = _implied(_maxima(n, [rows[i]], rest, equal)[0])
+        if implied:
             kept.remove(i)
     return kept
 
@@ -476,11 +531,14 @@ def simplify(c: ConditionSet) -> ConditionSet:
     """Drop duplicate conditions and inequalities implied by the rest of
     the system together with base positivity; the region is unchanged.
 
-    An inequality is kept when the rest with the inequality reversed
-    (`_max_slack(rest, [row])`, row >= 0) has a strictly feasible point.
-    A row the ray from the interior point keeps needs no LP.  Any other
-    row first gets that LP over the ray-kept rows alone, which settles it
-    when it is empty or its point strictly satisfies the rest as well."""
+    An inequality is kept when the rest with the inequality reversed has a
+    strictly feasible point.  A row the ray from the interior point z keeps
+    needs no LP.  The other rows get their maxima over the closure of the
+    ray-kept rows from one tableau (`_maxima`): a maximum at most 0 drops
+    the row, and a maximiser p keeps it when the point past the row's root
+    on the segment from z to p (`_past_root`) strictly satisfies the rest.
+    Only a row neither settles gets its maximum over the rest.  An empty
+    region keeps a rest LP per row (`_max_slack(rest, [row])`, row >= 0)."""
     var_keys = _sorted_var_keys(c.variables())
     inequalities = c.inequalities
     kept = _kept(len(var_keys), *_rows(var_keys, c))
@@ -494,14 +552,18 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     The first region's interior point, when it lies inside the second,
     shows the second nonempty.  Once the equality spans agree, a strict row
     whose normal form modulo the span the other side holds is implied
-    there and needs no LP."""
+    there and needs no LP.  The other rows of a side get their maxima over
+    the other side's rows from one tableau (`_maxima`).  Its criterion
+    needs no interior point here: both regions are nonempty in one affine
+    span, so a row negative on one of them is not constant on that span,
+    and a maximum at most 0 over the other shows it negative there too."""
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
     n = len(var_keys)
     strict1, equal1 = _rows(var_keys, c1)
     strict2, equal2 = _rows(var_keys, c2)
     z1 = _max_slack(n, strict1, equal1)
     nonempty1 = z1 is not None
-    if nonempty1 and _strictly_inside(z1, strict2, equal2):
+    if nonempty1 and _strictly_inside(_homogeneous(z1), strict2, equal2):
         nonempty2 = True
     else:
         nonempty2 = _max_slack(n, strict2, equal2) is not None
@@ -514,12 +576,11 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
         return False
     forms1 = _normal_forms(strict1, *span1)
     forms2 = _normal_forms(strict2, *span1)
-    held1, held2 = set(forms1), set(forms2)
-    for row, form in zip(strict1, forms1):
-        if form not in held2 and _max_slack(n, strict2, equal2, [row]) is not None:
-            return False
-    for row, form in zip(strict2, forms2):
-        if form not in held1 and _max_slack(n, strict1, equal1, [row]) is not None:
+    # one tableau per side for the rows the other side does not hold
+    for rows, forms, strict, equal, held in ((strict1, forms1, strict2, equal2, set(forms2)),
+                                            (strict2, forms2, strict1, equal1, set(forms1))):
+        open_rows = [row for row, form in zip(rows, forms) if form not in held]
+        if not all(map(_implied, _maxima(n, open_rows, strict, equal))):
             return False
     return True
 
@@ -582,17 +643,20 @@ class Table:
         return cls(poset, rows)
 
 
+def _table_row(p: PrimitivePoset, d: DimVector) -> ConditionSet:
+    """The conditions of d after `simplify`, which runs on the walk's rows:
+    `simplify(derive_conditions(p, d)[0])` without a `LinearForm` for a
+    dropped row or for the trace."""
+    *strict, equality = _walk(p, d)[0]  # the walk emits one equality, last
+    kept = [strict[j] for j in _kept(p.n, [row for row, _ in strict], [equality[0]])]
+    keys = p.variable_keys()
+    return ConditionSet(Condition(_form(keys, row), rel) for row, rel in kept + [equality])
+
+
 def generate_table(p: PrimitivePoset) -> Table:
     """One row per indecomposable dimension vector, in enumeration order,
-    with its conditions after `simplify`, which runs on the walk's rows."""
-    keys = p.variable_keys()
-    rows = []
-    for d in enumerate_indec_dims(p):
-        *strict, equality = _walk(p, d)[0]  # the walk emits one equality, last
-        kept = [strict[j] for j in _kept(p.n, [row for row, _ in strict], [equality[0]])]
-        conditions = (Condition(_form(keys, row), rel) for row, rel in kept + [equality])
-        rows.append(TableRow(d, ConditionSet(conditions)))
-    return Table(p, tuple(rows))
+    with its conditions after `simplify` (`_table_row`)."""
+    return Table(p, tuple(TableRow(d, _table_row(p, d)) for d in enumerate_indec_dims(p)))
 
 
 ENV_CORPUS = "POSETREP_CORPUS"

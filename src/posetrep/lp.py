@@ -14,6 +14,11 @@ read back as ``Fraction(rhs, coefficient)``.  A pivot touches only the
 rows with a nonzero entry in the pivot column and, in each, only the
 nonzero columns of the pivot row.  The row scaling and the elimination
 step are those of the echelon kernel in `linalg`.
+
+`maximize_each` answers several objectives over the same rows from one
+tableau: phase 1 runs once, and each phase 2 starts from the basis the
+previous objective left, which every pivot keeps feasible.  `solve_lp`
+is its one-objective case.
 """
 
 from __future__ import annotations
@@ -78,14 +83,16 @@ def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> str:
         _pivot(tab, basis, best_row, col)
 
 
-def solve_lp(
-    c: Sequence[Fraction | int],
-    a_ub: Sequence[Sequence[Fraction | int]] = (),
-    b_ub: Sequence[Fraction | int] = (),
-    a_eq: Sequence[Sequence[Fraction | int]] = (),
-    b_eq: Sequence[Fraction | int] = (),
-) -> LpResult:
-    n = len(c)
+def _phase1(
+    n: int,
+    a_ub: Sequence[Sequence[Fraction | int]],
+    b_ub: Sequence[Fraction | int],
+    a_eq: Sequence[Sequence[Fraction | int]],
+    b_eq: Sequence[Fraction | int],
+) -> tuple[list[list[int]], list[int], int, int] | None:
+    """The tableau of the rows over n structural columns with a feasible
+    basis, the number of structural and slack columns and the number of
+    all columns; None when the rows are infeasible."""
     # each row with its right-hand side appended, and whether it is <=
     rows: list[tuple[list[Fraction | int], bool]] = []
     for row, b in zip(a_ub, b_ub):
@@ -136,9 +143,8 @@ def solve_lp(
         tab.append(_primitive(obj))
         if _run_simplex(tab, basis, total) != OPTIMAL:
             raise LpError("phase 1 of the simplex is bounded, yet it reported unbounded")
-        if tab[-1][-1] != 0:
-            return LpResult(INFEASIBLE, None, None)
-        tab.pop()
+        if tab.pop()[-1] != 0:
+            return None
         # Drive leftover artificials out of the basis.
         for r in range(len(tab)):
             if basis[r] >= ncols:
@@ -146,7 +152,15 @@ def solve_lp(
                 if col is None:
                     continue  # redundant row, harmless to keep
                 _pivot(tab, basis, r, col)
+    return tab, basis, ncols, total
 
+
+def _phase2(
+    tab: list[list[int]], basis: list[int], ncols: int, total: int,
+    c: Sequence[Fraction | int],
+) -> LpResult:
+    """Maximise c.x from the feasible basis, which it leaves feasible."""
+    n = len(c)
     _, ints = _scaled(_rationals(c))
     obj_int = _primitive(ints + [0] * (total - n + 1))
     for r in range(len(tab)):
@@ -156,11 +170,40 @@ def solve_lp(
                                  [j for j, v in enumerate(row) if v])
     tab.append(obj_int)
     status = _run_simplex(tab, basis, ncols)
+    tab.pop()
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
     x = [Fraction(0)] * n
     for r, bcol in enumerate(basis):
         if bcol < n:
             x[bcol] = Fraction(tab[r][-1], tab[r][bcol])
-    value = sum((ci * xi for ci, xi in zip(c, x) if ci), Fraction(0))
+    value = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), Fraction(0))
     return LpResult(OPTIMAL, value, tuple(x))
+
+
+def maximize_each(
+    objectives: Sequence[Sequence[Fraction | int]],
+    a_ub: Sequence[Sequence[Fraction | int]] = (),
+    b_ub: Sequence[Fraction | int] = (),
+    a_eq: Sequence[Sequence[Fraction | int]] = (),
+    b_eq: Sequence[Fraction | int] = (),
+) -> list[LpResult]:
+    """`solve_lp` for each objective over the same rows, in order, from one
+    tableau.  An optimal objective's x is a maximiser, not necessarily the
+    vertex `solve_lp` would return."""
+    if not objectives:
+        return []
+    start = _phase1(len(objectives[0]), a_ub, b_ub, a_eq, b_eq)
+    if start is None:
+        return [LpResult(INFEASIBLE, None, None)] * len(objectives)
+    return [_phase2(*start, c) for c in objectives]
+
+
+def solve_lp(
+    c: Sequence[Fraction | int],
+    a_ub: Sequence[Sequence[Fraction | int]] = (),
+    b_ub: Sequence[Fraction | int] = (),
+    a_eq: Sequence[Sequence[Fraction | int]] = (),
+    b_eq: Sequence[Fraction | int] = (),
+) -> LpResult:
+    return maximize_each([c], a_ub, b_ub, a_eq, b_eq)[0]

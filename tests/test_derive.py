@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetrep import lp
+from posetrep.cli import main
 from posetrep.core import (
     EQ_ZERO,
     GAMMA_KEY,
@@ -27,6 +28,7 @@ from posetrep.core import (
     _reduce,
     alpha_key,
     classify_degeneracy,
+    format_dim_string,
     make_poset,
     parse_condition_text,
     parse_dim_string,
@@ -44,7 +46,10 @@ from posetrep.derive import (
     TraceStep,
     Verdict,
     _criterion,
+    _homogeneous,
     _max_slack,
+    _maxima,
+    _past_root,
     _ray_hits,
     _rows,
     _sorted_var_keys,
@@ -820,22 +825,76 @@ def test_every_ray_certificate_checks_exactly(five_tables):
     assert (certified, kept) == (516, 518)
 
 
+def test_past_root_points_check_exactly(five_tables):
+    """For each row the ray leaves open whose maximum over the ray-kept
+    rows is positive, the point past its root is positive, meets every
+    equality, violates the row and strictly satisfies every ray-kept row,
+    checked on integers without the simplex.  The rows of (8,1,1) whose
+    rays tie supply most of these points."""
+    wide = make_poset([8, 1, 1])
+    raw = [c for c, _ in _raw_table_rows(five_tables)]
+    points = 0
+    for c in raw + [_derived(wide, d) for d in enumerate_indec_dims(wide)]:
+        var_keys = _sorted_var_keys(c.variables())
+        n = len(var_keys)
+        rows, equal = _rows(var_keys, c)
+        z = _max_slack(n, rows, equal) if rows else None
+        if z is None:
+            continue
+        kept = [rows[j] for j in _ray_hits(rows, equal, z)]
+        open_rows = [r for r in rows if r not in kept]
+        for row, res in zip(open_rows, _maxima(n, open_rows, kept, equal)):
+            if res.status != lp.OPTIMAL or res.value <= 0:
+                continue
+            q = _past_root(_homogeneous(z), res.x, row)
+            assert all(v > 0 for v in q), c
+            assert all(sum(map(mul, e, q)) == 0 for e in equal), c
+            assert sum(map(mul, row, q)) > 0, c
+            assert all(sum(map(mul, r, q)) < 0 for r in kept), c
+            points += 1
+    assert points == 8  # 3 of them in the five tables
+
+
+def _counting_simplex(monkeypatch) -> dict[str, int]:
+    """Counts that grow with every simplex tableau built (`lp._phase1`)
+    and every pivot made (`lp._pivot`), phase 1 and phase 2 alike."""
+    counts = {"tableaus": 0, "pivots": 0}
+    phase1, pivot = lp._phase1, lp._pivot
+
+    def counting_phase1(*args):
+        counts["tableaus"] += 1
+        return phase1(*args)
+
+    def counting_pivot(*args):
+        counts["pivots"] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_phase1", counting_phase1)
+    monkeypatch.setattr(lp, "_pivot", counting_pivot)
+    return counts
+
+
 def test_region_lp_count(monkeypatch):
-    """Region LPs for the five tables plus verify_tables: 849 + 577 = 1,426
-    with one LP per question, fewer once the certificates settle most."""
-    calls = []
-    solve = lp.solve_lp
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "solve_lp", counting)
+    """Simplex work for the five tables plus verify_tables.  One LP per
+    question took 849 + 577 = 1,426 tableaus; the certificates left 454 +
+    153 tableaus with 4,269 + 945 pivots; one tableau per region for all
+    implied-row questions leaves 180 + 123 with 2,162 + 657."""
+    counts = _counting_simplex(monkeypatch)
     for b in _TABLES:
         generate_table(make_poset(b))
-    tables = len(calls)
+    tables = dict(counts)
     assert verify_tables().all_ok
-    assert (tables, len(calls) - tables) == (454, 153)
+    assert (tables["tableaus"], counts["tableaus"] - tables["tableaus"]) == (180, 123)
+    assert (tables["pivots"], counts["pivots"] - tables["pivots"]) == (2162, 657)
+
+
+def test_wide_table_simplex_work_is_bounded(monkeypatch):
+    """The rows of (16,1,1) whose ray ties pay one tableau each, never a
+    second one over the rest: no more tableaus and pivots than one LP per
+    uncertified row took (201 and 1,140)."""
+    counts = _counting_simplex(monkeypatch)
+    generate_table(make_poset([16, 1, 1]))
+    assert counts["tableaus"] <= 201 and counts["pivots"] <= 1140
 
 
 # --- oracle: the descent as walked on LinearForms ---------------------------
@@ -959,15 +1018,21 @@ def test_walk_matches_linear_form_oracle():
 
 
 def _counting_forms(monkeypatch):
-    """A list that grows by one on every LinearForm construction."""
+    """A list that grows by one on every LinearForm construction, checked
+    (`__init__`) or ordered (`_ordered`)."""
     made = []
-    init = LinearForm.__init__
+    init, ordered = LinearForm.__init__, LinearForm._ordered.__func__
 
     def counting(self, *args, **kwargs):
         made.append(None)
         init(self, *args, **kwargs)
 
+    def counting_ordered(cls, items):
+        made.append(None)
+        return ordered(cls, items)
+
     monkeypatch.setattr(LinearForm, "__init__", counting)
+    monkeypatch.setattr(LinearForm, "_ordered", classmethod(counting_ordered))
     return made
 
 
@@ -985,3 +1050,16 @@ def test_generate_table_builds_one_linear_form_per_condition(monkeypatch):
     made = _counting_forms(monkeypatch)
     table = generate_table(p)
     assert len(made) == sum(len(r.conditions) for r in table.rows) > len(table.rows)
+
+
+def test_conditions_command_prints_the_table_row(monkeypatch, capsys, five_tables):
+    """`conditions` without --raw or --trace prints the table's row and
+    builds one LinearForm per printed condition."""
+    table = five_tables[(4, 2, 1)].table
+    made = _counting_forms(monkeypatch)
+    for row in table.rows:
+        del made[:]
+        argv = ["conditions", "--poset", "4,2,1", "--dim", format_dim_string(row.dim)]
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["conditions"] == row.conditions.to_json()
+        assert len(made) == len(row.conditions)

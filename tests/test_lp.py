@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import mul
 from fractions import Fraction
 from fractions import Fraction as Q
 from typing import Sequence
@@ -198,34 +199,82 @@ def test_redundant_equalities():
     assert res.status == lp.OPTIMAL and res.value == 2
 
 
+def _random_instance(rng: random.Random):
+    """(c, A_ub, b_ub, A_eq, b_eq): up to 4 variables, 4 <= rows with
+    nonnegative right-hand sides and at most one = row."""
+    nvars = rng.randint(1, 4)
+    nub = rng.randint(1, 4)
+    neq = rng.randint(0, 1)
+    c = [Q(rng.randint(-4, 4)) for _ in range(nvars)]
+    a_ub = [[Q(rng.randint(-3, 3)) for _ in range(nvars)] for _ in range(nub)]
+    b_ub = [Q(rng.randint(0, 6)) for _ in range(nub)]
+    a_eq = [[Q(rng.randint(-2, 2)) for _ in range(nvars)] for _ in range(neq)]
+    b_eq = [Q(rng.randint(0, 3)) for _ in range(neq)]
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def _assert_matches_scipy(res, c, a_ub, b_ub, a_eq, b_eq, options=None):
+    ref = scipy.optimize.linprog(
+        [-float(x) for x in c],
+        A_ub=np.array(a_ub, dtype=float),
+        b_ub=np.array(b_ub, dtype=float),
+        A_eq=np.array(a_eq, dtype=float) if a_eq else None,
+        b_eq=np.array(b_eq, dtype=float) if a_eq else None,
+        bounds=[(0, None)] * len(c),
+        method="highs",
+        options=options,
+    )
+    if res.status == lp.OPTIMAL:
+        assert ref.status == 0, (res, ref)
+        assert abs(float(res.value) + ref.fun) < 1e-7
+    elif res.status == lp.INFEASIBLE:
+        assert ref.status == 2
+    else:
+        assert ref.status == 3
+
+
 def test_random_instances_match_scipy():
     rng = random.Random(7)
     for _ in range(60):
-        nvars = rng.randint(1, 4)
-        nub = rng.randint(1, 4)
-        neq = rng.randint(0, 1)
-        c = [Q(rng.randint(-4, 4)) for _ in range(nvars)]
-        a_ub = [[Q(rng.randint(-3, 3)) for _ in range(nvars)] for _ in range(nub)]
-        b_ub = [Q(rng.randint(0, 6)) for _ in range(nub)]
-        a_eq = [[Q(rng.randint(-2, 2)) for _ in range(nvars)] for _ in range(neq)]
-        b_eq = [Q(rng.randint(0, 3)) for _ in range(neq)]
-        mine = lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-        ref = scipy.optimize.linprog(
-            [-float(x) for x in c],
-            A_ub=np.array(a_ub, dtype=float),
-            b_ub=np.array(b_ub, dtype=float),
-            A_eq=np.array(a_eq, dtype=float) if neq else None,
-            b_eq=np.array(b_eq, dtype=float) if neq else None,
-            bounds=[(0, None)] * nvars,
-            method="highs",
-        )
-        if mine.status == lp.OPTIMAL:
-            assert ref.status == 0, (mine, ref)
-            assert abs(float(mine.value) + ref.fun) < 1e-7
-        elif mine.status == lp.INFEASIBLE:
-            assert ref.status == 2
-        else:
-            assert ref.status == 3
+        instance = _random_instance(rng)
+        _assert_matches_scipy(lp.solve_lp(*instance), *instance)
+
+
+def test_maximize_each_matches_scipy_and_solve_lp():
+    """Several objectives over each of the draws above, from one tableau.
+    Every answer is scipy's and a separate solve_lp's; each maximiser is
+    feasible and attains its value, also after an unbounded objective has
+    left the basis where its ray starts."""
+    rng = random.Random(7)
+    after_unbounded = 0
+    for _ in range(60):
+        c, a_ub, b_ub, a_eq, b_eq = _random_instance(rng)
+        objectives = [c] + [[Q(rng.randint(-4, 4)) for _ in c] for _ in range(4)]
+        results = lp.maximize_each(objectives, a_ub, b_ub, a_eq, b_eq)
+        assert len(results) == len(objectives)
+        for k, (obj, res) in enumerate(zip(objectives, results)):
+            # HiGHS's presolve calls some of these unbounded problems
+            # infeasible, although x = 0 is feasible for them
+            _assert_matches_scipy(res, obj, a_ub, b_ub, a_eq, b_eq, {"presolve": False})
+            alone = lp.solve_lp(obj, a_ub, b_ub, a_eq, b_eq)
+            assert (res.status, res.value) == (alone.status, alone.value)
+            if res.status != lp.OPTIMAL:
+                continue
+            x = res.x
+            assert all(v >= 0 for v in x)
+            assert all(sum(map(mul, row, x)) <= b for row, b in zip(a_ub, b_ub))
+            assert all(sum(map(mul, row, x)) == b for row, b in zip(a_eq, b_eq))
+            assert sum(map(mul, obj, x)) == res.value
+            after_unbounded += any(r.status == lp.UNBOUNDED for r in results[:k])
+    assert after_unbounded >= 20
+
+
+def test_maximize_each_infeasible_and_empty():
+    a_ub, b_ub = [[Q(1)], [Q(-1)]], [Q(-2), Q(1)]  # x <= -2 and x >= -1
+    results = lp.maximize_each([[Q(1)], [Q(-1)], [Q(0)]], a_ub, b_ub)
+    assert [r.status for r in results] == [lp.INFEASIBLE] * 3
+    assert lp.solve_lp([Q(1)], a_ub, b_ub) == results[0]
+    assert lp.maximize_each([], a_ub, b_ub) == []
 
 
 def test_feasible_point_satisfies_constraints():

@@ -6,10 +6,12 @@ is immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
 
 Variable keys for linear forms are ``"a.j.i"`` for the weight entry of
-element i on branch j (both 1-based) and ``"g"`` for the scalar on the
+element i on branch j (both 1-based, ASCII decimal without leading zeros,
+so each variable has one spelling) and ``"g"`` for the scalar on the
 right-hand side of the projection relation.  The fixed key order is branch
 ascending, index ascending, then ``"g"``; canonical printing and
-canonicalisation both use it.
+canonicalisation both use it.  A form's integer row is canonicalised by
+`linalg._primitive_row`, the one rule the descent's rows follow too.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from operator import index
 from typing import Iterable, Iterator, Mapping
+
+from .linalg import _primitive_row
 
 
 class PosetRepError(Exception):
@@ -57,7 +60,7 @@ def require_ambient(n: int) -> None:
 
 GAMMA_KEY = "g"
 
-_ALPHA_KEY_RE = re.compile(r"^a\.(\d+)\.(\d+)$")
+_ALPHA_KEY_RE = re.compile(r"a\.([1-9][0-9]*)\.([1-9][0-9]*)")
 
 
 def alpha_key(branch: int, index: int) -> str:
@@ -70,7 +73,7 @@ def key_order(key: str) -> tuple[int, int, int]:
     """Sort tuple implementing the fixed variable order (branches, then g)."""
     if key == GAMMA_KEY:
         return (1, 0, 0)
-    m = _ALPHA_KEY_RE.match(key)
+    m = _ALPHA_KEY_RE.fullmatch(key)
     if m is None:
         raise ValueError(f"unknown variable key {key!r}")
     return (0, int(m.group(1)), int(m.group(2)))
@@ -247,7 +250,10 @@ class Weight:
         if key == GAMMA_KEY:
             return self.gamma
         _, j, i = key_order(key)
-        return self.alphas[j - 1][i - 1]
+        try:
+            return self.alphas[j - 1][i - 1]
+        except IndexError:  # j, i >= 1, so only past the end
+            raise ShapeMismatch(f"variable {key} outside the weight's shape") from None
 
     def scaled(self, c) -> "Weight":
         c = Fraction(c)
@@ -288,13 +294,15 @@ class LinearForm:
     """Exact linear form over the weight variables.
 
     Immutable; supports +, -, scalar *, and exact evaluation at a Weight.
-    `canonicalized` clears denominators and divides by the integer gcd;
-    sign normalisation (first nonzero coefficient positive in key order) is
-    applied only when requested, because inequality forms must keep their
-    orientation.  A form that is already canonical is returned as it is.
+    The nonzero coefficients are stored once, as (key, Fraction) pairs in
+    key order.  `canonicalized` is the primitive integer multiple of the
+    coefficients (`linalg._primitive_row`); sign normalisation (first
+    nonzero coefficient positive in key order) is applied only when
+    requested, because inequality forms must keep their orientation.  A
+    form that is already canonical is returned as it is.
     """
 
-    __slots__ = ("_coeffs", "_key", "_hash")
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, coeffs: Mapping[str, Fraction] | None = None):
         items = {}
@@ -305,8 +313,7 @@ class LinearForm:
                 if v != 0:
                     key_order(k)  # validates
                     items[k] = v
-        self._coeffs = items
-        self._key = tuple(sorted(items.items(), key=lambda kv: key_order(kv[0])))
+        self._items = tuple(sorted(items.items(), key=lambda kv: key_order(kv[0])))
         self._hash = None
 
     @classmethod
@@ -314,8 +321,7 @@ class LinearForm:
         """The form of items, valid keys in key order with nonzero Fraction
         coefficients, built without checking them."""
         form = cls.__new__(cls)
-        form._coeffs = dict(items)
-        form._key = items
+        form._items = items
         form._hash = None
         return form
 
@@ -325,20 +331,20 @@ class LinearForm:
 
     @property
     def coeffs(self) -> dict[str, Fraction]:
-        return dict(self._coeffs)
+        return dict(self._items)
 
     def coeff(self, key: str) -> Fraction:
-        return self._coeffs.get(key, Fraction(0))
+        return next((v for k, v in self._items if k == key), Fraction(0))
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._items
 
     def variables(self) -> set[str]:
-        return set(self._coeffs)
+        return {k for k, _ in self._items}
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
+        out = dict(self._items)
+        for k, v in other._items:
             out[k] = out.get(k, Fraction(0)) + v
         return LinearForm(out)
 
@@ -346,55 +352,41 @@ class LinearForm:
         return self + (-other)
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm({k: -v for k, v in self._coeffs.items()})
+        return LinearForm({k: -v for k, v in self._items})
 
     def __mul__(self, c) -> "LinearForm":
         c = Fraction(c)
-        return LinearForm({k: v * c for k, v in self._coeffs.items()})
+        return LinearForm({k: v * c for k, v in self._items})
 
     __rmul__ = __mul__
 
     def evaluate(self, w: Weight) -> Fraction:
-        return sum((v * w.value(k) for k, v in self._coeffs.items()), Fraction(0))
+        return sum((v * w.value(k) for k, v in self._items), Fraction(0))
 
     def canonicalized(self, sign_normalize: bool = False) -> "LinearForm":
-        if not self._coeffs:
+        values = [v for _, v in self._items]
+        row = _primitive_row(values, sign_normalize)
+        if row is values:
             return self
-        values = self._coeffs.values()
-        if (all(v.denominator == 1 for v in values)
-                and gcd(*(v.numerator for v in values)) == 1
-                and not (sign_normalize and self._key[0][1] < 0)):
-            return self
-        denom_lcm = 1
-        for v in self._coeffs.values():
-            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-        ints = {k: v * denom_lcm for k, v in self._coeffs.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v.numerator))
-        out = {k: v / g for k, v in ints.items()}
-        if sign_normalize:
-            first = min(out, key=key_order)
-            if out[first] < 0:
-                out = {k: -v for k, v in out.items()}
-        return LinearForm(out)
+        return LinearForm._ordered(
+            tuple((k, Fraction(v)) for (k, _), v in zip(self._items, row)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self._key == other._key
+        return isinstance(other, LinearForm) and self._items == other._items
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key)
+            self._hash = hash(self._items)
         return self._hash
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._items:
             return "LinearForm(0)"
-        parts = [f"{v}*{k}" for k, v in self._key]
+        parts = [f"{v}*{k}" for k, v in self._items]
         return "LinearForm(" + " + ".join(parts) + ")"
 
     def to_json(self) -> dict:
-        return {k: str(v) for k, v in self._key}
+        return {k: str(v) for k, v in self._items}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LinearForm":
@@ -657,7 +649,7 @@ def render_condition(cond: Condition, p: PrimitivePoset, style: str = "text") ->
     """Table-style rendering: positive terms on the left, negated negative
     terms on the right, so ``g - b - d < 0`` prints as "γ<β+δ"."""
     pos, neg = [], []
-    for key, c in sorted(cond.form.coeffs.items(), key=lambda kv: key_order(kv[0])):
+    for key, c in cond.form._items:
         (pos if c > 0 else neg).append((key, abs(c)))
     rel = "=" if cond.rel == EQ_ZERO else "<"
     return _render_side(pos, p, style) + rel + _render_side(neg, p, style)
@@ -697,7 +689,7 @@ def _parse_side(side: str, p: PrimitivePoset) -> LinearForm:
                 except ValueError:
                     raise ShapeMismatch(f"unknown variable letter {letter!r}") from None
                 i = int(idx) if idx else 1
-                if j > p.width or i > p.branches[j - 1]:
+                if j > p.width or not 1 <= i <= p.branches[j - 1]:
                     raise ShapeMismatch(f"variable {chunk!r} outside poset {p.branches}")
                 key = alpha_key(j, i)
             total = total + LinearForm({key: sign * coef})

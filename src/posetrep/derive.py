@@ -29,9 +29,10 @@ so it is never emitted, and reductions emit no inequalities at all.
 
 A condition is one row from the walk to the LP: primitive integers over
 `PrimitivePoset.variable_keys()` (gamma last), an equality's first nonzero
-one positive, as `core.Condition` canonicalises.  The walk dedups these
-rows; `_form` builds a `LinearForm` only for what is returned, and `_rows`
-turns a public region operation's `ConditionSet`s into rows once.
+one positive: `linalg._primitive_row`, the rule by which `core.Condition`
+canonicalises its form.  The walk dedups these rows; `_form` builds a
+`LinearForm` only for what is returned, and `_rows` turns a public region
+operation's `ConditionSet`s into rows once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
@@ -58,15 +59,15 @@ from .core import (
     LinearForm,
     PosetRepError,
     PrimitivePoset,
+    ShapeMismatch,
     Weight,
     _reduce,
-    alpha_key,
     format_dim_string,
     key_order,
     trace_condition,
 )
 from .coxeter import NegativeEntry, _phiminus_forms, fminus_dim
-from .linalg import _echelon, _eliminate, _primitive, _scaled
+from .linalg import _echelon, _eliminate, _primitive, _primitive_row, _scaled
 from .roots import _positive_roots, dim_to_root, enumerate_indec_dims, require_finite_type
 
 
@@ -136,10 +137,7 @@ RowCondition = tuple[IntRow, str]
 
 def _condition_row(form: Iterable[int], rel: str) -> RowCondition:
     """form = 0 or form < 0 as a primitive row, canonical as in `Condition`."""
-    row = _primitive(list(form))
-    if rel == EQ_ZERO and next((v for v in row if v), 0) < 0:
-        row = [-v for v in row]
-    return tuple(row), rel
+    return tuple(_primitive_row(list(form), rel == EQ_ZERO)), rel
 
 
 def _form(keys, row) -> LinearForm:
@@ -306,7 +304,7 @@ def _rows(var_keys: list[str], c: ConditionSet) -> tuple[list[list[int]], list[l
     strict, equal = [], []
     for q in c:
         row = [0] * len(index)
-        for k, v in q.form._coeffs.items():
+        for k, v in q.form._items:
             row[index[k]] = v.numerator
         (equal if q.rel == EQ_ZERO else strict).append(row)
     return strict, equal
@@ -345,15 +343,18 @@ def _sorted_var_keys(cs_vars: set[str]) -> list[str]:
 
 
 def interior_point(c: ConditionSet, p: PrimitivePoset) -> Weight | None:
-    """A strictly feasible rational weight with gamma = 1 and maximin slack,
-    or None when the region is empty."""
-    var_keys = _sorted_var_keys(c.variables() | set(p.variable_keys()))
-    point = _max_slack(len(var_keys), *_rows(var_keys, c))
+    """A strictly feasible rational weight of p with gamma = 1 and maximin
+    slack, or None when the region is empty.  Raises ShapeMismatch when c
+    has a variable outside p."""
+    keys = p.variable_keys()
+    outside = sorted(c.variables() - set(keys), key=key_order)
+    if outside:
+        raise ShapeMismatch(f"variables {outside} outside poset {p.branches}")
+    point = _max_slack(p.n, *_rows(keys[:-1], c))
     if point is None:
         return None
-    value = dict(zip(var_keys, point))
-    return Weight(tuple(tuple(value[alpha_key(j, i)] for i in range(1, k + 1))
-                        for j, k in enumerate(p.branches, start=1)), Fraction(1))
+    entries = iter(point)
+    return Weight(tuple(tuple(islice(entries, k)) for k in p.branches), Fraction(1))
 
 
 # --- exact certificates that settle a region question without an LP ------

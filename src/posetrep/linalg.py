@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of ints and `fractions.Fraction`s.  Every
-elimination runs on integer rows (fraction-free, in the spirit of Bareiss
-1968): a row is scaled once by the lcm of its denominators and held as a
-primitive integer vector, a positive multiple of the rational row, divided
-by the gcd of its entries after every update.  `_echelon` inserts the rows
-one at a time into a reduced basis and stops early once the basis has full
-column rank.  A positive row scale changes neither the pivots nor the
-reduced row echelon form, which is read back exactly as
-``Fraction(v, pivot)``.  `det` runs Bareiss's elimination with exact
-division.  The simplex in `lp` shares the row scaling and the elimination
+Matrices are lists of rows of ints and `fractions.Fraction`s.  This is
+the one module that turns rationals into integer rows and eliminates them
+(fraction-free, in the spirit of Bareiss 1968): a row is scaled once by the
+lcm of its denominators (`_scaled`) and held as a primitive integer vector
+(`_primitive`), a positive multiple of the rational row, divided by the
+gcd of its entries after every update.  `_echelon` is the one elimination:
+it inserts the rows one at a time into a reduced basis and stops early
+once the basis has full column rank.  A positive row scale changes neither
+the pivots nor the reduced row echelon form, which is read back exactly as
+``Fraction(v, pivot)``; a square matrix is invertible exactly when its
+`rank` is full.  `_primitive_row` is the canonical integer row of a
+condition, shared by `core.LinearForm.canonicalized` and the descent in
+`derive`.  The simplex in `lp` shares the row scaling and the elimination
 step.
 """
 
@@ -37,10 +40,26 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """(d, d*values) for d the lcm of the denominators of values."""
-    den = lcm(*{v.denominator for v in values if type(v) is not int})
+    rationals = [v for v in values if type(v) is not int]
+    if not rationals:  # all ints, as the rows of the descent and the LP are
+        return 1, list(values)
+    den = lcm(*{v.denominator for v in rationals})
     if den == 1:
         return 1, [v if type(v) is int else v.numerator for v in values]
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _primitive_row(values: Sequence[Fraction | int],
+                   positive_first: bool = False) -> Sequence[Fraction | int]:
+    """The primitive integer multiple of the rational row values: the
+    positive one, or, when positive_first, the one whose first nonzero
+    entry is positive.  values itself when it is that row already, else a
+    new list of ints."""
+    den, ints = _scaled(values)
+    row = _primitive(ints)
+    if positive_first and next((v for v in row if v), 0) < 0:
+        return [-v for v in row]
+    return values if den == 1 and row is ints else row
 
 
 def _rationals(values: Sequence) -> list[Fraction | int]:
@@ -177,38 +196,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         for k in range(ncb):
             x[c][k] = Fraction(row[nc + k], row[c])
     return x
-
-
-def det(m: Matrix) -> Fraction:
-    """Determinant by Bareiss's fraction-free elimination on the rows
-    scaled to integers by the lcms of their denominators."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in m):
-        raise ValueError("det requires a square matrix")
-    a = []
-    scale = 1
-    for row in m:
-        den, ints = _scaled(_rationals(row))
-        a.append(ints)
-        scale *= den
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        rk = a[k]
-        p = rk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            f = ri[k]
-            a[i] = [0] * (k + 1) + [(ri[j] * p - f * rk[j]) // prev for j in range(k + 1, n)]
-        prev = p
-    return Fraction(sign * prev, scale)
 
 
 def column_span_contains(basis: Matrix, vectors: Matrix) -> bool:

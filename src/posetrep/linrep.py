@@ -16,8 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
-from operator import index
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -243,9 +242,10 @@ def is_brick(rep: SubspaceRep) -> bool:
 
 def _integer_basis(basis: list[Matrix]) -> list[list[list[int]]]:
     """The basis matrices times one common denominator, as ints."""
-    den = lcm(*{x.denominator for m in basis for row in m for x in row})
-    return [[[x.numerator * (den // x.denominator) for x in row] for row in m]
-            for m in basis]
+    nr, nc = linalg.shape(basis[0])
+    _, flat = linalg._scaled([x for m in basis for row in m for x in row])
+    rows = [flat[k : k + nc] for k in range(0, len(flat), nc)]
+    return [rows[k : k + nr] for k in range(0, len(rows), nr)]
 
 
 def _combination(coeffs: Sequence[int], mats: list[list[list[int]]]) -> list[list[int]]:
@@ -268,18 +268,16 @@ def _random_end_element(basis: list[list[list[int]]], rng: random.Random) -> lis
 
 
 def _is_nilpotent(m: list[list[int]]) -> bool:
-    """Whether m**n = 0.  Each power is divided by the gcd of its entries:
-    a positive multiple of a power is zero exactly when the power is."""
-    n = len(m)
+    """Whether m**n = 0.  Each row of each power is divided by the gcd of
+    its entries (`linalg._primitive`) before the next product.  That scales
+    the power by a positive diagonal matrix on the left, which every later
+    product keeps there, so the last power is zero exactly when m**n is."""
     cols = list(zip(*m))
     power = m
-    for _ in range(n):
-        g = gcd(*(x for row in power for x in row))
-        if g == 0:
-            return True
-        power = [[sum(x * y for x, y in zip(row, col)) // g for col in cols]
-                 for row in power]
-    return not any(x for row in power for x in row)
+    for _ in range(len(m)):
+        power = [[sum(map(mul, row, col)) for col in cols]
+                 for row in map(linalg._primitive, power)]
+    return not any(map(any, power))
 
 
 def is_indecomposable(rep: SubspaceRep, seed: int = 0, rounds: int = 16) -> bool:
@@ -315,12 +313,12 @@ def are_isomorphic(r1: SubspaceRep, r2: SubspaceRep, seed: int = 0,
                    trials: int = 32) -> bool:
     """Polynomial-identity test for an invertible intertwiner.
 
-    det(sum x_i C_i) over a Hom basis {C_i} is evaluated at `trials`
-    random integer points drawn from a sample set of size 10**6; a nonzero
-    determinant certifies an isomorphism, and surviving all trials bounds
-    the false-negative probability by (ambient/10**6)**trials.  The C_i
-    are scaled by one common denominator, which leaves every determinant's
-    zero set unchanged.
+    det(sum x_i C_i) over a Hom basis {C_i} is tested at `trials` random
+    integer points drawn from a sample set of size 10**6; a nonzero
+    determinant, which is a full `linalg.rank`, certifies an isomorphism,
+    and surviving all trials bounds the false-negative probability by
+    (ambient/10**6)**trials.  The C_i are scaled by one common
+    denominator, which leaves every determinant's zero set unchanged.
     """
     if r1.poset != r2.poset:
         raise PosetMismatch(f"{r1.poset.branches} vs {r2.poset.branches}")
@@ -335,7 +333,7 @@ def are_isomorphic(r1: SubspaceRep, r2: SubspaceRep, seed: int = 0,
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [rng.randint(1, 10**6) for _ in basis]
-        if linalg.det(_combination(coeffs, ints)) != 0:
+        if linalg.rank(_combination(coeffs, ints)) == r1.ambient:
             return True
     return False
 

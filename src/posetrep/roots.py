@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch
 
@@ -23,6 +23,13 @@ IntVector = tuple[int, ...]
 # n vertices has O(n^2) positive roots and the closure does O(n^2) work per
 # root, so this keeps every enumeration to about a second.
 MAX_ELEMENTS = 64
+
+# Most posets whose roots stay cached: twice the 16 shapes one round of
+# one-shot queries over every finite-type family touches.  An entry holds
+# up to 3.0 MB (the 4,160 roots of (1,1,62)); the cache full of the largest
+# shapes holds 61 MB (tracemalloc), where an unbounded one grew with every
+# shape visited.
+MAX_CACHED_POSETS = 32
 
 
 class FiniteTypeRequired(PosetRepError):
@@ -110,7 +117,7 @@ def _reflection_closure(g: StarGraph) -> frozenset[IntVector]:
     return frozenset(roots)
 
 
-@cache
+@lru_cache(maxsize=MAX_CACHED_POSETS)
 def _positive_roots(branches: tuple[int, ...]) -> frozenset[IntVector]:
     p = PrimitivePoset(branches)
     require_finite_type(p)

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
+
 import posetrep
 from posetrep.cli import main
 from posetrep.core import make_poset, parse_dim_string
@@ -380,6 +382,21 @@ def test_verify_tables_detects_mismatch(tmp_path, capsys):
     code, out, _ = _run(capsys, "verify-tables", "--corpus", str(path))
     assert code == 2
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("key", ["a.0.1", "a.1.0", "a.01.1"])
+def test_verify_tables_corpus_key_spelling(tmp_path, capsys, key):
+    """A second spelling of a variable key is a malformed corpus (exit 1),
+    not a region that differs."""
+    table = paper_corpus()[(1, 1, 1)].to_json()
+    coeffs = next(c["coeffs"] for r in table["rows"] for c in r["conditions"]
+                  if "a.1.1" in c["coeffs"])
+    coeffs[key] = coeffs.pop("a.1.1")
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"tables": [table]}))
+    code, out, err = _run(capsys, "verify-tables", "--corpus", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: malformed corpus: unknown variable key {key!r}\n"
 
 
 def test_rep_checks(tmp_path, capsys):

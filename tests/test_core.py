@@ -167,12 +167,13 @@ def _oracle_canonicalized(f: LinearForm, sign_normalize: bool = False) -> Linear
     """The general path of LinearForm.canonicalized, which once served
     every form: clear denominators, divide by the gcd, and flip the sign
     when asked and the first coefficient in key order is negative."""
-    if not f._coeffs:
+    coeffs = f.coeffs
+    if not coeffs:
         return f
     denom_lcm = 1
-    for v in f._coeffs.values():
+    for v in coeffs.values():
         denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = {k: v * denom_lcm for k, v in f._coeffs.items()}
+    ints = {k: v * denom_lcm for k, v in coeffs.items()}
     g = 0
     for v in ints.values():
         g = gcd(g, abs(v.numerator))
@@ -204,10 +205,12 @@ def test_canonicalized_matches_general_path(f, sign_normalize):
     out = f.canonicalized(sign_normalize)
     ref = _oracle_canonicalized(f, sign_normalize)
     assert out == ref and out.to_json() == ref.to_json()
-    values = list(f.coeffs.values())
+    coeffs = f.coeffs
+    values = list(coeffs.values())
+    first = coeffs[min(coeffs, key=key_order)] if coeffs else 0
     canonical = (all(v.denominator == 1 for v in values)
                  and gcd(*(int(v) for v in values)) == 1
-                 and not (sign_normalize and f._key[0][1] < 0))
+                 and not (sign_normalize and first < 0))
     # an integer form with gcd 1 and no sign flip due is returned as it is
     assert (out is f) == (canonical or f.is_zero())
 
@@ -306,3 +309,27 @@ def test_weight_from_json_bounds_numerals():
     with pytest.raises(ShapeMismatch, match="longer than 4300"):
         Weight.from_json({"alphas": [["1"]], "gamma": "3" * 4301})
     assert time.monotonic() - start < 0.1
+
+
+# one spelling per variable: a second spelling of a.j.i would be a second
+# column for the same weight entry, and branch or index 0 would read
+# alphas[-1]
+@pytest.mark.parametrize("key", ["a.0.1", "a.1.0", "a.01.1", "a.1.01", "a.١.1", "a.1.1\n"])
+def test_variable_key_has_one_spelling(key):
+    with pytest.raises(ValueError, match="unknown variable key"):
+        LinearForm.from_json({key: "1", "g": "-1"})
+
+
+def test_condition_text_index_zero():
+    with pytest.raises(ShapeMismatch, match="outside poset"):
+        parse_condition_text("b0<g", make_poset([1, 2]))
+
+
+def test_weight_value_outside_its_shape():
+    w = parse_weight_string("1;1,2;3")
+    assert w.value("a.2.2") == 2 and w.value(GAMMA_KEY) == 3
+    for key in ("a.1.2", "a.3.1"):
+        with pytest.raises(ShapeMismatch, match="outside the weight's shape"):
+            w.value(key)
+        with pytest.raises(ShapeMismatch):
+            Condition(LinearForm({key: 1, GAMMA_KEY: -1}), LT_ZERO).holds_at(w)

@@ -23,6 +23,7 @@ from posetrep.core import (
     LinearForm,
     PosetRepError,
     PrimitivePoset,
+    ShapeMismatch,
     SymbolicWeight,
     Weight,
     _reduce,
@@ -45,7 +46,9 @@ from posetrep.derive import (
     Terminal,
     TraceStep,
     Verdict,
+    _condition_row,
     _criterion,
+    _form,
     _homogeneous,
     _max_slack,
     _maxima,
@@ -1063,3 +1066,29 @@ def test_conditions_command_prints_the_table_row(monkeypatch, capsys, five_table
         assert main([*argv, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["conditions"] == row.conditions.to_json()
         assert len(made) == len(row.conditions)
+
+
+def test_interior_point_refuses_variables_outside_the_poset():
+    p = make_poset([1, 1])
+    outside = ConditionSet([Condition(LinearForm({"a.3.1": 1, GAMMA_KEY: -1}), LT_ZERO)])
+    with pytest.raises(ShapeMismatch, match=r"\['a.3.1'\] outside poset \(1, 1\)"):
+        interior_point(outside, p)
+    inside = _conds(p, "a<g", "b<g")
+    w = interior_point(inside, p)
+    assert w is not None and inside.holds_at(w) and w.fits(p)
+
+
+# --- one canonical row: LinearForm and the walk share linalg._primitive_row --
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(-12, 12), st.builds(Fraction, st.integers(-12, 12),
+                                                           st.integers(1, 6))),
+                min_size=5, max_size=5),
+       st.sampled_from([1, -1, 2, -6, Fraction(1, 3)]), st.booleans())
+def test_canonicalized_is_the_walk_row_rule(values, factor, sign_normalize):
+    keys = make_poset([2, 1, 1]).variable_keys()
+    row = [factor * v for v in values]
+    form = LinearForm(dict(zip(keys, row)))
+    walked, _ = _condition_row(row, EQ_ZERO if sign_normalize else LT_ZERO)
+    assert form.canonicalized(sign_normalize) == _form(keys, walked)

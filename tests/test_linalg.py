@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from posetrep import linalg
 # The elimination linalg ran before it moved to primitive integer rows,
 # kept verbatim.  The reduced row echelon form depends only on the row
 # space, so the integer kernel must return the same matrix, pivots,
-# nullspace basis, solution and determinant.  The oracle takes Fraction
+# nullspace basis and solution, and a full rank exactly where the
+# determinant is nonzero.  The oracle takes Fraction
 # matrices only (on an int pivot, 1 / a[r][c] is a float); the kernel takes
 # ints as well and must not tell them from equal Fractions.
 
@@ -202,10 +205,12 @@ def test_solve_matches_oracle(data):
 
 @_SETTINGS
 @given(_matrices(square=True))
-def test_det_matches_oracle(m):
-    got = linalg.det(m)
-    assert got == _fraction_det(m) and type(got) is Fraction
-    assert linalg.det(_with_ints(m)) == got
+def test_full_rank_matches_oracle_det(m):
+    """A square matrix is invertible exactly when its rank is full, the
+    test `linrep.are_isomorphic` makes; singular draws included."""
+    invertible = _fraction_det(m) != 0
+    assert (linalg.rank(m) == len(m)) == invertible
+    assert (linalg.rank(_with_ints(m)) == len(m)) == invertible
 
 
 def test_edge_cases():
@@ -214,9 +219,6 @@ def test_edge_cases():
     assert linalg.nullspace([[0, 0, 0]]) == _oracle_nullspace([[Q(0)] * 3], 3)
     assert linalg.nullspace([], ncols=2) == [[1, 0], [0, 1]]
     assert linalg.nullspace([[]]) == []
-    assert linalg.det([]) == 1 and linalg.det([[Q(-3, 4)]]) == Q(-3, 4)
-    with pytest.raises(ValueError, match="square"):
-        linalg.det([[1, 2]])
     # a tall matrix of full column rank: the rows after the first two are
     # never reduced
     tall = [[Q(0), Q(-2)], [Q(1, 3), Q(5)]] + [[Q(7), Q(11)]] * 5
@@ -225,3 +227,22 @@ def test_edge_cases():
     rhs = [[Q(1)], [Q(2)]]
     assert linalg.solve(tall[:2], rhs) == _oracle_solve(tall[:2], rhs)[0]
     assert linalg.solve([[1], [1]], [[1], [2]]) is None
+
+
+def test_only_linalg_imports_gcd_or_lcm():
+    """linalg is the one module that scales rationals to integer rows and
+    makes them primitive; no other module of the package has its own gcd
+    or lcm from math."""
+    users = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math":
+                names = {node.attr}
+            else:
+                continue
+            if names & {"gcd", "lcm"}:
+                users.add(path.stem)
+    assert users == {"linalg"}

@@ -138,7 +138,7 @@ def test_hom_space_examples():
     for r in (f2, nonbrick_alpha(2)):
         n = r.ambient
         m = [[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        while linalg.det(m) == 0:
+        while linalg.rank(m) < n:
             m = [[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         conj = make_rep(r.poset, n, [linalg.matmul(m, r.basis(e)) for e in range(r.poset.n)])
         assert end_dim(conj) == end_dim(r)

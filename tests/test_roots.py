@@ -7,6 +7,7 @@ import pytest
 
 from posetrep.core import make_poset, parse_dim_string
 from posetrep.roots import (
+    MAX_CACHED_POSETS,
     FiniteTypeRequired,
     PosetTooLarge,
     _positive_roots,
@@ -130,6 +131,21 @@ def test_require_finite_type_order_and_no_roots():
     with pytest.raises(FiniteTypeRequired, match=r"^poset \(40, 30, 1\) has infinite type$"):
         require_finite_type(make_poset([40, 30, 1]))
     assert _positive_roots.cache_info() == before
+
+
+def test_root_cache_is_bounded():
+    """The cache holds at most MAX_CACHED_POSETS shapes, at least the 16
+    that one round of one-shot queries touches, and keeps the most recent."""
+    assert _positive_roots.cache_info().maxsize == MAX_CACHED_POSETS >= 16
+    chains = [(k,) for k in range(1, MAX_CACHED_POSETS + 2)]
+    for b in chains:
+        _positive_roots(b)
+    assert _positive_roots.cache_info().currsize == MAX_CACHED_POSETS
+    hits = _positive_roots.cache_info().hits
+    _positive_roots(chains[-1])
+    assert _positive_roots.cache_info().hits == hits + 1
+    _positive_roots.cache_clear()
+    assert _positive_roots.cache_info().currsize == 0
 
 
 def test_is_finite_type():

@@ -1,9 +1,9 @@
 """Exact value types: primitive posets, dimension vectors, weights,
 linear forms and weight conditions.
 
-All arithmetic in this module is exact (`fractions.Fraction`); every value
-is immutable after construction and every operation is a pure function, so
-everything here is safe to share across threads.
+All arithmetic in this module is exact (ints and `fractions.Fraction`s);
+every value is immutable after construction and every operation is a pure
+function, so everything here is safe to share across threads.
 
 Variable keys for linear forms are ``"a.j.i"`` for the weight entry of
 element i on branch j (both 1-based, ASCII decimal without leading zeros,
@@ -290,16 +290,29 @@ def format_weight_string(w: Weight) -> str:
     return ";".join(",".join(str(a) for a in b) for b in w.alphas) + f";{w.gamma}"
 
 
+def _exact(v) -> int | Fraction:
+    """The number v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class LinearForm:
     """Exact linear form over the weight variables.
 
     Immutable; supports +, -, scalar *, and exact evaluation at a Weight.
-    The nonzero coefficients are stored once, as (key, Fraction) pairs in
-    key order.  `canonicalized` is the primitive integer multiple of the
-    coefficients (`linalg._primitive_row`); sign normalisation (first
-    nonzero coefficient positive in key order) is applied only when
-    requested, because inequality forms must keep their orientation.  A
-    form that is already canonical is returned as it is.
+    The nonzero coefficients are stored once, as (key, coefficient) pairs
+    in key order, each coefficient an int when it is integral and a
+    Fraction otherwise (`_exact`): the two compare and hash alike, so
+    equality, hashing and printing do not depend on the storage, and
+    `coeffs`, `coeff` and `evaluate` return Fractions.  `canonicalized` is
+    the primitive integer multiple of the coefficients
+    (`linalg._primitive_row`); sign normalisation (first nonzero
+    coefficient positive in key order) is applied only when requested,
+    because inequality forms must keep their orientation.  A form that is
+    already canonical is returned as it is.
     """
 
     __slots__ = ("_items", "_hash")
@@ -308,8 +321,7 @@ class LinearForm:
         items = {}
         if coeffs:
             for k, v in coeffs.items():
-                if type(v) is not Fraction:
-                    v = Fraction(v)
+                v = _exact(v)
                 if v != 0:
                     key_order(k)  # validates
                     items[k] = v
@@ -317,9 +329,10 @@ class LinearForm:
         self._hash = None
 
     @classmethod
-    def _ordered(cls, items: tuple[tuple[str, Fraction], ...]) -> "LinearForm":
-        """The form of items, valid keys in key order with nonzero Fraction
-        coefficients, built without checking them."""
+    def _ordered(cls, items: tuple[tuple[str, int | Fraction], ...]) -> "LinearForm":
+        """The form of items, valid keys in key order with nonzero
+        coefficients stored as `_exact` stores them, built without checking
+        them."""
         form = cls.__new__(cls)
         form._items = items
         form._hash = None
@@ -327,14 +340,14 @@ class LinearForm:
 
     @classmethod
     def variable(cls, key: str) -> "LinearForm":
-        return cls({key: Fraction(1)})
+        return cls({key: 1})
 
     @property
     def coeffs(self) -> dict[str, Fraction]:
-        return dict(self._items)
+        return {k: Fraction(v) for k, v in self._items}
 
     def coeff(self, key: str) -> Fraction:
-        return next((v for k, v in self._items if k == key), Fraction(0))
+        return Fraction(next((v for k, v in self._items if k == key), 0))
 
     def is_zero(self) -> bool:
         return not self._items
@@ -345,7 +358,7 @@ class LinearForm:
     def __add__(self, other: "LinearForm") -> "LinearForm":
         out = dict(self._items)
         for k, v in other._items:
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return LinearForm(out)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
@@ -368,8 +381,7 @@ class LinearForm:
         row = _primitive_row(values, sign_normalize)
         if row is values:
             return self
-        return LinearForm._ordered(
-            tuple((k, Fraction(v)) for (k, _), v in zip(self._items, row)))
+        return LinearForm._ordered(tuple((k, v) for (k, _), v in zip(self._items, row)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearForm) and self._items == other._items
@@ -601,9 +613,9 @@ def trace_condition(p: PrimitivePoset, d: DimVector) -> Condition:
     """Necessary equality sum_i d_i a_i - d0 g = 0 (take traces of the
     projection relation)."""
     d.require_fits(p)
-    coeffs: dict[str, Fraction] = {GAMMA_KEY: Fraction(-d.d0)}
+    coeffs = {GAMMA_KEY: -d.d0}
     for j, i in p.elements():
-        coeffs[alpha_key(j, i)] = Fraction(d.entry(j, i))
+        coeffs[alpha_key(j, i)] = d.entry(j, i)
     return Condition(LinearForm(coeffs), EQ_ZERO)
 
 
@@ -635,7 +647,7 @@ def _var_name(key: str, p: PrimitivePoset, style: str) -> str:
     return name + str(i)
 
 
-def _render_side(terms: list[tuple[str, Fraction]], p: PrimitivePoset, style: str) -> str:
+def _render_side(terms: list[tuple[str, int | Fraction]], p: PrimitivePoset, style: str) -> str:
     if not terms:
         return "0"
     parts = []

@@ -143,7 +143,7 @@ def _condition_row(form: Iterable[int], rel: str) -> RowCondition:
 def _form(keys, row) -> LinearForm:
     """The form with integer coefficients row over keys, which are valid
     and in key order (`PrimitivePoset.variable_keys`)."""
-    return LinearForm._ordered(tuple((k, Fraction(v)) for k, v in zip(keys, row) if v))
+    return LinearForm._ordered(tuple((k, v) for k, v in zip(keys, row) if v))
 
 
 def _walk(
@@ -298,14 +298,14 @@ def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
 
 def _rows(var_keys: list[str], c: ConditionSet) -> tuple[list[list[int]], list[list[int]]]:
     """The strict and the equality rows of c over var_keys, then g.
-    Canonical forms have integer coefficients, so the rows are those
-    coefficients, built from the sparse ones: most of a row is zero."""
+    Canonical forms store integer coefficients as ints, so the rows are
+    those coefficients, built from the sparse ones: most of a row is zero."""
     index = {k: i for i, k in enumerate([*var_keys, GAMMA_KEY])}
     strict, equal = [], []
     for q in c:
         row = [0] * len(index)
         for k, v in q.form._items:
-            row[index[k]] = v.numerator
+            row[index[k]] = v
         (equal if q.rel == EQ_ZERO else strict).append(row)
     return strict, equal
 
@@ -550,18 +550,30 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     """Whether the two solution sets inside the open positive orthant
     (with gamma normalised to 1) coincide.
 
-    The first region's interior point, when it lies inside the second,
-    shows the second nonempty.  Once the equality spans agree, a strict row
-    whose normal form modulo the span the other side holds is implied
-    there and needs no LP.  The other rows of a side get their maxima over
-    the other side's rows from one tableau (`_maxima`).  Its criterion
-    needs no interior point here: both regions are nonempty in one affine
-    span, so a row negative on one of them is not constant on that span,
-    and a maximum at most 0 over the other shows it negative there too."""
+    A strict row's sign on the equality span is that of its normal form
+    modulo the span (`_normal_forms`).  So when the two equality spans
+    agree and so do the two sets of normal forms, the two systems define
+    one set, empty or not, and no LP is solved.  Otherwise the first
+    region's interior point, when it lies inside the second, shows the
+    second nonempty.  Once the spans agree, a strict row whose normal form
+    the other side holds is implied there and needs no LP.  The other rows
+    of a side get their maxima over the other side's rows from one tableau
+    (`_maxima`).  Its criterion needs no interior point here: both regions
+    are nonempty in one affine span, so a row negative on one of them is
+    not constant on that span, and a maximum at most 0 over the other
+    shows it negative there too."""
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
     n = len(var_keys)
     strict1, equal1 = _rows(var_keys, c1)
     strict2, equal2 = _rows(var_keys, c2)
+    span = _echelon(equal1)
+    same_span = span == _echelon(equal2)
+    if same_span:
+        forms1 = _normal_forms(strict1, *span)
+        forms2 = _normal_forms(strict2, *span)
+        held1, held2 = set(forms1), set(forms2)
+        if held1 == held2:
+            return True
     z1 = _max_slack(n, strict1, equal1)
     nonempty1 = z1 is not None
     if nonempty1 and _strictly_inside(_homogeneous(z1), strict2, equal2):
@@ -570,16 +582,11 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
         nonempty2 = _max_slack(n, strict2, equal2) is not None
     if not nonempty1 and not nonempty2:
         return True
-    if nonempty1 != nonempty2:
+    if nonempty1 != nonempty2 or not same_span:
         return False
-    span1 = _echelon(equal1)
-    if span1 != _echelon(equal2):
-        return False
-    forms1 = _normal_forms(strict1, *span1)
-    forms2 = _normal_forms(strict2, *span1)
     # one tableau per side for the rows the other side does not hold
-    for rows, forms, strict, equal, held in ((strict1, forms1, strict2, equal2, set(forms2)),
-                                            (strict2, forms2, strict1, equal1, set(forms1))):
+    for rows, forms, strict, equal, held in ((strict1, forms1, strict2, equal2, held2),
+                                            (strict2, forms2, strict1, equal1, held1)):
         open_rows = [row for row, form in zip(rows, forms) if form not in held]
         if not all(map(_implied, _maxima(n, open_rows, strict, equal))):
             return False

@@ -161,7 +161,7 @@ def _phase2(
 ) -> LpResult:
     """Maximise c.x from the feasible basis, which it leaves feasible."""
     n = len(c)
-    _, ints = _scaled(_rationals(c))
+    scale, ints = _scaled(_rationals(c))
     obj_int = _primitive(ints + [0] * (total - n + 1))
     for r in range(len(tab)):
         if basis[r] < n and obj_int[basis[r]] != 0:
@@ -173,12 +173,17 @@ def _phase2(
     tab.pop()
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
+    # x[bcol] = rhs / pivot of its row, and c = ints / scale; the value
+    # sum(c.x) is summed over a common denominator and reduced once
     x = [Fraction(0)] * n
+    num, den = 0, 1
     for r, bcol in enumerate(basis):
         if bcol < n:
-            x[bcol] = Fraction(tab[r][-1], tab[r][bcol])
-    value = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), Fraction(0))
-    return LpResult(OPTIMAL, value, tuple(x))
+            rhs, piv = tab[r][-1], tab[r][bcol]
+            x[bcol] = Fraction(rhs, piv)
+            if rhs and ints[bcol]:
+                num, den = num * piv + ints[bcol] * rhs * den, den * piv
+    return LpResult(OPTIMAL, Fraction(num, den * scale), tuple(x))
 
 
 def maximize_each(

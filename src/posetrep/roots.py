@@ -5,6 +5,8 @@ vectors.
 Positive roots are the closure of the simple roots under the simple
 reflections (the Bernstein-Gelfand-Ponomarev orbit), polynomial in the
 number of vertices; posets above `MAX_ELEMENTS` elements are rejected.
+The closure runs once per branch multiset, for the branches longest first;
+another order of the same branches permutes those roots.
 `enumerate_indec_dims` then keeps the roots whose coordinates are
 chain-monotone and reads them as dimension vectors.
 """
@@ -12,8 +14,9 @@ chain-monotone and reads them as dimension vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter
 
 from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch
 
@@ -78,8 +81,10 @@ def tits_form(g: StarGraph, x: IntVector) -> int:
 def is_finite_type(p: PrimitivePoset) -> bool:
     """Finite representation type: the star graph is Dynkin, i.e. at most
     two branches, or three with 1/(k1+1) + 1/(k2+1) + 1/(k3+1) > 1."""
-    m = p.width
-    return m <= 2 or (m == 3 and sum(Fraction(1, k + 1) for k in p.branches) > 1)
+    if p.width != 3:
+        return p.width < 3
+    a, b, c = (k + 1 for k in p.branches)
+    return b * c + a * c + a * b > a * b * c
 
 
 def require_finite_type(p: PrimitivePoset) -> None:
@@ -119,9 +124,21 @@ def _reflection_closure(g: StarGraph) -> frozenset[IntVector]:
 
 @lru_cache(maxsize=MAX_CACHED_POSETS)
 def _positive_roots(branches: tuple[int, ...]) -> frozenset[IntVector]:
+    """The positive roots of the star graph of branches.  The closure runs
+    only for the canonical order, branches longest first; any other order
+    permutes the arm coordinate blocks of the canonical roots, which a
+    relabelling of the arms maps onto its own."""
     p = PrimitivePoset(branches)
     require_finite_type(p)
-    return _reflection_closure(star_graph(p))
+    order = sorted(range(p.width), key=lambda j: -p.branches[j])
+    canonical = tuple(p.branches[j] for j in order)
+    if canonical == p.branches:
+        return _reflection_closure(star_graph(p))
+    starts = dict(zip(order, accumulate(canonical, initial=1)))
+    picks = [0]  # the centre, then each arm's block in its canonical place
+    for j, k in enumerate(p.branches):
+        picks.extend(range(starts[j], starts[j] + k))
+    return frozenset(map(itemgetter(*picks), _positive_roots(canonical)))
 
 
 def positive_roots(g: StarGraph) -> frozenset[IntVector]:

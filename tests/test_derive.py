@@ -786,6 +786,127 @@ def test_region_ops_match_one_lp_per_question_on_wide_rows():
             assert regions_equivalent(c, fewer) == _lp_regions_equivalent(c, fewer), (b, c)
 
 
+@st.composite
+def _equal_copies(draw):
+    """A random integer region over one poset's variables and a copy that
+    defines the same set: its strict rows permuted, each scaled by a
+    positive int, shifted by multiples of the equalities and sometimes
+    duplicated, and its equalities replaced by a triangular combination of
+    them with a positive diagonal.  Each region holds a drawn positive
+    point unless it contradicts itself, so empty ones occur too.  Also the
+    copy with one coefficient of one strict row moved by 1."""
+    shape = draw(st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1), (6, 1, 1)]))
+    keys = make_poset(shape).variable_keys()
+    coeff = st.integers(-3, 3)
+    row = st.lists(coeff, min_size=len(keys) - 1, max_size=len(keys) - 1)
+    x = draw(st.lists(st.integers(1, 3), min_size=len(keys) - 1, max_size=len(keys) - 1))
+
+    def through(r, value):
+        """r with the g coefficient that makes its value at (x, 1) value."""
+        return [*r, value - sum(map(mul, r, x))]
+
+    strict = [through(r, -draw(st.integers(1, 3)))
+              for r in draw(st.lists(row, min_size=1, max_size=6))]
+    if draw(st.integers(0, 3)) == 0:  # a contradiction: f < 0 and -f < 0
+        strict.append([-v for v in draw(st.sampled_from(strict))])
+    equal = [through(r, 0) for r in draw(st.lists(row, max_size=2))]
+
+    def shifted(r, base):
+        for e in base:
+            m = draw(coeff)
+            r = [a + m * b for a, b in zip(r, e)]
+        return r
+
+    copy = []
+    for r in strict:
+        for _ in range(draw(st.integers(1, 2))):
+            scale = draw(st.integers(1, 4))
+            copy.append(shifted([scale * v for v in r], equal))
+    copy = draw(st.permutations(copy))
+    equal_copy = []
+    for i, e in enumerate(equal):
+        scale = draw(st.integers(1, 3))
+        equal_copy.append(shifted([scale * v for v in e], equal[:i]))
+
+    def region(strict_rows, equal_rows):
+        def form(r):
+            return LinearForm(dict(zip(keys, r)))
+
+        return ConditionSet([Condition(form(r), LT_ZERO) for r in strict_rows]
+                            + [Condition(form(e), EQ_ZERO) for e in equal_rows])
+
+    i, k = draw(st.integers(0, len(copy) - 1)), draw(st.integers(0, len(keys) - 1))
+    perturbed = [list(r) for r in copy]
+    perturbed[i][k] += draw(st.sampled_from([-1, 1]))
+    return region(strict, equal), region(copy, equal_copy), region(perturbed, equal_copy)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_equal_copies())
+def test_equal_normal_forms_need_no_lp(case):
+    """A region and a copy that defines the same set by equal normal forms
+    are equivalent without a simplex tableau, empty regions included; with
+    one row perturbed, the verdict is the one-LP-per-question oracle's."""
+    c, copy, perturbed = case
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _counting_simplex(mp)
+        assert regions_equivalent(c, copy) and regions_equivalent(copy, c), (c, copy)
+    assert counts == {"tableaus": 0, "pivots": 0}
+    for a, b in ((c, perturbed), (perturbed, c)):
+        assert regions_equivalent(a, b) == _lp_regions_equivalent(a, b), (a, b)
+
+
+def test_linear_forms_store_integers(five_tables):
+    """Every form of derive_conditions (its trace too), generate_table and
+    paper_corpus holds int coefficients, while coeffs, coeff and evaluate
+    give Fractions, and a form built from ints equals and hashes as one
+    built from Fractions."""
+    forms = []
+    for b in _TABLES:
+        p = make_poset(b)
+        for row in five_tables[b].table.rows:
+            cs, trace = derive_conditions(p, row.dim)
+            forms += [q.form for q in (*cs, *row.conditions)]
+            forms += [f for s in trace.steps if isinstance(s, ApplyPhiMinus) for f in s.emitted]
+    forms += [q.form for t in paper_corpus().values() for r in t.rows for q in r.conditions]
+    assert len(forms) > 1000
+    assert all(type(v) is int for f in forms for _, v in f._items)
+    w = Weight(((1, 2), (3,), (Fraction(1, 2),)), 2)
+    for f in forms[:50]:
+        assert all(type(v) is Fraction for v in f.coeffs.values())
+        assert type(f.coeff(GAMMA_KEY)) is Fraction and type(f.coeff("a.9.9")) is Fraction
+    f = LinearForm({"a.1.1": 2, "a.3.1": -1, GAMMA_KEY: 0})
+    g = LinearForm({"a.1.1": Fraction(4, 2), "a.3.1": Fraction(-1), GAMMA_KEY: Fraction(0)})
+    assert f == g and hash(f) == hash(g) and f.to_json() == g.to_json()
+    assert type(f.evaluate(w)) is Fraction and f.evaluate(w) == Fraction(3, 2)
+    assert type(LinearForm().evaluate(w)) is Fraction
+    half = LinearForm({"a.1.1": Fraction(1, 2), GAMMA_KEY: 1.0}) * 2
+    assert half == LinearForm({"a.1.1": 1, GAMMA_KEY: 2})
+    assert all(type(v) is int for _, v in half._items)
+    assert LinearForm({"a.1.1": Fraction(1, 2)})._items == (("a.1.1", Fraction(1, 2)),)
+
+
+def test_descent_builds_no_fraction(monkeypatch):
+    """derive_conditions over the 106 rows of (4,2,1) constructs no
+    Fraction: every row from the walk to the returned forms is integral."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    p = make_poset([4, 2, 1])
+    dims = enumerate_indec_dims(p)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and built[0] > 0  # the counter counts
+    built[0] = 0
+    results = [derive_conditions(p, d) for d in dims]
+    monkeypatch.undo()
+    assert built[0] == 0
+    assert len(results) == 106
+
+
 # --- certificates: the rows the ray keeps, and the LPs they save -----------
 
 
@@ -881,14 +1002,17 @@ def test_region_lp_count(monkeypatch):
     """Simplex work for the five tables plus verify_tables.  One LP per
     question took 849 + 577 = 1,426 tableaus; the certificates left 454 +
     153 tableaus with 4,269 + 945 pivots; one tableau per region for all
-    implied-row questions leaves 180 + 123 with 2,162 + 657."""
+    implied-row questions left 180 + 123 with 2,162 + 657.  A published
+    row whose strict rows have the derived row's normal forms needs no LP,
+    which leaves verify_tables at most 26 tableaus and 303 pivots."""
     counts = _counting_simplex(monkeypatch)
     for b in _TABLES:
         generate_table(make_poset(b))
     tables = dict(counts)
     assert verify_tables().all_ok
-    assert (tables["tableaus"], counts["tableaus"] - tables["tableaus"]) == (180, 123)
-    assert (tables["pivots"], counts["pivots"] - tables["pivots"]) == (2162, 657)
+    assert (tables["tableaus"], tables["pivots"]) == (180, 2162)
+    assert counts["tableaus"] - tables["tableaus"] <= 26
+    assert counts["pivots"] - tables["pivots"] <= 303
 
 
 def test_wide_table_simplex_work_is_bounded(monkeypatch):

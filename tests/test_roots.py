@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from posetrep import roots as roots_module
 from posetrep.core import make_poset, parse_dim_string
 from posetrep.roots import (
     MAX_CACHED_POSETS,
@@ -131,6 +132,26 @@ def test_require_finite_type_order_and_no_roots():
     with pytest.raises(FiniteTypeRequired, match=r"^poset \(40, 30, 1\) has infinite type$"):
         require_finite_type(make_poset([40, 30, 1]))
     assert _positive_roots.cache_info() == before
+
+
+def test_one_closure_per_branch_multiset(monkeypatch):
+    """The closure runs once per branch multiset, for the branches longest
+    first; every other order gets the closure of its own star graph by
+    permuting the arm blocks of those roots."""
+    closure = roots_module._reflection_closure
+    calls = []
+
+    def counting_closure(g):
+        calls.append(g.poset.branches)
+        return closure(g)
+
+    monkeypatch.setattr(roots_module, "_reflection_closure", counting_closure)
+    _positive_roots.cache_clear()
+    orders = [(4, 2, 1), (1, 2, 4), (2, 4, 1), (1, 4, 2), (1, 5, 1), (1, 1, 5), (2, 7), (7, 2)]
+    for b in orders:
+        assert _positive_roots(b) == closure(star_graph(make_poset(b))), b
+    assert calls == [(4, 2, 1), (5, 1, 1), (7, 2)]
+    _positive_roots.cache_clear()
 
 
 def test_root_cache_is_bounded():

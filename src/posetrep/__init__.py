@@ -54,11 +54,6 @@ from .linrep import (
     nonbrick_alpha,
     to_quiver_rep,
 )
-from .numeric import (
-    NumericRep,
-    structure_check,
-    unitarize,
-)
 from .roots import (
     enumerate_indec_dims,
     is_finite_type,
@@ -68,3 +63,15 @@ from .roots import (
 )
 
 __version__ = "0.1.0"
+
+# The numeric witnesses need numpy, which the exact commands never load:
+# these names import `posetrep.numeric` on first access.
+_NUMERIC = ("NumericRep", "structure_check", "unitarize")
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        from . import numeric
+
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,7 @@ import json
 import sys
 from functools import cache
 
-from . import derive, linrep, numeric
+from . import derive, linrep
 from .core import (
     DimVector,
     NonPositiveWeight,
@@ -40,10 +40,9 @@ from .coxeter import (
     rho_dim,
     sigma_dim,
 )
-from .numeric import NoConvergence, NoWitness, TraceObstruction
 from .roots import enumerate_indec_dims
 
-VERDICT_ERRORS = (TraceObstruction, NonPositiveWeight, NegativeEntry)
+VERDICT_ERRORS = (NonPositiveWeight, NegativeEntry)
 
 # Most transforms `coxeter --steps` applies; every finite-type orbit is
 # periodic well within this.
@@ -176,16 +175,21 @@ def _cmd_check_weight(args) -> int:
 
 
 def _cmd_unitarize(args) -> int:
+    from . import numeric  # numpy loads for this command alone
+
     p = _poset(args.poset)
     d = _dim(p, args.dim)
     w = _weight(p, args.weight)
     try:
         rep = numeric.unitarize(p, d, w, success_tol=args.tol, seed=args.seed)
         ok = True
-    except NoConvergence as exc:
+    except numeric.TraceObstruction as exc:  # a negative verdict, as in VERDICT_ERRORS
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except numeric.NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         rep, ok = exc.best, False
-    except NoWitness as exc:
+    except numeric.NoWitness as exc:
         if exc.violated:
             violated = ", ".join(render_condition(c, p) for c in exc.violated)
             print(f"no witness: violated: {violated}", file=sys.stderr)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import index
+from functools import cached_property, lru_cache
+from operator import index, le
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import _primitive_row
@@ -109,9 +109,14 @@ class PrimitivePoset:
             for i in range(1, k + 1):
                 yield (j, i)
 
+    @cached_property
+    def _variable_keys(self) -> tuple[str, ...]:
+        """`variable_keys` as a tuple, built once per poset."""
+        return (*(alpha_key(j, i) for j, i in self.elements()), GAMMA_KEY)
+
     def variable_keys(self) -> list[str]:
         """All form variable keys of this poset in canonical order, g last."""
-        return [alpha_key(j, i) for j, i in self.elements()] + [GAMMA_KEY]
+        return list(self._variable_keys)
 
     def to_json(self) -> dict:
         return {"branches": list(self.branches)}
@@ -156,17 +161,9 @@ class DimVector:
             )
 
     def is_admissible(self, p: PrimitivePoset) -> bool:
-        """Chain-monotone: 0 <= d1 <= ... <= d_k <= d0 on every branch."""
+        """Chain-monotone (`_chain_monotone`)."""
         self.require_fits(p)
-        for b in self.branches:
-            prev = 0
-            for e in b:
-                if e < prev:
-                    return False
-                prev = e
-            if prev > self.d0:
-                return False
-        return True
+        return _chain_monotone(self.d0, self.branches)
 
     def entry(self, j: int, i: int) -> int:
         return self.branches[j - 1][i - 1]
@@ -177,6 +174,11 @@ class DimVector:
     @classmethod
     def from_json(cls, obj: Mapping) -> "DimVector":
         return cls(obj["d0"], tuple(tuple(b) for b in obj["branches"]))
+
+
+def _chain_monotone(d0: int, branches: Iterable[tuple[int, ...]]) -> bool:
+    """0 <= d_1 <= ... <= d_k <= d0 on every branch."""
+    return all(all(map(le, (0, *b), (*b, d0))) for b in branches)
 
 
 def parse_dim_string(s: str) -> DimVector:
@@ -193,7 +195,12 @@ def parse_dim_string(s: str) -> DimVector:
 
 
 def format_dim_string(d: DimVector) -> str:
-    return ";".join(",".join(str(e) for e in b) for b in d.branches) + f";{d.d0}"
+    return _dim_string(d.d0, d.branches)
+
+
+def _dim_string(d0: int, branches: Iterable[Iterable[int]]) -> str:
+    """`format_dim_string` of the dimensions d0 and branches as they are."""
+    return ";".join(",".join(str(e) for e in b) for b in branches) + f";{d0}"
 
 
 # Longest numeral, and largest decimal exponent in magnitude, that a weight
@@ -422,6 +429,16 @@ class Condition:
         object.__setattr__(
             self, "form", self.form.canonicalized(sign_normalize=self.rel == EQ_ZERO)
         )
+
+    @classmethod
+    def _canonical(cls, form: LinearForm, rel: str) -> "Condition":
+        """The condition form rel for a form already canonical for rel
+        (`linalg._primitive_row`) and a valid rel, built without checking
+        either; the counterpart of `LinearForm._ordered`."""
+        cond = cls.__new__(cls)
+        object.__setattr__(cond, "form", form)
+        object.__setattr__(cond, "rel", rel)
+        return cond
 
     def holds_at(self, w: Weight) -> bool:
         v = self.form.evaluate(w)

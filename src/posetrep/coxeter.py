@@ -5,6 +5,9 @@ their composites `fplus_dim` (rho first) and `fminus_dim` (sigma first)
 are mutually inverse wherever defined.  Primitive posets are self-dual, so
 the dual-order outputs are re-normalised to increasing chain order
 immediately and a single DimVector representation is used throughout.
+`fminus_dim` is computed in closed form on plain ints (`_fminus_dims`),
+which the descent of `derive` calls as it is; the tests keep the
+composite as its oracle.
 
 `phiplus_weight` / `phiminus_weight` are the matching transforms on
 symbolic weights.  The form arithmetic of each transform is one generic
@@ -36,6 +39,8 @@ from .core import (
     PrimitivePoset,
     SymbolicWeight,
     Weight,
+    _chain_monotone,
+    _dim_string,
     format_dim_string,
 )
 
@@ -92,12 +97,33 @@ def fplus_dim(p: PrimitivePoset, d: DimVector) -> DimVector:
 def fminus_dim(p: PrimitivePoset, d: DimVector) -> DimVector:
     """Downward transform: sigma then rho; exact inverse of fplus_dim.
 
-    Closed form: d0' = (m-1)d0 - sum_j d_1^(j), branch entries
-    (d_2-d_1, ..., d_k-d_1, d0-d_1).  Meant for non-degenerate input, but
-    also defined on the degenerate images of fplus_dim; NegativeEntry
-    signals that the orbit left the admissible region.
+    Closed form (`_fminus_dims`): d0' = (m-1)d0 - sum_j d_1^(j), branch
+    entries (d_2-d_1, ..., d_k-d_1, d0-d_1).  Meant for non-degenerate
+    input, but also defined on the degenerate images of fplus_dim;
+    NegativeEntry signals that the orbit left the admissible region.
     """
-    return rho_dim(p, sigma_dim(p, d))
+    d.require_fits(p)
+    return DimVector(*_fminus_dims(d.d0, d.branches))
+
+
+def _fminus_dims(
+    d0: int, dims: tuple[tuple[int, ...], ...]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """`fminus_dim` on the ambient dimension d0 and the nonempty branches
+    dims, as ints: the new d0 and branches.  Raises NegativeEntry, with the
+    message of `rho_dim(p, sigma_dim(p, d))`, when d is not admissible,
+    when the new d0 is negative, or when a new branch's last entry
+    d0 - d_1 exceeds it; no other entry can leave the admissible region."""
+    if not _chain_monotone(d0, dims):
+        raise NegativeEntry(f"dimension vector {_dim_string(d0, dims)} is not admissible "
+                            f"for {tuple(map(len, dims))}")
+    d0_new = (len(dims) - 1) * d0 - sum(b[0] for b in dims)
+    if d0_new < 0:
+        raise NegativeEntry(f"rho undefined: new ambient dimension {d0_new} < 0")
+    branches = tuple((*(e - b[0] for e in b[1:]), d0 - b[0]) for b in dims)
+    if any(b[-1] > d0_new for b in branches):
+        raise NegativeEntry(f"rho output {_dim_string(d0_new, branches)} is not admissible")
+    return d0_new, branches
 
 
 def phiplus_weight(p: PrimitivePoset, w: SymbolicWeight) -> SymbolicWeight:

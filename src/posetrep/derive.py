@@ -31,8 +31,10 @@ A condition is one row from the walk to the LP: primitive integers over
 `PrimitivePoset.variable_keys()` (gamma last), an equality's first nonzero
 one positive: `linalg._primitive_row`, the rule by which `core.Condition`
 canonicalises its form.  The walk dedups these rows; `_form` builds a
-`LinearForm` only for what is returned, and `_rows` turns a public region
-operation's `ConditionSet`s into rows once.
+`LinearForm` only for what is returned, and enters it into a `Condition`
+as it is (`Condition._canonical`).  `_rows` turns a public region
+operation's `ConditionSet`s into rows once.  The downward transform runs
+on the walk's plain int dimensions (`coxeter._fminus_dims`).
 """
 
 from __future__ import annotations
@@ -61,12 +63,13 @@ from .core import (
     PrimitivePoset,
     ShapeMismatch,
     Weight,
+    _dim_string,
     _reduce,
     format_dim_string,
     key_order,
     trace_condition,
 )
-from .coxeter import NegativeEntry, _phiminus_forms, fminus_dim
+from .coxeter import NegativeEntry, _fminus_dims, _phiminus_forms
 from .linalg import _echelon, _eliminate, _primitive, _primitive_row, _scaled
 from .roots import _positive_roots, dim_to_root, enumerate_indec_dims, require_finite_type
 
@@ -150,7 +153,8 @@ def _walk(
     p: PrimitivePoset, d: DimVector
 ) -> tuple[list[RowCondition], list[Finding | tuple[_Row, ...]], list[tuple]]:
     """The descent of `derive_conditions`, on `_Row`s over p.variable_keys()
-    and without a `LinearForm`: its distinct conditions (`_condition_row`)
+    and plain int dimensions, without a `LinearForm`, a `DimVector` or a
+    `PrimitivePoset`: its distinct conditions (`_condition_row`)
     in emission order, its trace steps but the terminal one, a transform's
     as its tail rows, and its states, each (d0, dims, branch rows, gamma
     row, reduced dims) as it stood before its reduction pass."""
@@ -179,19 +183,16 @@ def _walk(
             conditions[_condition_row(gamma, EQ_ZERO)] = None
             return list(conditions), steps, states
 
-        sub_poset = PrimitivePoset(tuple(len(b) for b in dims))
-        state_d = DimVector(d0, dims)
         try:
-            next_d = fminus_dim(sub_poset, state_d)
+            d0, dims = _fminus_dims(d0, dims)
         except NegativeEntry as exc:
             raise OrbitEscape(
-                f"downward transform failed at {format_dim_string(state_d)}: {exc}"
+                f"downward transform failed at {_dim_string(d0, dims)}: {exc}"
             ) from exc
         forms, gamma = _phiminus_forms(forms, gamma)
         tails = tuple(b[-1] for b in forms)
         conditions.update(dict.fromkeys(_condition_row(map(neg, t), LT_ZERO) for t in tails))
         steps.append(tails)
-        d0, dims = next_d.d0, next_d.branches
     raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {len(roots)} steps")
 
 
@@ -200,8 +201,8 @@ def derive_conditions(
 ) -> tuple[ConditionSet, DerivationTrace]:
     """Exact weight conditions for the indecomposable with dimensions d."""
     conditions, steps, _ = _walk(p, d)
-    keys = p.variable_keys()
-    cs = ConditionSet(Condition(_form(keys, row), rel) for row, rel in conditions)
+    keys = p._variable_keys
+    cs = ConditionSet(Condition._canonical(_form(keys, row), rel) for row, rel in conditions)
     trace = [s if isinstance(s, Finding) else ApplyPhiMinus(tuple(_form(keys, t) for t in s))
              for s in steps]
     return cs, DerivationTrace((*trace, Terminal(cs.equalities[0])))  # the one equality
@@ -258,7 +259,8 @@ class Criterion:
     def violated(self, x: list[int]) -> tuple[Condition, ...]:
         """The conditions that fail at the integer point x of a weight that
         fits the poset (`_integer_point`), in order."""
-        return tuple(Condition(_form(self.keys, row), rel) for row, rel in self.conditions
+        return tuple(Condition._canonical(_form(self.keys, row), rel)
+                     for row, rel in self.conditions
                      if (_dot(row, x) != 0 if rel == EQ_ZERO else _dot(row, x) >= 0))
 
 
@@ -281,7 +283,7 @@ def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
     Holds no `LinearForm`; `cache_clear` empties it."""
     conditions, _, states = _walk(p, d)
     return Criterion(
-        tuple(p.variable_keys()),
+        p._variable_keys,
         tuple(conditions),
         tuple(_lift_state(s, k == 0) for k, s in enumerate(states)),
     )
@@ -550,8 +552,10 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     """Whether the two solution sets inside the open positive orthant
     (with gamma normalised to 1) coincide.
 
-    A strict row's sign on the equality span is that of its normal form
-    modulo the span (`_normal_forms`).  So when the two equality spans
+    Equal sets of canonical conditions define one set, so they are
+    settled before any row is built.  A strict row's sign on the equality
+    span is that of its normal form modulo the span (`_normal_forms`).
+    So when the two equality spans
     agree and so do the two sets of normal forms, the two systems define
     one set, empty or not, and no LP is solved.  Otherwise the first
     region's interior point, when it lies inside the second, shows the
@@ -562,6 +566,8 @@ def regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
     are nonempty in one affine span, so a row negative on one of them is
     not constant on that span, and a maximum at most 0 over the other
     shows it negative there too."""
+    if c1 == c2:
+        return True
     var_keys = _sorted_var_keys(c1.variables() | c2.variables())
     n = len(var_keys)
     strict1, equal1 = _rows(var_keys, c1)
@@ -657,8 +663,9 @@ def _table_row(p: PrimitivePoset, d: DimVector) -> ConditionSet:
     dropped row or for the trace."""
     *strict, equality = _walk(p, d)[0]  # the walk emits one equality, last
     kept = [strict[j] for j in _kept(p.n, [row for row, _ in strict], [equality[0]])]
-    keys = p.variable_keys()
-    return ConditionSet(Condition(_form(keys, row), rel) for row, rel in kept + [equality])
+    keys = p._variable_keys
+    return ConditionSet(Condition._canonical(_form(keys, row), rel)
+                        for row, rel in kept + [equality])
 
 
 def generate_table(p: PrimitivePoset) -> Table:

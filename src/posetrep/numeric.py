@@ -90,10 +90,7 @@ class NumericRep:
     seed: int
 
     def to_json(self) -> dict:
-        mats = [
-            [[[float(z.real), float(z.imag)] for z in row] for row in m]
-            for m in self.projectors
-        ]
+        mats = [np.stack([m.real, m.imag], axis=-1).tolist() for m in self.projectors]
         return {
             "poset": self.poset.to_json(),
             "dim": self.dims.to_json(),
@@ -125,7 +122,10 @@ def _trace_checked_point(p: PrimitivePoset, d: DimVector, w: Weight) -> tuple[li
 
 
 def _complement(q: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of q's columns."""
+    """Orthonormal basis of the orthogonal complement of q's columns; with
+    no columns, the identity, as the QR would give it."""
+    if not q.shape[1]:
+        return np.eye(q.shape[0], dtype=complex)
     full, _ = np.linalg.qr(q, mode="complete")
     return full[:, q.shape[1]:]
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
-from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch
+from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch, _chain_monotone
 
 IntVector = tuple[int, ...]
 
@@ -163,11 +163,13 @@ def dim_to_root(d: DimVector) -> IntVector:
 
 def enumerate_indec_dims(p: PrimitivePoset) -> tuple[DimVector, ...]:
     """Dimension vectors of the indecomposable representations: the
-    chain-monotone positive roots, sorted by (d0, branch entries)."""
+    chain-monotone positive roots, sorted by (d0, branch entries), which
+    is the order of the root tuples themselves."""
+    bounds = list(accumulate(p.branches, initial=1))
+    blocks = list(zip(bounds, bounds[1:]))
     dims = []
-    for x in _positive_roots(p.branches):
-        d = root_to_dim(p, x)
-        if d.is_admissible(p):
-            dims.append(d)
-    dims.sort(key=lambda d: (d.d0, tuple(e for b in d.branches for e in b)))
+    for x in sorted(_positive_roots(p.branches)):
+        chains = tuple(x[a:b] for a, b in blocks)
+        if _chain_monotone(x[0], chains):
+            dims.append(DimVector(x[0], chains))
     return tuple(dims)

@@ -259,6 +259,44 @@ def test_python_dash_m_entry_point():
     assert payload["success"] is True and payload["residual"] <= 1e-8 * 1.5 * 2**0.5
 
 
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import posetrep
+from posetrep import cli
+argvs = [["table", "--poset", "2,1,1"],
+         ["conditions", "--poset", "2,1,1", "--dim", "1,2;1;1;2"],
+         ["check-weight", "--poset", "1,1,1", "--dim", "1;1;1;2", "--weight", "1;1;1;3/2"],
+         ["enumerate", "--poset", "2,2,1"],
+         ["coxeter", "--op", "fminus", "--poset", "2,2,1", "--dim", "1,2;1,2;2;3"],
+         ["verify-tables"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    exact = [cli.main(argv) for argv in argvs]
+loaded = "numpy" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                     "--weight", "1;1;1;3/2"])
+print(json.dumps({"exact": exact, "loaded": loaded, "unitarize": code,
+                  "success": json.loads(out.getvalue())["success"],
+                  "numpy": "numpy" in sys.modules,
+                  "lazy": posetrep.unitarize is sys.modules["posetrep.numeric"].unitarize}))
+"""
+
+
+def test_exact_commands_do_not_import_numpy():
+    """Importing the package and running the exact commands loads no numpy;
+    unitarize loads it when it runs, and the package's numeric names
+    resolve to those of posetrep.numeric."""
+    env = dict(os.environ)
+    src = str(Path(posetrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT],
+                          capture_output=True, env=env, timeout=300, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"exact": [0] * 6, "loaded": False, "unitarize": 0,
+                                       "success": True, "numpy": True, "lazy": True}
+
+
 def test_unitarize_decomposable_witness(capsys):
     start = time.monotonic()
     code, out, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetrep import lp
+from posetrep import coxeter, derive, lp
 from posetrep.cli import main
 from posetrep.core import (
     EQ_ZERO,
@@ -36,7 +37,7 @@ from posetrep.core import (
     parse_weight_string,
     trace_condition,
 )
-from posetrep.coxeter import NegativeEntry, fminus_dim, phiminus_weight
+from posetrep.coxeter import NegativeEntry, phiminus_weight
 from posetrep.derive import (
     ApplyPhiMinus,
     DerivationTrace,
@@ -78,6 +79,7 @@ from posetrep.roots import (
     star_graph,
 )
 
+from test_coxeter import fminus_composition
 from test_linalg import _fraction_rref
 
 
@@ -886,6 +888,27 @@ def test_linear_forms_store_integers(five_tables):
     assert LinearForm({"a.1.1": Fraction(1, 2)})._items == (("a.1.1", Fraction(1, 2)),)
 
 
+def test_descent_runs_no_value_checks(monkeypatch):
+    """Once the root cache is warm, derive_conditions over the 106 rows of
+    (4,2,1) builds no DimVector or PrimitivePoset and canonicalises no
+    Condition: the walk steps on ints and its rows enter as built."""
+    p = make_poset([4, 2, 1])
+    dims = enumerate_indec_dims(p)
+    derive_conditions(p, dims[-1])  # the warm-up
+    checks = Counter()
+    for cls in (DimVector, PrimitivePoset, Condition):
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            checks[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert DimVector(1, ((1,),)) and checks == {"DimVector": 1}  # the counter counts
+    checks.clear()
+    results = [derive_conditions(p, d) for d in dims]
+    monkeypatch.undo()
+    assert checks == {} and len(results) == 106
+
+
 def test_descent_builds_no_fraction(monkeypatch):
     """derive_conditions over the 106 rows of (4,2,1) constructs no
     Fraction: every row from the walk to the returned forms is integral."""
@@ -998,6 +1021,33 @@ def _counting_simplex(monkeypatch) -> dict[str, int]:
     return counts
 
 
+def test_equal_condition_sets_need_no_rows(monkeypatch, five_tables):
+    """regions_equivalent(c, c), and of c against an equal copy in another
+    order or read back from JSON, builds no row (`_rows`) and no simplex
+    tableau, on every raw and every generated row of the five tables; 62
+    published rows equal their derived sets exactly."""
+    built = [0]
+    rows = derive._rows
+
+    def counting_rows(*args):
+        built[0] += 1
+        return rows(*args)
+
+    monkeypatch.setattr(derive, "_rows", counting_rows)
+    counts = _counting_simplex(monkeypatch)
+    pairs = 0
+    for c, row in _raw_table_rows(five_tables):
+        for cs in (c, row.conditions):
+            for copy in (cs, ConditionSet(reversed(tuple(cs))),
+                         ConditionSet.from_json(cs.to_json())):
+                assert regions_equivalent(cs, copy) and regions_equivalent(copy, cs)
+                pairs += 1
+    assert pairs == 6 * 212 and built == [0] and counts == {"tableaus": 0, "pivots": 0}
+    published = [(t.poset, r) for t in paper_corpus().values() for r in t.rows]
+    equal = [r for p, r in published if derive_conditions(p, r.dim)[0] == r.conditions]
+    assert len(published) == 106 and len(equal) == 62
+
+
 def test_region_lp_count(monkeypatch):
     """Simplex work for the five tables plus verify_tables.  One LP per
     question took 849 + 577 = 1,426 tableaus; the certificates left 454 +
@@ -1027,7 +1077,8 @@ def test_wide_table_simplex_work_is_bounded(monkeypatch):
 # --- oracle: the descent as walked on LinearForms ---------------------------
 #
 # The earlier _walk, kept verbatim: every branch form and the gamma form a
-# LinearForm of Fractions, phi- applied through phiminus_weight.  The walk
+# LinearForm of Fractions, phi- applied through phiminus_weight, and the
+# downward step on dimensions as the composite of sigma and rho.  The walk
 # of derive._walk holds the same forms as integer rows, so the conditions,
 # the trace and the compiled criterion must come out the same.
 
@@ -1068,7 +1119,7 @@ def _oracle_walk(
         sub_poset = PrimitivePoset(tuple(len(b) for b in dims))
         state_d = DimVector(d0, dims)
         try:
-            next_d = fminus_dim(sub_poset, state_d)
+            next_d = fminus_composition(sub_poset, state_d)
         except NegativeEntry as exc:
             raise OrbitEscape(f"downward transform failed at {state_d}: {exc}") from exc
         next_w = phiminus_weight(sub_poset, SymbolicWeight(forms, gamma_form))
@@ -1190,6 +1241,39 @@ def test_conditions_command_prints_the_table_row(monkeypatch, capsys, five_table
         assert main([*argv, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["conditions"] == row.conditions.to_json()
         assert len(made) == len(row.conditions)
+
+
+def test_canonical_conditions_match_the_public_constructor(five_tables):
+    """A walk row entered as built (`Condition._canonical`) equals, hashes
+    and prints as the public constructor's canonicalised condition, on
+    every derived row of the five tables and of (16,1,1)."""
+    cases = [(make_poset(b), row.dim) for b in _TABLES for row in five_tables[b].table.rows]
+    wide = make_poset([16, 1, 1])
+    cases += [(wide, d) for d in enumerate_indec_dims(wide)]
+    rows = 0
+    for p, d in cases:
+        keys = p._variable_keys
+        assert keys == tuple(p.variable_keys())
+        for row, rel in _walk(p, d)[0]:
+            built = Condition._canonical(_form(keys, row), rel)
+            checked = Condition(_form(keys, row), rel)
+            assert built == checked and hash(built) == hash(checked), (p, d, row)
+            assert built.to_json() == checked.to_json(), (p, d, row)
+            assert built.form._items == checked.form._items, (p, d, row)
+            rows += 1
+    assert rows == 1673
+
+
+def test_walk_keeps_its_orbit_escape_text(monkeypatch):
+    """A downward step that fails inside the walk is an OrbitEscape that
+    names the state it failed at and the step's own message."""
+    p = make_poset([1, 1, 1])
+    monkeypatch.setattr(derive, "_fminus_dims", lambda d0, dims: coxeter._fminus_dims(0, dims))
+    message = ("downward transform failed at 1;1;1;2: dimension vector 1;1;1;0 is not "
+               "admissible for (1, 1, 1)")
+    with pytest.raises(OrbitEscape) as exc:
+        derive_conditions(p, parse_dim_string("1;1;1;2"))
+    assert str(exc.value) == message
 
 
 def test_interior_point_refuses_variables_outside_the_poset():

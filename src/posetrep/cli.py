@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 malformed input or IO failure, 2 negative verdict (table mismatch,
-violated weight, no witness, no convergence, trace obstruction,
-not-a-brick, ...).
+1 malformed input (a weight entry that is not positive included) or IO
+failure, 2 negative verdict (table mismatch, violated weight, no
+witness, no convergence, trace obstruction, not-a-brick, ...).
 """
 
 from __future__ import annotations
@@ -70,7 +70,10 @@ def _dim(p: PrimitivePoset, s: str) -> DimVector:
 
 
 def _weight(p: PrimitivePoset, s: str) -> Weight:
-    w = parse_weight_string(s)
+    try:
+        w = parse_weight_string(s)
+    except NonPositiveWeight as exc:  # malformed input, not a verdict
+        raise PosetRepError(str(exc)) from exc
     w.require_fits(p)
     return w
 

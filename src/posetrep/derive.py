@@ -313,21 +313,17 @@ def _rows(var_keys: list[str], c: ConditionSet) -> tuple[list[list[int]], list[l
 
 
 def _max_slack(
-    n: int,
-    strict: Sequence[IntRow],
-    equal: Sequence[IntRow],
-    nonneg: Iterable[IntRow] = (),
+    n: int, strict: Sequence[IntRow], equal: Sequence[IntRow]
 ) -> list[Fraction] | None:
     """Maximise the common slack s of {f + s <= 0 for f in strict, x_v >= s}
-    over {f = 0 for f in equal, f >= 0 for f in nonneg, g = 1, x >= 0},
-    with s <= 1, as the LP in (y, s, g) above; n is the number of x_v.
+    over {f = 0 for f in equal, g = 1, x >= 0}, with s <= 1, as the LP in
+    (y, s, g) above; n is the number of x_v.
 
-    Returns the maximising x when the best slack is positive, which
-    certifies a strictly feasible rational point, and None otherwise.
+    Returns the maximising x when the best slack is positive, an interior
+    point of the region, and None when the region is empty.
     """
     zeros = [0] * n
     a_ub = [[*r[:n], sum(r[:n]) + 1, r[n]] for r in strict]
-    a_ub += [[*(-v for v in r[:n]), -sum(r[:n]), -r[n]] for r in nonneg]
     a_ub.append(zeros + [1, -1])  # s <= g
     a_eq = [[*r[:n], sum(r[:n]), r[n]] for r in equal]
     a_eq.append(zeros + [0, 1])  # g = 1
@@ -399,9 +395,7 @@ def _homogeneous(x: Sequence[Fraction]) -> list[int]:
     return xs
 
 
-def _strictly_inside(
-    xs: list[int], strict: Sequence[IntRow], equal: Sequence[IntRow] = ()
-) -> bool:
+def _strictly_inside(xs: list[int], strict: Sequence[IntRow], equal: Sequence[IntRow]) -> bool:
     """Whether the point of `_homogeneous` xs satisfies every row of strict
     strictly and every row of equal."""
     return all(_dot(r, xs) < 0 for r in strict) and all(_dot(r, xs) == 0 for r in equal)
@@ -488,43 +482,43 @@ def _implied(res: lp.LpResult) -> bool:
     return res.status == lp.OPTIMAL and res.value <= 0
 
 
-def _past_root(zs: list[int], p: Sequence[Fraction], row: IntRow) -> list[int]:
-    """The point z + t*(p - z), with t halfway between the root of row and
-    1, as `_homogeneous` integers; zs is z's.  Row is negative at z and
-    positive at p, a maximiser with g = 1 last, so the point violates row
-    and strictly satisfies every row that z satisfies strictly and p
-    satisfies.  With a = row.zs and b = row.ps for ps the `_homogeneous`
-    p, it is b*ps[-1]*zs + (b*zs[-1] - 2*a*ps[-1])*ps up to a positive
-    factor."""
-    ps = _homogeneous(p[:-1])
-    a, b = _dot(row, zs), _dot(row, ps)
-    u, v = b * ps[-1], b * zs[-1] - 2 * a * ps[-1]
-    return [u * y + v * x for y, x in zip(zs, ps)]
+def _merged(
+    n: int, rows: Sequence[IntRow], equal: Sequence[IntRow]
+) -> tuple[int, Sequence[IntRow], Sequence[IntRow]]:
+    """The system with the x-columns that are equal in every row, the
+    equalities too, merged into one, in sorted order; n counts the x_v, and
+    g is never merged.  A merged column stands for the sum of its
+    variables, which maps the open positive orthant onto its own, and every
+    row factors through the sum, so each region question keeps its answer.
+    Only repeated columns go, so rows stay distinct and primitive."""
+    columns = list(zip(*rows, *equal))
+    distinct = set(columns[:n])
+    if len(distinct) == n:
+        return n, rows, equal
+    merged = list(zip(*sorted(distinct), columns[n]))
+    return len(distinct), merged[:len(rows)], merged[len(rows):]
 
 
 def _kept(n: int, rows: Sequence[IntRow], equal: Sequence[IntRow]) -> list[int]:
-    """The indices of the strict rows that `simplify` keeps; n counts the x_v."""
-    z = _max_slack(n, rows, equal) if rows else None
+    """The indices of the strict rows that `simplify` keeps; n counts the
+    x_v.  Every question is asked of the `_merged` system."""
+    if not rows:
+        return []
+    n, rows, equal = _merged(n, rows, equal)
+    z = _max_slack(n, rows, equal)
     certified = _ray_hits(rows, equal, z) if z is not None else {}
     open_rows = [i for i in range(len(rows)) if i not in certified]
-    maxima = {}
     if z is not None:
-        zs = _homogeneous(z)
         # one tableau over the ray-kept rows, a subset of every rest below
         maxima = dict(zip(open_rows, _maxima(
             n, [rows[i] for i in open_rows], [rows[j] for j in certified], equal)))
     kept = list(range(len(rows)))
     for i in open_rows:
         rest = [rows[j] for j in kept if j != i]
-        top = maxima.get(i)
-        if top is None:  # no interior point
-            implied = _max_slack(n, rest, equal, [rows[i]]) is None
-        elif _implied(top):
-            implied = True
-        elif top.x is not None and _strictly_inside(_past_root(zs, top.x, rows[i]), rest):
-            implied = False
+        if z is None:  # an empty region: row i is implied when rest is empty
+            implied = _max_slack(n, rest, equal) is None
         else:
-            implied = _implied(_maxima(n, [rows[i]], rest, equal)[0])
+            implied = _implied(maxima[i]) or _implied(_maxima(n, [rows[i]], rest, equal)[0])
         if implied:
             kept.remove(i)
     return kept
@@ -535,13 +529,13 @@ def simplify(c: ConditionSet) -> ConditionSet:
     the system together with base positivity; the region is unchanged.
 
     An inequality is kept when the rest with the inequality reversed has a
-    strictly feasible point.  A row the ray from the interior point z keeps
-    needs no LP.  The other rows get their maxima over the closure of the
-    ray-kept rows from one tableau (`_maxima`): a maximum at most 0 drops
-    the row, and a maximiser p keeps it when the point past the row's root
-    on the segment from z to p (`_past_root`) strictly satisfies the rest.
-    Only a row neither settles gets its maximum over the rest.  An empty
-    region keeps a rest LP per row (`_max_slack(rest, [row])`, row >= 0)."""
+    strictly feasible point.  Each question is asked with the equal
+    columns merged (`_merged`).  A row the ray from the interior point z
+    keeps needs no LP.  The other rows get their maxima over the closure of
+    the ray-kept rows from one tableau (`_maxima`): a maximum at most 0
+    drops the row; any other row gets its maximum over the rest.  In an
+    empty region the rest with a row reversed is the rest itself, so a row
+    is dropped when the rest is empty (`_max_slack`)."""
     var_keys = _sorted_var_keys(c.variables())
     inequalities = c.inequalities
     kept = _kept(len(var_keys), *_rows(var_keys, c))

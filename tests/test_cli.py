@@ -122,6 +122,20 @@ def test_check_weight_exit_codes(capsys):
     assert err == "error: 0;1;1;2 is not an indecomposable dimension vector of (1, 1, 1)\n"
 
 
+@pytest.mark.parametrize("weight, message", [
+    ("1;1;1;0", "gamma must be positive, got 0"),
+    ("-1;1;1;2", "weight entry must be positive, got -1"),
+])
+def test_non_positive_weight_is_malformed_input(capsys, weight, message):
+    """A weight entry that is not positive is malformed input, exit 1, on
+    every command that reads --weight; a transform that leaves the positive
+    cone stays a verdict (test_coxeter_weight_and_symbolic)."""
+    for command in (["check-weight", "--dim", "1;1;1;2"], ["unitarize", "--dim", "1;1;1;2"],
+                    ["coxeter", "--op", "phiminus"]):
+        code, out, err = _run(capsys, *command, "--poset", "1,1,1", f"--weight={weight}")
+        assert (code, out, err) == (1, "", f"error: {message}\n"), command
+
+
 def test_hostile_numerals_rejected(tmp_path, capsys):
     for cmd in ["check-weight", "unitarize"]:
         for weight in ["1e1000000;1;1;2", "1;1;1;1e-1000000", "1;1;1;1e1_000_000"]:

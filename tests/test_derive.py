@@ -50,10 +50,8 @@ from posetrep.derive import (
     _condition_row,
     _criterion,
     _form,
-    _homogeneous,
     _max_slack,
-    _maxima,
-    _past_root,
+    _merged,
     _ray_hits,
     _rows,
     _sorted_var_keys,
@@ -607,7 +605,7 @@ _TABLE_SHA256 = {
 _VERIFY_SHA256 = "091dc1092eb49ac8d36733bddc76354260ea31c6a466b4d9a647d54220631b64"
 # The same for two wide (k,1,1) shapes, recorded while simplify ran one LP
 # per inequality: none of their raw inequalities is redundant (16,1,1 keeps
-# all 408), and the ray leaves some of their rows to an LP.  (10,10), a
+# all 408).  (10,10), a
 # two-chain shape whose rows carry only the trace equality, was recorded
 # while the descent still built a `LinearForm` for every condition.
 _WIDE_TABLE_SHA256 = {
@@ -651,52 +649,12 @@ def test_interior_point_is_strictly_inside_every_table_row(five_tables):
     assert nonempty > 150
 
 
-# --- oracle: the region operations with one LP per question ---------------
+# --- region operations against the one-LP-per-question oracle -------------
 #
-# simplify and regions_equivalent as they stood before the certificates,
-# kept verbatim: one _max_slack LP per inequality and per non-emptiness
-# question.  The certificates only settle questions these LPs would answer
-# the same way, so the kept conditions, their order and every verdict must
-# come out the same.
-
-
-def _lp_simplify(c: ConditionSet) -> ConditionSet:
-    """Drop duplicate conditions and inequalities implied by the rest of
-    the system together with base positivity; the region is unchanged."""
-    var_keys = _sorted_var_keys(c.variables())
-    rows, equal = _rows(var_keys, c)
-    inequalities = c.inequalities
-    kept = list(range(len(rows)))
-    for i in range(len(rows)):
-        rest = [rows[j] for j in kept if j != i]
-        if _max_slack(len(var_keys), rest, equal, [rows[i]]) is None:
-            kept.remove(i)
-    return ConditionSet([inequalities[j] for j in kept] + list(c.equalities))
-
-
-def _lp_regions_equivalent(c1: ConditionSet, c2: ConditionSet) -> bool:
-    """Whether the two solution sets inside the open positive orthant
-    (with gamma normalised to 1) coincide."""
-    var_keys = _sorted_var_keys(c1.variables() | c2.variables())
-    n = len(var_keys)
-    strict1, equal1 = _rows(var_keys, c1)
-    strict2, equal2 = _rows(var_keys, c2)
-    nonempty1 = _max_slack(n, strict1, equal1) is not None
-    nonempty2 = _max_slack(n, strict2, equal2) is not None
-    if not nonempty1 and not nonempty2:
-        return True
-    if nonempty1 != nonempty2:
-        return False
-    full_keys = var_keys + [GAMMA_KEY]
-    if _equality_span(c1, full_keys) != _equality_span(c2, full_keys):
-        return False
-    for row in strict1:
-        if _max_slack(n, strict2, equal2, [row]) is not None:
-            return False
-    for row in strict2:
-        if _max_slack(n, strict1, equal1, [row]) is not None:
-            return False
-    return True
+# The certificates, the batched maxima and the merged columns only settle
+# questions that _oracle_simplify and _oracle_regions_equivalent answer with
+# one Fraction LP each, so the kept conditions, their order and every
+# verdict must come out the same.
 
 
 @st.composite
@@ -772,9 +730,9 @@ def _integer_systems(draw):
 def test_region_ops_match_one_lp_per_question(case):
     c1, c2 = case
     for c in (c1, c2):
-        assert tuple(simplify(c)) == tuple(_lp_simplify(c)), c
+        assert tuple(simplify(c)) == tuple(_oracle_simplify(c)), c
     for a, b in ((c1, c2), (c2, c1), (c1, simplify(c1)), (c1, c1)):
-        assert regions_equivalent(a, b) == _lp_regions_equivalent(a, b), (a, b)
+        assert regions_equivalent(a, b) == _oracle_regions_equivalent(a, b), (a, b)
 
 
 def test_region_ops_match_one_lp_per_question_on_wide_rows():
@@ -783,9 +741,72 @@ def test_region_ops_match_one_lp_per_question_on_wide_rows():
         rows = [_derived(p, d) for d in enumerate_indec_dims(p)]
         for c in rows:
             out = simplify(c)
-            assert tuple(out) == tuple(_lp_simplify(c)), (b, c)
+            assert tuple(out) == tuple(_oracle_simplify(c)), (b, c)
             fewer = _without_first_inequality(out)
-            assert regions_equivalent(c, fewer) == _lp_regions_equivalent(c, fewer), (b, c)
+            assert regions_equivalent(c, fewer) == _oracle_regions_equivalent(c, fewer), (b, c)
+
+
+@st.composite
+def _copied_columns(draw):
+    """A random integer region over (k,1,1) and the same region over a
+    wider (k+m,1,1): its fresh variables a.1.(k+1), ..., a.1.(k+m) copy
+    drawn columns of the first, so each has the coefficients of its column
+    in every row.  Each region holds a drawn positive point unless it
+    contradicts itself, so empty ones occur too."""
+    k = draw(st.integers(1, 3))
+    keys = make_poset((k, 1, 1)).variable_keys()
+    n = len(keys) - 1
+    x = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+    def through(r, value):
+        """r with the g coefficient that makes its value at (x, 1) value."""
+        return [*r, value - sum(map(mul, r, x))]
+
+    strict = [through(r, -draw(st.integers(1, 3)))
+              for r in draw(st.lists(row, min_size=1, max_size=6))]
+    if draw(st.integers(0, 3)) == 0:  # a contradiction: f < 0 and -f < 0
+        strict.append([-v for v in draw(st.sampled_from(strict))])
+    equal = [through(r, 0) for r in draw(st.lists(row, max_size=2))]
+    copies = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    wide_keys = make_poset((k + len(copies), 1, 1)).variable_keys()
+
+    def region(keys, widen):
+        def form(r):
+            return LinearForm(dict(zip(keys, widen(r))))
+
+        return ConditionSet([Condition(form(r), LT_ZERO) for r in strict]
+                            + [Condition(form(e), EQ_ZERO) for e in equal])
+
+    return (region(keys, list),
+            region(wide_keys, lambda r: [*r[:k], *(r[j] for j in copies), *r[k:]]))
+
+
+def _merged_system(c):
+    var_keys = _sorted_var_keys(c.variables())
+    return _merged(len(var_keys), *_rows(var_keys, c))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_copied_columns())
+def test_copied_columns_keep_every_answer(case):
+    """Summing equal columns keeps each region question's answer: a region
+    with copied columns keeps the same inequalities as the region itself,
+    agrees with the one-LP-per-question oracle and merges to the same
+    columns, each merged system with distinct primitive rows."""
+    c, wide = case
+
+    def kept(cs):
+        return [cs.inequalities.index(q) for q in simplify(cs).inequalities]
+
+    assert kept(wide) == kept(c), (c, wide)
+    assert tuple(simplify(wide)) == tuple(_oracle_simplify(wide)), wide
+    systems = [_merged_system(cs) for cs in (c, wide)]
+    n, rows, equal = systems[1]
+    assert n == systems[0][0] and set(zip(*rows)) == set(zip(*systems[0][1])), (c, wide)
+    for part in (rows, equal):
+        assert len(set(map(tuple, part))) == len(part), wide
+        assert all(gcd(*r) in (0, 1) for r in part), wide
 
 
 @st.composite
@@ -855,7 +876,7 @@ def test_equal_normal_forms_need_no_lp(case):
         assert regions_equivalent(c, copy) and regions_equivalent(copy, c), (c, copy)
     assert counts == {"tableaus": 0, "pivots": 0}
     for a, b in ((c, perturbed), (perturbed, c)):
-        assert regions_equivalent(a, b) == _lp_regions_equivalent(a, b), (a, b)
+        assert regions_equivalent(a, b) == _oracle_regions_equivalent(a, b), (a, b)
 
 
 def test_linear_forms_store_integers(five_tables):
@@ -940,66 +961,62 @@ def _raw_table_rows(five_tables):
             yield raw[row.dim], row
 
 
+def _lifted(x, rows, equal, n, merged):
+    """The point x of the `_merged` system of (rows, equal) over n columns,
+    with each merged coordinate split evenly over the columns it merges."""
+    mrows, mequal = merged
+    where = {col: k for k, col in enumerate(list(zip(*mrows, *mequal))[:len(x)])}
+    owner = [where[col] for col in list(zip(*rows, *equal))[:n]]
+    sizes = Counter(owner)
+    return [x[k] / sizes[k] for k in owner]
+
+
 def test_every_ray_certificate_checks_exactly(five_tables):
-    """For each row the ray keeps, rebuild the point just past its hit and
-    check it on integers in O(rows * cols), without the simplex: positive,
-    on every equality, outside that row and strictly inside every other.
-    simplify on the raw conditions gives the generated row."""
-    certified = kept = 0
-    for c, row in _raw_table_rows(five_tables):
-        simplified = simplify(c)
-        assert tuple(simplified) == tuple(row.conditions), c
-        var_keys = _sorted_var_keys(c.variables())
-        rows, equal = _rows(var_keys, c)
-        z = _max_slack(len(var_keys), rows, equal) if rows else None
-        if z is None:
-            continue
-        hits = _ray_hits(rows, equal, z)
-        for i, (v, t) in hits.items():
-            assert v[-1] == 0, c  # the ray keeps g at 1
-            x = [a + t * b for a, b in zip(z, v)]
-            scale = lcm(*(a.denominator for a in x))
-            xs = [int(a * scale) for a in x]
-            assert all(a > 0 for a in xs), c
-            xs.append(scale)  # g = 1
-            assert all(sum(map(mul, e, xs)) == 0 for e in equal), c
-            values = [sum(map(mul, r, xs)) for r in rows]
-            assert values[i] > 0 and all(u < 0 for j, u in enumerate(values) if j != i), c
-        out = simplified.inequalities
-        assert all(c.inequalities[i] in out for i in hits), c
-        certified += len(hits)
-        kept += len(out)
-    assert (certified, kept) == (516, 518)
-
-
-def test_past_root_points_check_exactly(five_tables):
-    """For each row the ray leaves open whose maximum over the ray-kept
-    rows is positive, the point past its root is positive, meets every
-    equality, violates the row and strictly satisfies every ray-kept row,
-    checked on integers without the simplex.  The rows of (8,1,1) whose
-    rays tie supply most of these points."""
-    wide = make_poset([8, 1, 1])
-    raw = [c for c, _ in _raw_table_rows(five_tables)]
-    points = 0
-    for c in raw + [_derived(wide, d) for d in enumerate_indec_dims(wide)]:
-        var_keys = _sorted_var_keys(c.variables())
-        n = len(var_keys)
-        rows, equal = _rows(var_keys, c)
-        z = _max_slack(n, rows, equal) if rows else None
-        if z is None:
-            continue
-        kept = [rows[j] for j in _ray_hits(rows, equal, z)]
-        open_rows = [r for r in rows if r not in kept]
-        for row, res in zip(open_rows, _maxima(n, open_rows, kept, equal)):
-            if res.status != lp.OPTIMAL or res.value <= 0:
+    """For each row the ray keeps on the merged system that `_kept` asks,
+    rebuild the point just past its hit, lift it to the poset's variables
+    (`_lifted`) and check it on integers against the walk's rows, without
+    the simplex: positive, on every equality, outside that row and strictly
+    inside every other.  The ray keeps every row the table keeps, on the
+    five tables, (8,1,1) and (16,1,1); simplify on the raw conditions of
+    the five tables gives the generated row."""
+    shapes = {"five tables": [(make_poset(b), row) for b in _TABLES
+                              for row in five_tables[b].table.rows]}
+    for b in [(8, 1, 1), (16, 1, 1)]:
+        p = make_poset(b)
+        shapes[b] = [(p, row) for row in generate_table(p).rows]
+    for raw, row in _raw_table_rows(five_tables):
+        assert tuple(simplify(raw)) == tuple(row.conditions), raw
+    counts = {}
+    for shape, table_rows in shapes.items():
+        certified = kept = 0
+        for p, row in table_rows:
+            *strict, equality = _walk(p, row.dim)[0]
+            rows, equal = [r for r, _ in strict], [equality[0]]
+            out = {tuple(r) for r in _rows(p.variable_keys()[:-1], row.conditions)[0]}
+            kept += len(out)
+            if not rows:
                 continue
-            q = _past_root(_homogeneous(z), res.x, row)
-            assert all(v > 0 for v in q), c
-            assert all(sum(map(mul, e, q)) == 0 for e in equal), c
-            assert sum(map(mul, row, q)) > 0, c
-            assert all(sum(map(mul, r, q)) < 0 for r in kept), c
-            points += 1
-    assert points == 8  # 3 of them in the five tables
+            n, *merged = _merged(p.n, rows, equal)
+            z = _max_slack(n, *merged)
+            if z is None:
+                continue
+            hits = _ray_hits(*merged, z)
+            for i, (v, t) in hits.items():
+                assert v[-1] == 0, row  # the ray keeps g at 1
+                x = _lifted([a + t * b for a, b in zip(z, v)], rows, equal, p.n, merged)
+                scale = lcm(*(a.denominator for a in x))
+                xs = [int(a * scale) for a in x]
+                assert all(a > 0 for a in xs), row
+                xs.append(scale)  # g = 1
+                assert all(sum(map(mul, e, xs)) == 0 for e in equal), row
+                values = [sum(map(mul, r, xs)) for r in rows]
+                assert values[i] > 0, row
+                assert all(u < 0 for j, u in enumerate(values) if j != i), row
+                assert rows[i] in out, row
+            certified += len(hits)
+        counts[shape] = (certified, kept)
+    assert counts == {"five tables": (518, 518), (8, 1, 1): (108, 108),
+                      (16, 1, 1): (408, 408)}
 
 
 def _counting_simplex(monkeypatch) -> dict[str, int]:
@@ -1054,24 +1071,29 @@ def test_region_lp_count(monkeypatch):
     153 tableaus with 4,269 + 945 pivots; one tableau per region for all
     implied-row questions left 180 + 123 with 2,162 + 657.  A published
     row whose strict rows have the derived row's normal forms needs no LP,
-    which leaves verify_tables at most 26 tableaus and 303 pivots."""
+    which leaves verify_tables at most 26 tableaus and 303 pivots.  With
+    equal columns merged, the ray keeps every kept row of the tables,
+    which takes them from 180 to 179 tableaus and from 2,162 to 2,135
+    pivots."""
     counts = _counting_simplex(monkeypatch)
     for b in _TABLES:
         generate_table(make_poset(b))
     tables = dict(counts)
     assert verify_tables().all_ok
-    assert (tables["tableaus"], tables["pivots"]) == (180, 2162)
+    assert (tables["tableaus"], tables["pivots"]) == (179, 2135)
     assert counts["tableaus"] - tables["tableaus"] <= 26
     assert counts["pivots"] - tables["pivots"] <= 303
 
 
 def test_wide_table_simplex_work_is_bounded(monkeypatch):
-    """The rows of (16,1,1) whose ray ties pay one tableau each, never a
-    second one over the rest: no more tableaus and pivots than one LP per
-    uncertified row took (201 and 1,140)."""
+    """Simplex work for (16,1,1).  Its rows whose ray tied paid one tableau
+    each, 201 tableaus and 1,140 pivots in all.  With equal columns merged
+    the ray keeps all 408 of its kept rows, so the table takes one
+    interior-point tableau per region with a strict row: at most 136
+    tableaus and 800 pivots."""
     counts = _counting_simplex(monkeypatch)
     generate_table(make_poset([16, 1, 1]))
-    assert counts["tableaus"] <= 201 and counts["pivots"] <= 1140
+    assert counts["tableaus"] <= 136 and counts["pivots"] <= 800
 
 
 # --- oracle: the descent as walked on LinearForms ---------------------------

@@ -22,8 +22,9 @@ merges, then fulls, each branch-major.  The trace records the pass's
 of the first pass.  A position is one of the state its rule fired in: a
 zero's in the branch as given, a merge's once the zeros and earlier
 merges are done, a full's once all merges are done.  Whether d is an
-indecomposable dimension vector at all is a lookup in the cached positive
-roots, whose number also bounds the number of transforms.
+indecomposable dimension vector at all is decided by the Tits form
+(`roots._is_root`), and the number of positive roots, in closed form,
+bounds the number of transforms; the walk builds no root.
 Positivity of the transformed gamma form is implied by the branch tails,
 so it is never emitted, and reductions emit no inequalities at all.
 
@@ -71,7 +72,8 @@ from .core import (
 )
 from .coxeter import NegativeEntry, _fminus_dims, _phiminus_forms
 from .linalg import _echelon, _eliminate, _primitive, _primitive_row, _scaled
-from .roots import _positive_roots, dim_to_root, enumerate_indec_dims, require_finite_type
+from .roots import (_is_root, _root_count, dim_to_root, enumerate_indec_dims,
+                    require_finite_type)
 
 
 class NotInEnumeration(PosetRepError):
@@ -158,8 +160,8 @@ def _walk(
     in emission order, its trace steps but the terminal one, a transform's
     as its tail rows, and its states, each (d0, dims, branch rows, gamma
     row, reduced dims) as it stood before its reduction pass."""
-    roots = _positive_roots(p.branches)
-    if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
+    require_finite_type(p)
+    if not (d.fits(p) and d.is_admissible(p) and _is_root(d.d0, d.branches)):
         raise NotInEnumeration(
             f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}"
         )
@@ -173,8 +175,9 @@ def _walk(
     steps: list[Finding | tuple[_Row, ...]] = []
     conditions: dict[RowCondition, None] = {}
     states: list[tuple] = []
-    # at most len(roots) transforms, each followed by a reduction pass
-    for _ in range(len(roots) + 1):
+    # at most |Phi+| transforms, each followed by a reduction pass
+    bound = _root_count(p.branches)
+    for _ in range(bound + 1):
         state = (d0, dims, forms, gamma)
         dims, forms, gamma, findings = _reduce(d0, dims, forms, gamma)
         states.append(state + (dims,))
@@ -193,7 +196,7 @@ def _walk(
         tails = tuple(b[-1] for b in forms)
         conditions.update(dict.fromkeys(_condition_row(map(neg, t), LT_ZERO) for t in tails))
         steps.append(tails)
-    raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {len(roots)} steps")
+    raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {bound} steps")
 
 
 def derive_conditions(

@@ -44,7 +44,7 @@ from .core import (
 )
 from . import linalg
 from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point, _trace_row
-from .roots import _positive_roots, dim_to_root, require_finite_type, root_to_dim
+from .roots import _indec_roots, _is_root, dim_to_root, require_finite_type, root_to_dim
 
 
 class TraceObstruction(PosetRepError):
@@ -232,17 +232,15 @@ def _cover(p: PrimitivePoset, d: DimVector, x: list[int]) -> tuple[DimVector, ..
     of quivers", 1993).  So at most one combination of them gives d, and
     one exact solve finds it; a dependent set would make `linalg.solve`
     raise rather than answer."""
-    roots = _positive_roots(p.branches)
-    whole = dim_to_root(d)
-    if whole in roots and not _criterion(p, d).violated(x):
+    if _is_root(d.d0, d.branches) and not _criterion(p, d).violated(x):
         return (d,)
+    whole = dim_to_root(d)
     trace = _trace_row(x)
     candidates = []
-    for r in sorted(roots, reverse=True):
+    for r in reversed(_indec_roots(p.branches)):
         if r == whole or r[0] < 1 or _dot(trace, r) or any(a > b for a, b in zip(r, whole)):
             continue
-        part = root_to_dim(p, r)
-        if part.is_admissible(p) and not _criterion(p, part).violated(x):
+        if not _criterion(p, root_to_dim(p, r)).violated(x):
             candidates.append(r)
     if not candidates:
         return None
@@ -280,8 +278,8 @@ def unitarize(
 
     parts = _cover(p, d, x)
     if parts is None:  # d is a root exactly when it violates a condition
-        dim, roots = format_dim_string(d), _positive_roots(p.branches)
-        violated = _criterion(p, d).violated(x) if dim_to_root(d) in roots else ()
+        dim = format_dim_string(d)
+        violated = _criterion(p, d).violated(x) if _is_root(d.d0, d.branches) else ()
         reason = (f"the weight violates {len(violated)} derived condition(s) of {dim}"
                   if violated else f"{dim} is not a root of {p.branches}")
         raise NoWitness(f"{reason}, and no sum of roots at which the weight is admissible "

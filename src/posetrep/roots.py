@@ -2,13 +2,15 @@
 roots, finite-type detection and enumeration of indecomposable dimension
 vectors.
 
-Positive roots are the closure of the simple roots under the simple
-reflections (the Bernstein-Gelfand-Ponomarev orbit), polynomial in the
-number of vertices; posets above `MAX_ELEMENTS` elements are rejected.
-The closure runs once per branch multiset, for the branches longest first;
-another order of the same branches permutes those roots.
-`enumerate_indec_dims` then keeps the roots whose coordinates are
-chain-monotone and reads them as dimension vectors.
+Whether a dimension vector is a root is decided by the Tits form alone:
+for a Dynkin graph the positive roots are exactly the nonzero x >= 0 with
+q(x) = 1 (Gabriel 1972), and |Phi+| has a closed form, so neither needs
+the roots.  The roots themselves are built height by height from the
+simple roots, polynomial in the number of vertices; posets above
+`MAX_ELEMENTS` elements are rejected.  They are built once per branch
+multiset, for the branches longest first; another order of the same
+branches permutes those roots.  The chain-monotone ones, sorted, are the
+dimension vectors `enumerate_indec_dims` reads, kept once per shape.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch, _chai
 IntVector = tuple[int, ...]
 
 # Largest poset (number of elements) whose roots are computed.  A star with
-# n vertices has O(n^2) positive roots and the closure does O(n^2) work per
-# root, so this keeps every enumeration to about a second.
+# n vertices has O(n^2) positive roots and the closure does O(n) work per
+# root, so this keeps every enumeration to about a tenth of a second.
 MAX_ELEMENTS = 64
 
-# Most posets whose roots stay cached: twice the 16 shapes one round of
-# one-shot queries over every finite-type family touches.  An entry holds
-# up to 3.0 MB (the 4,160 roots of (1,1,62)); the cache full of the largest
-# shapes holds 61 MB (tracemalloc), where an unbounded one grew with every
-# shape visited.
+# Most posets whose roots, and whose sorted chain-monotone roots, stay
+# cached: twice the 16 shapes one round of one-shot queries over every
+# finite-type family touches.  An entry holds up to 3.0 MB (the 4,160 roots
+# of (1,1,62)); both caches full of the largest shapes hold 61 MB
+# (tracemalloc), where an unbounded one grew with every shape visited.
 MAX_CACHED_POSETS = 32
 
 
@@ -51,13 +53,6 @@ class StarGraph:
     poset: PrimitivePoset
     nvertices: int
     edges: tuple[tuple[int, int], ...]
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.nvertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 def star_graph(p: PrimitivePoset) -> StarGraph:
@@ -99,27 +94,60 @@ def require_finite_type(p: PrimitivePoset) -> None:
         )
 
 
-def _reflection_closure(g: StarGraph) -> frozenset[IntVector]:
-    """Positive roots as the closure of simple roots under the simple
-    reflections, discarding reflections that leave the positive cone."""
-    n = g.nvertices
-    adj = g.adjacency()
-    simple = [tuple(1 if i == v else 0 for i in range(n)) for v in range(n)]
-    roots: set[IntVector] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for v in range(n):
-                reflected = sum(x[u] for u in adj[v]) - x[v]
-                if reflected < 0:
-                    continue
-                y = x[:v] + (reflected,) + x[v + 1 :]
-                if y not in roots:
-                    roots.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return frozenset(roots)
+def _height_one_closure(branches: tuple[int, ...]) -> frozenset[IntVector]:
+    """The positive roots of the star graph of branches, height by height
+    from the simple roots: for a positive root x and a vertex v, x + e_v is
+    a root exactly when (x, e_v) = -1, that is when the neighbours of v sum
+    to 2 x_v + 1 (root strings of a simply-laced system; Humphreys,
+    "Introduction to Lie Algebras and Representation Theory", 9.4)."""
+    n = 1 + sum(branches)
+    # (v, a, b) for each arm vertex: its two neighbours, a leaf's outer one
+    # being the extra coordinate n, which stays 0; the centre's are the ends
+    arms, ends, base = [], [], 1
+    for k in branches:
+        arms.extend((base + i, base + i - 1 if i else n, base + i + 1 if i < k - 1 else 0)
+                    for i in range(k))
+        base += k
+        ends.append(base - 1)
+    layer = {tuple(int(i == v) for i in range(n + 1)) for v in range(n)}
+    roots = []
+    while layer:
+        roots.extend(layer)
+        higher = set()
+        for x in layer:
+            if sum([x[e] for e in ends]) == 2 * x[0] + 1:
+                higher.add((x[0] + 1,) + x[1:])
+            for v, a, b in arms:
+                if x[a] + x[b] == 2 * x[v] + 1:
+                    higher.add(x[:v] + (x[v] + 1,) + x[v + 1 :])
+        layer = higher
+    return frozenset(x[:n] for x in roots)
+
+
+def _root_count(branches: tuple[int, ...]) -> int:
+    """The number of positive roots of the star graph of branches, a Dynkin
+    graph with n vertices: n(n+1)/2 for A_n, n(n-1) for D_n and 36, 63 and
+    120 for E6, E7 and E8."""
+    n = 1 + sum(branches)
+    if len(branches) < 3:
+        return n * (n + 1) // 2
+    if branches.count(1) > 1:
+        return n * (n - 1)
+    return {6: 36, 7: 63, 8: 120}[n]
+
+
+def _is_root(d0: int, chains: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the non-negative dimension vector (d0, chains) of a finite-type
+    poset is a positive root: q = 1 for the Tits form of its star graph
+    (Gabriel 1972), `tits_form` summed chain by chain, leaf first."""
+    q = d0 * d0
+    for c in chains:
+        prev = 0
+        for v in c:
+            q += v * (v - prev)
+            prev = v
+        q -= prev * d0
+    return q == 1
 
 
 @lru_cache(maxsize=MAX_CACHED_POSETS)
@@ -133,7 +161,7 @@ def _positive_roots(branches: tuple[int, ...]) -> frozenset[IntVector]:
     order = sorted(range(p.width), key=lambda j: -p.branches[j])
     canonical = tuple(p.branches[j] for j in order)
     if canonical == p.branches:
-        return _reflection_closure(star_graph(p))
+        return _height_one_closure(p.branches)
     starts = dict(zip(order, accumulate(canonical, initial=1)))
     picks = [0]  # the centre, then each arm's block in its canonical place
     for j, k in enumerate(p.branches):
@@ -142,8 +170,8 @@ def _positive_roots(branches: tuple[int, ...]) -> frozenset[IntVector]:
 
 
 def positive_roots(g: StarGraph) -> frozenset[IntVector]:
-    """The positive roots of g, by reflection closure of the simple roots,
-    for a poset within `require_finite_type`'s scope."""
+    """The positive roots of g, height by height from the simple roots, for
+    a poset within `require_finite_type`'s scope."""
     return _positive_roots(g.poset.branches)
 
 
@@ -161,15 +189,25 @@ def dim_to_root(d: DimVector) -> IntVector:
     return (d.d0,) + tuple(e for b in d.branches for e in b)
 
 
+def _chain_blocks(branches: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The coordinate slice of each branch's chain in a root."""
+    bounds = list(accumulate(branches, initial=1))
+    return list(zip(bounds, bounds[1:]))
+
+
+@lru_cache(maxsize=MAX_CACHED_POSETS)
+def _indec_roots(branches: tuple[int, ...]) -> tuple[IntVector, ...]:
+    """The chain-monotone positive roots of branches, sorted: the root
+    tuples `_positive_roots` holds, scanned once per shape."""
+    blocks = _chain_blocks(branches)
+    return tuple(x for x in sorted(_positive_roots(branches))
+                 if _chain_monotone(x[0], (x[a:b] for a, b in blocks)))
+
+
 def enumerate_indec_dims(p: PrimitivePoset) -> tuple[DimVector, ...]:
     """Dimension vectors of the indecomposable representations: the
     chain-monotone positive roots, sorted by (d0, branch entries), which
     is the order of the root tuples themselves."""
-    bounds = list(accumulate(p.branches, initial=1))
-    blocks = list(zip(bounds, bounds[1:]))
-    dims = []
-    for x in sorted(_positive_roots(p.branches)):
-        chains = tuple(x[a:b] for a, b in blocks)
-        if _chain_monotone(x[0], chains):
-            dims.append(DimVector(x[0], chains))
-    return tuple(dims)
+    blocks = _chain_blocks(p.branches)
+    return tuple(DimVector(x[0], tuple(x[a:b] for a, b in blocks))
+                 for x in _indec_roots(p.branches))

@@ -321,6 +321,20 @@ def test_unitarize_decomposable_witness(capsys):
     assert payload["residual"] <= 1e-8 * 2**0.5
 
 
+def test_check_weight_on_a_non_root_exits_1_where_unitarize_covers_it(capsys):
+    """Only roots have condition rows, so check-weight refuses a non-root d
+    (exit 1), while unitarize decides the same d by its cover, here the
+    three roots 1;0;0;1, 0;1;0;1 and 0;0;1;1."""
+    argv = ["--poset", "1,1,1", "--dim", "1;1;1;3", "--weight", "2;2;2;2"]
+    code, out, err = _run(capsys, "check-weight", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: 1;1;1;3 is not an indecomposable dimension vector of (1, 1, 1)\n"
+    code, out, _ = _run(capsys, "unitarize", *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["success"] is True
+    assert payload["residual"] <= 1e-8 * 2 * 3**0.5
+
+
 def test_budget_and_size_bounds(tmp_path, capsys):
     base = ["unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2", "--weight", "1;1;1;3/2"]
     infinite = ["unitarize", "--poset", "1,1,1,1", "--dim", "1;1;1;1;2",

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from posetrep import roots as roots_module
 from posetrep.core import make_poset, parse_dim_string
+from posetrep.derive import _criterion, check_weight, derive_conditions, interior_point
+from posetrep.numeric import unitarize
 from posetrep.roots import (
     MAX_CACHED_POSETS,
     FiniteTypeRequired,
     PosetTooLarge,
+    _height_one_closure,
+    _indec_roots,
+    _is_root,
+    _root_count,
     _positive_roots,
     dim_to_root,
     enumerate_indec_dims,
@@ -54,6 +61,46 @@ def _scan_roots(g, bound: int) -> frozenset:
         for row in x[q == 1]:
             roots.add(tuple(int(v) for v in row))
     return frozenset(roots)
+
+
+def _reflection_closure(g) -> frozenset:
+    """Oracle: the positive roots as the closure of the simple roots under
+    the simple reflections, discarding reflections that leave the positive
+    cone (the Bernstein-Gelfand-Ponomarev orbit)."""
+    n = g.nvertices
+    adj = [[] for _ in range(n)]
+    for u, w in g.edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    simple = [tuple(1 if i == v else 0 for i in range(n)) for v in range(n)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for v in range(n):
+                reflected = sum(x[u] for u in adj[v]) - x[v]
+                if reflected < 0:
+                    continue
+                y = x[:v] + (reflected,) + x[v + 1 :]
+                if y not in roots:
+                    roots.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(roots)
+
+
+@lru_cache(maxsize=None)
+def _oracle(branches) -> frozenset:
+    return _reflection_closure(star_graph(make_poset(branches)))
+
+
+def _orders(branches):
+    return sorted(set(itertools.permutations(branches)))
+
+
+LARGE = ((61, 1, 1), (1, 1, 62), (30, 30), (63,))
+TABLES = ((1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1))
 
 
 def _finite_by_list(branches) -> bool:
@@ -138,25 +185,27 @@ def test_one_closure_per_branch_multiset(monkeypatch):
     """The closure runs once per branch multiset, for the branches longest
     first; every other order gets the closure of its own star graph by
     permuting the arm blocks of those roots."""
-    closure = roots_module._reflection_closure
+    closure = roots_module._height_one_closure
     calls = []
 
-    def counting_closure(g):
-        calls.append(g.poset.branches)
-        return closure(g)
+    def counting_closure(branches):
+        calls.append(branches)
+        return closure(branches)
 
-    monkeypatch.setattr(roots_module, "_reflection_closure", counting_closure)
+    monkeypatch.setattr(roots_module, "_height_one_closure", counting_closure)
     _positive_roots.cache_clear()
     orders = [(4, 2, 1), (1, 2, 4), (2, 4, 1), (1, 4, 2), (1, 5, 1), (1, 1, 5), (2, 7), (7, 2)]
     for b in orders:
-        assert _positive_roots(b) == closure(star_graph(make_poset(b))), b
+        assert _positive_roots(b) == _oracle(b), b
     assert calls == [(4, 2, 1), (5, 1, 1), (7, 2)]
     _positive_roots.cache_clear()
 
 
 def test_root_cache_is_bounded():
     """The cache holds at most MAX_CACHED_POSETS shapes, at least the 16
-    that one round of one-shot queries touches, and keeps the most recent."""
+    that one round of one-shot queries touches, and keeps the most recent;
+    so does the cache of sorted chain-monotone roots, and `cache_clear`
+    empties each."""
     assert _positive_roots.cache_info().maxsize == MAX_CACHED_POSETS >= 16
     chains = [(k,) for k in range(1, MAX_CACHED_POSETS + 2)]
     for b in chains:
@@ -167,6 +216,94 @@ def test_root_cache_is_bounded():
     assert _positive_roots.cache_info().hits == hits + 1
     _positive_roots.cache_clear()
     assert _positive_roots.cache_info().currsize == 0
+    assert _indec_roots.cache_info().maxsize == MAX_CACHED_POSETS
+    for b in chains:
+        enumerate_indec_dims(make_poset(b))
+    assert _indec_roots.cache_info().currsize == MAX_CACHED_POSETS
+    _indec_roots.cache_clear()
+    _positive_roots.cache_clear()
+    assert _indec_roots.cache_info().currsize == 0
+
+
+def test_height_one_closure_matches_reflection_closure():
+    """Height by height from the simple roots gives the reflection closure,
+    in every branch order: chains, two chains and (k,1,1) up to 12 elements,
+    the three E shapes, and the largest shapes once each."""
+    small = [(k,) for k in range(1, 13)]
+    small += [(a, b) for a in range(1, 12) for b in range(1, 13 - a)]
+    small += [o for k in range(1, 11) for o in _orders((k, 1, 1))]
+    small += [o for b in TABLES[2:] for o in _orders(b)]
+    for b in small:
+        assert _height_one_closure(b) == _oracle(b), b
+    for b in LARGE[:3]:
+        assert _height_one_closure(b) == _oracle(b), b
+
+
+def test_tits_form_membership_equals_closure_membership():
+    """A dimension vector is a root exactly when q = 1 (`_is_root`), on every
+    vector of the box from 0 to one past the highest root."""
+    for branches in (*TABLES, (5, 1, 1), (3, 3)):
+        roots = _oracle(branches)
+        top = [max(c) + 1 for c in zip(*roots)]
+        bounds = list(itertools.accumulate(branches, initial=1))
+        blocks = list(zip(bounds, bounds[1:]))
+        found = {x for x in itertools.product(*(range(t + 1) for t in top))
+                 if _is_root(x[0], [x[a:b] for a, b in blocks])}
+        assert found == roots, branches
+
+
+def test_root_count_closed_form():
+    """|Phi+| in closed form equals the closure's size on every finite-type
+    shape up to 20 elements, in every branch order, and on the largest
+    shapes."""
+    shapes = [b for width in (1, 2, 3) for b in itertools.product(range(1, 21), repeat=width)
+              if sum(b) <= 20 and is_finite_type(make_poset(b))]
+    assert len(shapes) == 20 + 190 + (1 + 3 * 17) + (3 + 6 + 6)
+    for b in shapes + list(LARGE):
+        assert _root_count(b) == len(_oracle(b)), b
+
+
+def _cleared_caches():
+    for cache in (_positive_roots, _indec_roots, _criterion):
+        cache.cache_clear()
+
+
+def test_single_row_queries_build_no_root(monkeypatch):
+    """derive_conditions, check_weight and unitarize at an admissible weight
+    decide a (61,1,1) row by the Tits form and build no root."""
+    calls = []
+    closure = roots_module._height_one_closure
+    monkeypatch.setattr(roots_module, "_height_one_closure",
+                        lambda b: calls.append(b) or closure(b))
+    p = make_poset([61, 1, 1])
+    d = parse_dim_string(",".join(["1"] * 61) + ";1;1;2")
+    _cleared_caches()
+    cs, _ = derive_conditions(p, d)
+    w = interior_point(cs, p)
+    _cleared_caches()
+    assert check_weight(p, d, w).admissible
+    _cleared_caches()
+    assert unitarize(p, d, w).residual <= 1e-8
+    assert calls == []
+    assert _positive_roots.cache_info().currsize == 0
+    _cleared_caches()
+
+
+def test_enumeration_scans_each_shape_once(monkeypatch):
+    """Two enumerations of one shape test chain-monotonicity once per root,
+    and the kept roots are the tuples the root set holds."""
+    scans = []
+    monotone = roots_module._chain_monotone
+    monkeypatch.setattr(roots_module, "_chain_monotone",
+                        lambda d0, chains: scans.append(d0) or monotone(d0, chains))
+    _cleared_caches()
+    p = make_poset([4, 2, 1])
+    first = enumerate_indec_dims(p)
+    assert enumerate_indec_dims(p) == first
+    assert len(scans) == _root_count((4, 2, 1)) == 120
+    held = {id(x) for x in _positive_roots((4, 2, 1))}
+    assert all(id(x) in held for x in _indec_roots((4, 2, 1)))
+    _cleared_caches()
 
 
 def test_is_finite_type():

@@ -664,12 +664,22 @@ def _var_name(key: str, p: PrimitivePoset, style: str) -> str:
     return name + str(i)
 
 
+@lru_cache(maxsize=96)  # each style of 32 posets
+def _names(p: PrimitivePoset, style: str) -> dict[str, str]:
+    """The `_var_name` of each variable of p in style, built once per
+    (poset, style); a branch with no display letter has no entry."""
+    return {k: _var_name(k, p, style) for k in p._variable_keys
+            if key_order(k)[1] <= len(_GREEK)}
+
+
 def _render_side(terms: list[tuple[str, int | Fraction]], p: PrimitivePoset, style: str) -> str:
     if not terms:
         return "0"
+    names = _names(p, style)
     parts = []
     for key, c in terms:
-        name = _var_name(key, p, style)
+        # a key with no entry is refused by `_var_name`'s ShapeMismatch
+        name = names[key] if key in names else _var_name(key, p, style)
         parts.append(name if c == 1 else f"{c}{name}")
     return "+".join(parts)
 

@@ -28,6 +28,15 @@ bounds the number of transforms; the walk builds no root.
 Positivity of the transformed gamma form is implied by the branch tails,
 so it is never emitted, and reductions emit no inequalities at all.
 
+The walk (`_walk`) is one engine in three parts.  The first reduction
+pass runs on d's dimensions alone and fixes which variables sum into each
+reduced element and which full variables leave gamma.  The reduction and
+the transform are linear in the forms, and which rule fires depends on
+the dimensions alone, so the rest of the descent depends only on the
+reduced state (d0, dims): it runs once per state on local unit rows, one
+per reduced element and one for gamma, memoised in `_descent`.  Its rows
+are then substituted back over the poset's variables.
+
 A condition is one row from the walk to the LP: primitive integers over
 `PrimitivePoset.variable_keys()` (gamma last), an equality's first nonzero
 one positive: `linalg._primitive_row`, the rule by which `core.Condition`
@@ -46,9 +55,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, islice
-from operator import add, mul, neg, sub
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, chain, islice
+from operator import add, itemgetter, mul, neg, sub
+from typing import Callable, Iterable, Sequence, Union
 
 from . import lp
 from .core import (
@@ -123,8 +132,8 @@ def step_to_json(step: TraceStep) -> dict:
 
 
 class _Row(tuple):
-    """An integer form: its coefficients over `PrimitivePoset.variable_keys`,
-    with elementwise + and -, so that `core._reduce` and
+    """An integer form: its coefficients over the local variables of a
+    `_descent`, with elementwise + and -, so that `core._reduce` and
     `coxeter._phiminus_forms` run on it as on a `LinearForm`."""
 
     __slots__ = ()
@@ -151,41 +160,37 @@ def _form(keys, row) -> LinearForm:
     return LinearForm._ordered(tuple((k, v) for k, v in zip(keys, row) if v))
 
 
-def _walk(
-    p: PrimitivePoset, d: DimVector
-) -> tuple[list[RowCondition], list[Finding | tuple[_Row, ...]], list[tuple]]:
-    """The descent of `derive_conditions`, on `_Row`s over p.variable_keys()
-    and plain int dimensions, without a `LinearForm`, a `DimVector` or a
-    `PrimitivePoset`: its distinct conditions (`_condition_row`)
-    in emission order, its trace steps but the terminal one, a transform's
-    as its tail rows, and its states, each (d0, dims, branch rows, gamma
-    row, reduced dims) as it stood before its reduction pass."""
-    require_finite_type(p)
-    if not (d.fits(p) and d.is_admissible(p) and _is_root(d.d0, d.branches)):
-        raise NotInEnumeration(
-            f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}"
-        )
+class _Exceeded(Exception):
+    """A `_descent` that ran past its step bound."""
 
-    # the identity weight: one unit row per variable, branch-major, g last
-    zero = (0,) * p.n
-    units = iter(_Row(zero[:i] + (1,) + zero[i:]) for i in range(p.n + 1))
-    d0, dims = d.d0, d.branches
-    forms = tuple(tuple(next(units) for _ in range(k)) for k in p.branches)
+
+@lru_cache(maxsize=1024)
+def _descent(
+    d0: int, dims: tuple[tuple[int, ...], ...], bound: int
+) -> tuple[tuple, tuple, tuple]:
+    """The descent from the reduced state (d0, dims), with at most bound + 1
+    downward transforms, on local unit rows: one per element of dims,
+    branch-major, then gamma.
+
+    Returns its distinct conditions (`_condition_row`) in emission order,
+    the equality last; its trace steps, a transform's as its tail rows;
+    and its states, each (d0, dims, branch rows, gamma row, reduced dims)
+    as it stood before its reduction pass, (d0, dims) itself first.  Which
+    rule fires depends on the dimensions alone, so every walk that reaches
+    (d0, dims) shares this descent (`_walk`).  A failed descent raises,
+    OrbitEscape or `_Exceeded`, and is not cached; `cache_clear` empties
+    the memo."""
+    zero = (0,) * sum(map(len, dims))
+    units = iter(_Row(zero[:i] + (1,) + zero[i:]) for i in range(len(zero) + 1))
+    forms = tuple(tuple(next(units) for _ in b) for b in dims)
     gamma = next(units)
-    steps: list[Finding | tuple[_Row, ...]] = []
     conditions: dict[RowCondition, None] = {}
-    states: list[tuple] = []
-    # at most |Phi+| transforms, each followed by a reduction pass
-    bound = _root_count(p.branches)
+    steps: list[Finding | tuple[_Row, ...]] = []
+    states = [(d0, dims, forms, gamma, dims)]
     for _ in range(bound + 1):
-        state = (d0, dims, forms, gamma)
-        dims, forms, gamma, findings = _reduce(d0, dims, forms, gamma)
-        states.append(state + (dims,))
-        steps.extend(findings)
         if not dims:
             conditions[_condition_row(gamma, EQ_ZERO)] = None
-            return list(conditions), steps, states
-
+            return tuple(conditions), tuple(steps), tuple(states)
         try:
             d0, dims = _fminus_dims(d0, dims)
         except NegativeEntry as exc:
@@ -196,18 +201,82 @@ def _walk(
         tails = tuple(b[-1] for b in forms)
         conditions.update(dict.fromkeys(_condition_row(map(neg, t), LT_ZERO) for t in tails))
         steps.append(tails)
-    raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {bound} steps")
+        state = (d0, dims, forms, gamma)
+        dims, forms, gamma, findings = _reduce(*state)
+        states.append(state + (dims,))
+        steps.extend(findings)
+    raise _Exceeded
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask >= 0."""
+    return [v for v, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _walk(
+    p: PrimitivePoset, d: DimVector
+) -> tuple[list[RowCondition], tuple[Finding, ...], tuple, Callable[[IntRow], IntRow]]:
+    """The descent of `derive_conditions`, in three parts.
+
+    The first reduction pass runs on d's dimensions with one bit per
+    variable as the forms: it fixes which variables sum into each reduced
+    element (disjoint, nonempty sets) and which full variables leave
+    gamma.  The rest is the memoised `_descent` from the reduced state.
+    Its rows map back to rows over p.variable_keys() by substitution: a
+    coefficient c on element k lands on every variable of k, gamma's c on
+    gamma and -c on every full variable.  The map is linear and injective
+    and keeps a row's gcd, so the descent's dedup, order and primitive
+    rows survive; only the equality's sign is normalised again.
+
+    Returns the conditions over p's variables (`_condition_row`) in
+    emission order, the equality last; the first pass's findings; the
+    `_descent`; and the substitution, from its rows to p's."""
+    require_finite_type(p)
+    if not (d.fits(p) and d.is_admissible(p) and _is_root(d.d0, d.branches)):
+        raise NotInEnumeration(
+            f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}"
+        )
+
+    forms = tuple(tuple(1 << v for v in range(end - k, end))
+                  for k, end in zip(p.branches, accumulate(p.branches)))
+    dims, masks, fulls, findings = _reduce(d.d0, d.branches, forms, 0)
+    # at most |Phi+| transforms, each followed by a reduction pass
+    bound = _root_count(p.branches)
+    try:
+        descent = _descent(d.d0, dims, bound)
+    except _Exceeded:
+        raise OrbitEscape(
+            f"descent from {format_dim_string(d)} exceeded {bound} steps") from None
+
+    # where each variable reads its coefficient in a descent row padded
+    # with (-gamma, 0): at its element, at -gamma when full, at 0 when zero
+    owner = [-1] * p.n + [-3]
+    for k, mask in enumerate(chain.from_iterable(masks)):
+        for v in _bits(mask):
+            owner[v] = k
+    for v in _bits(-fulls):
+        owner[v] = -2
+    pick = itemgetter(*owner)
+
+    def lift(row: IntRow) -> IntRow:
+        return pick((*row, -row[-1], 0))
+
+    *strict, (equality, _) = descent[0]
+    conditions = [(lift(row), rel) for row, rel in strict]
+    conditions.append(_condition_row(lift(equality), EQ_ZERO))
+    return conditions, findings, descent, lift
 
 
 def derive_conditions(
     p: PrimitivePoset, d: DimVector
 ) -> tuple[ConditionSet, DerivationTrace]:
     """Exact weight conditions for the indecomposable with dimensions d."""
-    conditions, steps, _ = _walk(p, d)
+    conditions, findings, (_, steps, _), lift = _walk(p, d)
     keys = p._variable_keys
     cs = ConditionSet(Condition._canonical(_form(keys, row), rel) for row, rel in conditions)
-    trace = [s if isinstance(s, Finding) else ApplyPhiMinus(tuple(_form(keys, t) for t in s))
-             for s in steps]
+    trace = [*findings]
+    trace += [s if isinstance(s, Finding) else
+              ApplyPhiMinus(tuple(_form(keys, lift(t)) for t in s)) for s in steps]
     return cs, DerivationTrace((*trace, Terminal(cs.equalities[0])))  # the one equality
 
 
@@ -267,29 +336,28 @@ class Criterion:
                      if (_dot(row, x) != 0 if rel == EQ_ZERO else _dot(row, x) >= 0))
 
 
-def _lift_state(state: tuple, first: bool) -> LiftState:
+def _lift_state(state: tuple, lift: Callable[[IntRow], IntRow]) -> LiftState:
+    """The `LiftState` of a state of `_descent`, its rows substituted back
+    by lift (`_walk`)."""
     d0, dims, forms, gamma, reduced = state
-    tops = tuple(b[-1] for b in reduced)
-    if first:  # the lift never leaves the starting state
-        return LiftState(d0, dims, tops, (), ())
     columns = []
     for b, branch in zip(dims, forms):
         suffix = list(accumulate(reversed(branch), add))[::-1]
         counts = [e - prev for prev, e in zip((0,) + b, b)]
-        columns.append(tuple((tuple(r), c) for r, c in zip(suffix, counts) if c))
-    return LiftState(d0, dims, tops, tuple(columns), tuple(gamma))
+        columns.append(tuple((lift(r), c) for r, c in zip(suffix, counts) if c))
+    return LiftState(d0, dims, tuple(b[-1] for b in reduced), tuple(columns), lift(gamma))
 
 
 @lru_cache(maxsize=1024)
 def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
-    """The descent of (p, d) walked once and compiled to integer rows.
-    Holds no `LinearForm`; `cache_clear` empties it."""
-    conditions, _, states = _walk(p, d)
-    return Criterion(
-        p._variable_keys,
-        tuple(conditions),
-        tuple(_lift_state(s, k == 0) for k, s in enumerate(states)),
-    )
+    """The descent of (p, d) walked once and compiled to integer rows: the
+    `_walk`'s, with the states of its `_descent` substituted back, and d
+    itself first.  Holds no `LinearForm`; `cache_clear` empties it."""
+    conditions, _, (_, _, (first, *later)), lift = _walk(p, d)
+    tops = tuple(b[-1] for b in first[4])
+    states = [LiftState(d.d0, d.branches, tops, (), ())]  # the lift never leaves it
+    states += [_lift_state(s, lift) for s in later]
+    return Criterion(p._variable_keys, tuple(conditions), tuple(states))
 
 
 # --- LP-backed region operations ------------------------------------------

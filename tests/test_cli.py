@@ -715,3 +715,58 @@ def test_hom_size_bound(tmp_path, capsys):
         message = (f"error: a Hom space between ambient dimensions {a1} and {a2} has "
                    f"{a1 * a2} unknowns, above the supported 49\n")
         assert runs == [(1, "", message)] * len(runs)
+
+
+# Recorded before the walk was memoised by reduced state and the renderer
+# read a name table: sha256 of the exact stdout of `table` per shape and
+# format, and of the stdout of `conditions` over all 106 rows of (4,2,1),
+# in enumeration order, per format and flags.
+_TABLE_OUTPUT_SHA256 = {
+    ("4,2,1", "text"): "e65e947592dfb1d617ff02d28594ac7dad55eb7a8c064b280f18b347d94b87b1",
+    ("4,2,1", "json"): "68c9ca2617ae4633a5a0eb1894e00a761521d00b00149edba8f2c8351156d393",
+    ("4,2,1", "latex"): "52182f68c201a17290e49fa1674653a3cdebdae9b20de6a5d60f3a0be2dfe496",
+    ("40,1,1", "text"): "796091d6b094e361839b7e9854f32265017d6c4bbb973684cd4f7881eb254498",
+    ("40,1,1", "json"): "0b304b4ca8666b459d0d458105174eaf39db1804dee2a135462a9daf5e118a75",
+    ("40,1,1", "latex"): "8320cfb2578767feea7b4db05935e61c47b1a1d96154a905ac6170018481635d",
+    ("30,30", "text"): "dd3d1a6ee42b73647a69d8a47431f42b2771e05c2dd1378c1e62fa97de26f18d",
+    ("30,30", "json"): "9d7cfcd25c6c88c49a996798fd97c4fcd0067628289cb307c86657d0de7373a7",
+    ("30,30", "latex"): "c51a32a01c9f35924c182c64831b47bcaafd4e94113a5d7a00307393dc6eaf5a",
+}
+_CONDITIONS_OUTPUT_SHA256 = {
+    ("text",): "ab8b460ea454d47c545b4f1652584762c528484ddba776fb9bae15db36c366a9",
+    ("text", "--trace"): "9d7e5d26a2ea6e1c8fb074c241f5e3b3bfe33865fae150e1960da54e594d315f",
+    ("text", "--raw"): "27d5030a0d0a5e9b1a708fe79d5ad5bbf543b5ff0eb2068ba8ea1fc9fc73fe5b",
+    ("text", "--trace", "--raw"):
+        "04677e91e614162dfc4b2f4cc842fead1df8960a9436eb79bc0215dc943b0806",
+    ("json",): "d023c9d5ea2a6739b79c43b5483b92d420d20d85b36cab1a60a2964f931b320a",
+    ("json", "--trace"): "d6d18c419ba511feaedc08704e3f06775a1f2d0a22354fb5baa52a0939778248",
+    ("json", "--raw"): "c25a5bcfd2e597b95a62ab2c3028d6984b38201358e244986e5299cac089c64d",
+    ("json", "--trace", "--raw"):
+        "00d8bf2fbd53f0a74dfc211c16fef685f12b2434b1bece8fe3b9cbf9388d6dcb",
+    ("latex",): "9bd6bceb90bed079d9f6f12569c93e4d6af0f75246c3015c8f454f7ae95aa886",
+    ("latex", "--trace"): "edb1f853dd84eebc7b0cec41ca7d0110110a10b52e824184df5a5bbdc63cb7b8",
+    ("latex", "--raw"): "b0bb0a0864dcaa9ddef50ba6558c96b3c64023fade599a672737f062c9e83ae1",
+    ("latex", "--trace", "--raw"):
+        "829f4e535ff2178ba4726929f0927f4e9d7eb05864de49251667a0436f6da638",
+}
+
+
+def test_golden_table_outputs(capsys):
+    for (shape, fmt), digest in _TABLE_OUTPUT_SHA256.items():
+        code, out, err = _run(capsys, "table", "--poset", shape, "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (shape, fmt)
+
+
+def test_golden_conditions_outputs(capsys):
+    code, out, _ = _run(capsys, "enumerate", "--poset", "4,2,1")
+    dims = out.split()
+    assert code == 0 and len(dims) == 106
+    for (fmt, *flags), digest in _CONDITIONS_OUTPUT_SHA256.items():
+        h = hashlib.sha256()
+        for dim in dims:
+            code, out, err = _run(capsys, "conditions", "--poset", "4,2,1", "--dim", dim,
+                                  "--format", fmt, *flags)
+            assert code == 0 and err == ""
+            h.update(out.encode())
+        assert h.hexdigest() == digest, (fmt, *flags)

@@ -22,6 +22,8 @@ from posetrep.core import (
     PrimitivePoset,
     ShapeMismatch,
     Weight,
+    _names,
+    _var_name,
     alpha_key,
     classify_degeneracy,
     format_dim_string,
@@ -283,6 +285,27 @@ def test_render_parse_round_trip():
         c = parse_condition_text(text, p)
         ascii_text = render_condition(c, p, "ascii")
         assert parse_condition_text(ascii_text, p) == c
+
+
+def test_render_reads_a_name_table():
+    """The renderer reads one name table per (poset, style), whose names
+    are `_var_name`'s; a key outside the poset and a branch with no
+    display letter keep their ShapeMismatch messages."""
+    for p in [make_poset([3, 2, 1]), make_poset([12, 1]), make_poset([1] * 11)]:
+        for style in ("text", "latex", "ascii"):
+            names = _names(p, style)
+            assert names is _names(p, style)
+            for k in p.variable_keys():
+                assert names.get(k) == (_var_name(k, p, style) if key_order(k)[1] <= 10 else None)
+    wide = make_poset([1] * 11)
+    tenth = Condition(LinearForm({"a.10.1": 1, GAMMA_KEY: -1}), LT_ZERO)
+    assert render_condition(tenth, wide) == "μ<γ"
+    assert render_condition(tenth, wide, "latex") == "\\mu<\\gamma"
+    eleventh = Condition(LinearForm({"a.11.1": 1, GAMMA_KEY: -1}), LT_ZERO)
+    with pytest.raises(ShapeMismatch, match=r"^no display letter for branch 11$"):
+        render_condition(eleventh, wide)
+    with pytest.raises(ShapeMismatch, match=r"^variable a.11.1 outside poset \(1, 1\)$"):
+        render_condition(eleventh, make_poset([1, 1]))
 
 
 def test_json_encodings():

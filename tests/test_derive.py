@@ -5,8 +5,9 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,14 @@ from posetrep.core import (
     Condition,
     ConditionSet,
     DimVector,
+    Finding,
     LinearForm,
     PosetRepError,
     PrimitivePoset,
     ShapeMismatch,
     SymbolicWeight,
     Weight,
+    _dim_string,
     _reduce,
     alpha_key,
     classify_degeneracy,
@@ -37,16 +40,19 @@ from posetrep.core import (
     parse_weight_string,
     trace_condition,
 )
-from posetrep.coxeter import NegativeEntry, phiminus_weight
+from posetrep.coxeter import NegativeEntry, _fminus_dims, _phiminus_forms, phiminus_weight
 from posetrep.derive import (
     ApplyPhiMinus,
     DerivationTrace,
+    LiftState,
     MalformedTrace,
     NotInEnumeration,
     OrbitEscape,
+    RowCondition,
     Terminal,
     TraceStep,
     Verdict,
+    _Row,
     _condition_row,
     _criterion,
     _form,
@@ -69,11 +75,14 @@ from posetrep.derive import (
 from posetrep.roots import (
     FiniteTypeRequired,
     PosetTooLarge,
+    _is_root,
     _positive_roots,
+    _root_count,
     dim_to_root,
     enumerate_indec_dims,
     is_finite_type,
     positive_roots,
+    require_finite_type,
     star_graph,
 )
 
@@ -342,6 +351,25 @@ def test_criterion_cache_is_bounded():
     assert not list(forms(_criterion(p, d)))
     _criterion.cache_clear()
     assert _criterion.cache_info().currsize == 0
+
+
+def test_descent_memo_is_bounded():
+    """The memoised descent is a module-level lru_cache of 1,024 entries,
+    one per (d0, reduced dims, step bound); cache_clear empties it, and a
+    descent that fails is not kept."""
+    assert derive._descent.cache_info().maxsize == 1024
+    derive._descent.cache_clear()
+    p = make_poset([61, 1, 1])
+    for d in enumerate_indec_dims(p)[:500]:
+        _walk(p, d)
+    assert 0 < derive._descent.cache_info().currsize <= 2
+    derive._descent.cache_clear()
+    assert derive._descent.cache_info().currsize == 0
+    with pytest.raises(OrbitEscape):
+        derive._descent(3, ((1,), (2,)), 6)  # the new d0 is 0, below its branches
+    with pytest.raises(derive._Exceeded):
+        derive._descent(2, ((1,),) * 5, 12)  # an infinite-type state never ends
+    assert derive._descent.cache_info().currsize == 0
 
 
 def test_corpus_row_counts_and_order():
@@ -1198,7 +1226,7 @@ def test_walk_matches_linear_form_oracle():
 
             # the walk's rows are the oracle's canonical forms, each
             # equality's sign included, in ConditionSet order
-            walked, _, _ = _walk(p, d)
+            walked = _walk(p, d)[0]
             denom, rows = _oracle_rows([c.form for c in ref], keys)
             expected = [(tuple(r), c.rel) for r, c in zip(rows, ref)]
             assert denom == 1 and walked == expected, (b, d)
@@ -1212,6 +1240,100 @@ def test_walk_matches_linear_form_oracle():
                 state[:3] + state[4:] for state in lifted], (b, d)
             roots += 1
     assert roots == 397
+
+
+# --- oracle: the descent walked whole on integer rows -----------------------
+#
+# The descent with no memo, with its LiftState compiler: one unit row per
+# variable of p, and every state of every walk stepped through.  The engine
+# of derive._walk (first pass, memoised descent, substitution) must give the
+# same rows in the same order, the same trace steps and the same lift
+# states.
+
+
+def _row_walk(
+    p: PrimitivePoset, d: DimVector
+) -> tuple[list[RowCondition], list[Finding | tuple[_Row, ...]], list[tuple]]:
+    """The descent of `derive_conditions`, on `_Row`s over p.variable_keys()
+    and plain int dimensions, without a `LinearForm`, a `DimVector` or a
+    `PrimitivePoset`: its distinct conditions (`_condition_row`)
+    in emission order, its trace steps but the terminal one, a transform's
+    as its tail rows, and its states, each (d0, dims, branch rows, gamma
+    row, reduced dims) as it stood before its reduction pass."""
+    require_finite_type(p)
+    if not (d.fits(p) and d.is_admissible(p) and _is_root(d.d0, d.branches)):
+        raise NotInEnumeration(
+            f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}"
+        )
+
+    # the identity weight: one unit row per variable, branch-major, g last
+    zero = (0,) * p.n
+    units = iter(_Row(zero[:i] + (1,) + zero[i:]) for i in range(p.n + 1))
+    d0, dims = d.d0, d.branches
+    forms = tuple(tuple(next(units) for _ in range(k)) for k in p.branches)
+    gamma = next(units)
+    steps: list[Finding | tuple[_Row, ...]] = []
+    conditions: dict[RowCondition, None] = {}
+    states: list[tuple] = []
+    # at most |Phi+| transforms, each followed by a reduction pass
+    bound = _root_count(p.branches)
+    for _ in range(bound + 1):
+        state = (d0, dims, forms, gamma)
+        dims, forms, gamma, findings = _reduce(d0, dims, forms, gamma)
+        states.append(state + (dims,))
+        steps.extend(findings)
+        if not dims:
+            conditions[_condition_row(gamma, EQ_ZERO)] = None
+            return list(conditions), steps, states
+
+        try:
+            d0, dims = _fminus_dims(d0, dims)
+        except NegativeEntry as exc:
+            raise OrbitEscape(
+                f"downward transform failed at {_dim_string(d0, dims)}: {exc}"
+            ) from exc
+        forms, gamma = _phiminus_forms(forms, gamma)
+        tails = tuple(b[-1] for b in forms)
+        conditions.update(dict.fromkeys(_condition_row(map(neg, t), LT_ZERO) for t in tails))
+        steps.append(tails)
+    raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {bound} steps")
+
+
+def _row_lift_state(state: tuple, first: bool) -> LiftState:
+    d0, dims, forms, gamma, reduced = state
+    tops = tuple(b[-1] for b in reduced)
+    if first:  # the lift never leaves the starting state
+        return LiftState(d0, dims, tops, (), ())
+    columns = []
+    for b, branch in zip(dims, forms):
+        suffix = list(accumulate(reversed(branch), add))[::-1]
+        counts = [e - prev for prev, e in zip((0,) + b, b)]
+        columns.append(tuple((tuple(r), c) for r, c in zip(suffix, counts) if c))
+    return LiftState(d0, dims, tops, tuple(columns), tuple(gamma))
+
+
+def test_engine_matches_the_row_walk_oracle():
+    """Rows, trace steps and lift states of the engine equal those of the
+    whole walk, and the walks of a shape share few descents."""
+    derive._descent.cache_clear()
+    walks = 0
+    for b in _WALK_SHAPES + [(16, 1, 1)]:
+        p = make_poset(b)
+        keys = p._variable_keys
+        for d in enumerate_indec_dims(p):
+            conditions, steps, states = _row_walk(p, d)
+            assert _walk(p, d)[0] == conditions, (b, d)
+            expected = [s if isinstance(s, Finding) else
+                        ApplyPhiMinus(tuple(_form(keys, t) for t in s)) for s in steps]
+            _, trace = derive_conditions(p, d)
+            assert list(trace.steps[:-1]) == expected, (b, d)
+            compiled = _criterion.__wrapped__(p, d)
+            assert compiled.conditions == tuple(conditions), (b, d)
+            assert compiled.states == tuple(
+                _row_lift_state(s, k == 0) for k, s in enumerate(states)), (b, d)
+            walks += 1
+    assert walks == 397 + 204
+    assert derive._descent.cache_info().currsize < walks // 3
 
 
 # --- one integer row per condition: a LinearForm only where one is returned --
@@ -1288,7 +1410,12 @@ def test_canonical_conditions_match_the_public_constructor(five_tables):
 
 def test_walk_keeps_its_orbit_escape_text(monkeypatch):
     """A downward step that fails inside the walk is an OrbitEscape that
-    names the state it failed at and the step's own message."""
+    names the state it failed at and the step's own message, at d's
+    reduced state or at a later state of the memoised descent; a walk past
+    its step bound names d.  The memo is cleared first: an entry that an
+    earlier walk left would never call the patched step.  A failed descent
+    leaves no entry."""
+    derive._descent.cache_clear()
     p = make_poset([1, 1, 1])
     monkeypatch.setattr(derive, "_fminus_dims", lambda d0, dims: coxeter._fminus_dims(0, dims))
     message = ("downward transform failed at 1;1;1;2: dimension vector 1;1;1;0 is not "
@@ -1296,6 +1423,32 @@ def test_walk_keeps_its_orbit_escape_text(monkeypatch):
     with pytest.raises(OrbitEscape) as exc:
         derive_conditions(p, parse_dim_string("1;1;1;2"))
     assert str(exc.value) == message
+
+    # the second step fails, at the state the first one reduced to
+    p = make_poset([2, 2, 1])
+    d = enumerate_indec_dims(p)[-1]
+    state = _row_walk(p, d)[2][1]  # (d0, dims, forms, gamma, reduced dims)
+    d0, reduced = state[0], state[4]
+    steps = []
+
+    def second_fails(d0, dims):
+        steps.append(dims)
+        return coxeter._fminus_dims(0 if len(steps) > 1 else d0, dims)
+
+    monkeypatch.setattr(derive, "_fminus_dims", second_fails)
+    with pytest.raises(NegativeEntry) as inner:
+        coxeter._fminus_dims(0, reduced)
+    with pytest.raises(OrbitEscape) as exc:
+        _criterion.__wrapped__(p, d)
+    assert len(steps) == 2 and steps[1] == reduced
+    assert str(exc.value) == (f"downward transform failed at {_dim_string(d0, reduced)}: "
+                              f"{inner.value}")
+
+    # a step that never moves runs past the bound, |Phi+| = 20 for D5
+    monkeypatch.setattr(derive, "_fminus_dims", lambda d0, dims: (d0, dims))
+    with pytest.raises(OrbitEscape, match=r"^descent from 0,1;1;1;2 exceeded 20 steps$"):
+        derive_conditions(make_poset([2, 1, 1]), parse_dim_string("0,1;1;1;2"))
+    assert derive._descent.cache_info().currsize == 0
 
 
 def test_interior_point_refuses_variables_outside_the_poset():

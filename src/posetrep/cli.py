@@ -113,10 +113,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_conditions(args) -> int:
     p = _poset(args.poset)
     d = _dim(p, args.dim)
-    if args.raw or args.trace:
+    if args.trace:
         conditions, trace = derive.derive_conditions(p, d)
         if not args.raw:
             conditions = derive.simplify(conditions)
+    elif args.raw:
+        conditions = derive._raw_conditions(p, d)  # no trace to print
     else:
         conditions = derive._table_row(p, d)  # a table's row, with no trace to print
     if args.format == "json":

@@ -28,14 +28,17 @@ bounds the number of transforms; the walk builds no root.
 Positivity of the transformed gamma form is implied by the branch tails,
 so it is never emitted, and reductions emit no inequalities at all.
 
-The walk (`_walk`) is one engine in three parts.  The first reduction
-pass runs on d's dimensions alone and fixes which variables sum into each
-reduced element and which full variables leave gamma.  The reduction and
-the transform are linear in the forms, and which rule fires depends on
-the dimensions alone, so the rest of the descent depends only on the
-reduced state (d0, dims): it runs once per state on local unit rows, one
-per reduced element and one for gamma, memoised in `_descent`.  Its rows
-are then substituted back over the poset's variables.
+The walk is compiled once per (poset, d) by `_criterion`, the one way
+into it.  The first reduction pass runs on d's dimensions alone and fixes
+which variables sum into each reduced element and which full variables
+leave gamma.  The reduction and the transform are linear in the forms,
+and which rule fires depends on the dimensions alone, so the rest of the
+descent depends only on the reduced state (d0, dims): it runs once per
+state on local unit rows, one per reduced element and one for gamma,
+memoised in `_descent`.  Its rows stay local until they are output: the
+conditions and a trace's tails are substituted back over the poset's
+variables (`Criterion.lift`), and the numeric lift evaluates them at the
+weight pushed through the first pass (`Criterion.point`).
 
 A condition is one row from the walk to the LP: primitive integers over
 `PrimitivePoset.variable_keys()` (gamma last), an equality's first nonzero
@@ -51,13 +54,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, chain, islice
 from operator import add, itemgetter, mul, neg, sub
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import lp
 from .core import (
@@ -75,6 +78,7 @@ from .core import (
     Weight,
     _dim_string,
     _reduce,
+    classify_degeneracy,
     format_dim_string,
     key_order,
     trace_condition,
@@ -177,7 +181,7 @@ def _descent(
     and its states, each (d0, dims, branch rows, gamma row, reduced dims)
     as it stood before its reduction pass, (d0, dims) itself first.  Which
     rule fires depends on the dimensions alone, so every walk that reaches
-    (d0, dims) shares this descent (`_walk`).  A failed descent raises,
+    (d0, dims) shares this descent (`_criterion`).  A failed descent raises,
     OrbitEscape or `_Exceeded`, and is not cached; `cache_clear` empties
     the memo."""
     zero = (0,) * sum(map(len, dims))
@@ -213,33 +217,68 @@ def _bits(mask: int) -> list[int]:
     return [v for v, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _walk(
-    p: PrimitivePoset, d: DimVector
-) -> tuple[list[RowCondition], tuple[Finding, ...], tuple, Callable[[IntRow], IntRow]]:
-    """The descent of `derive_conditions`, in three parts.
+def _not_indecomposable(p: PrimitivePoset, d: DimVector) -> NotInEnumeration:
+    return NotInEnumeration(
+        f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}")
+
+
+@dataclass(frozen=True, slots=True)
+class Criterion:
+    """The descent of one (poset, d), compiled once (`_criterion`): its
+    condition rows over keys with their relations, in `ConditionSet`
+    order; the `_descent` entry of d's reduced state; and the first pass
+    as owner, where each variable reads its coefficient in a local row
+    padded with (-gamma, 0): at its element, at gamma (-3), at -gamma
+    when full (-2), at 0 when zero (-1)."""
+
+    keys: tuple[str, ...]
+    conditions: tuple[RowCondition, ...]
+    descent: tuple[tuple, tuple, tuple]
+    owner: tuple[int, ...]
+
+    def lift(self, row: IntRow) -> IntRow:
+        """A local row substituted back over keys: its coefficient c on an
+        element lands on every variable the element sums, gamma's c on
+        gamma and -c on every full variable."""
+        return itemgetter(*self.owner)((*row, -row[-1], 0))
+
+    def point(self, x: list[int]) -> list[int]:
+        """The integer point x over keys pushed through the first pass, so
+        that _dot(row, point(x)) == _dot(lift(row), x) for a local row."""
+        sums = [0] * (len(self.descent[2][0][3]) + 2)  # local row, then the pads
+        for k, v in zip(self.owner, x):
+            sums[k] += v
+        *local, gamma, full, _ = sums
+        return [*local, gamma - full]
+
+    def violated(self, x: list[int]) -> tuple[Condition, ...]:
+        """The conditions that fail at the integer point x of a weight that
+        fits the poset (`_integer_point`), in order."""
+        return tuple(Condition._canonical(_form(self.keys, row), rel)
+                     for row, rel in self.conditions
+                     if (_dot(row, x) != 0 if rel == EQ_ZERO else _dot(row, x) >= 0))
+
+
+@lru_cache(maxsize=1024)
+def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
+    """The descent of (p, d), compiled once, after p's scope and whether d
+    is a chain-monotone root (`roots._is_root`) are checked.
 
     The first reduction pass runs on d's dimensions with one bit per
     variable as the forms: it fixes which variables sum into each reduced
     element (disjoint, nonempty sets) and which full variables leave
-    gamma.  The rest is the memoised `_descent` from the reduced state.
-    Its rows map back to rows over p.variable_keys() by substitution: a
-    coefficient c on element k lands on every variable of k, gamma's c on
-    gamma and -c on every full variable.  The map is linear and injective
-    and keeps a row's gcd, so the descent's dedup, order and primitive
-    rows survive; only the equality's sign is normalised again.
-
-    Returns the conditions over p's variables (`_condition_row`) in
-    emission order, the equality last; the first pass's findings; the
-    `_descent`; and the substitution, from its rows to p's."""
+    gamma.  The rest is the memoised `_descent` from the reduced state,
+    whose condition rows are substituted back (`Criterion.lift`).  The
+    substitution is linear and injective and keeps a row's gcd, so the
+    descent's dedup, order and primitive rows survive; only the
+    equality's sign is normalised again.  Holds no `LinearForm` and no
+    `Finding` of its own; `cache_clear` empties it."""
     require_finite_type(p)
     if not (d.fits(p) and d.is_admissible(p) and _is_root(d.d0, d.branches)):
-        raise NotInEnumeration(
-            f"{format_dim_string(d)} is not an indecomposable dimension vector of {p.branches}"
-        )
-
+        raise _not_indecomposable(p, d)
     forms = tuple(tuple(1 << v for v in range(end - k, end))
                   for k, end in zip(p.branches, accumulate(p.branches)))
-    dims, masks, fulls, findings = _reduce(d.d0, d.branches, forms, 0)
+    dims, masks, fulls, _ = _reduce(d.d0, d.branches, forms, 0)
     # at most |Phi+| transforms, each followed by a reduction pass
     bound = _root_count(p.branches)
     try:
@@ -248,35 +287,38 @@ def _walk(
         raise OrbitEscape(
             f"descent from {format_dim_string(d)} exceeded {bound} steps") from None
 
-    # where each variable reads its coefficient in a descent row padded
-    # with (-gamma, 0): at its element, at -gamma when full, at 0 when zero
     owner = [-1] * p.n + [-3]
     for k, mask in enumerate(chain.from_iterable(masks)):
         for v in _bits(mask):
             owner[v] = k
     for v in _bits(-fulls):
         owner[v] = -2
-    pick = itemgetter(*owner)
-
-    def lift(row: IntRow) -> IntRow:
-        return pick((*row, -row[-1], 0))
-
+    c = Criterion(p._variable_keys, (), descent, tuple(owner))
     *strict, (equality, _) = descent[0]
-    conditions = [(lift(row), rel) for row, rel in strict]
-    conditions.append(_condition_row(lift(equality), EQ_ZERO))
-    return conditions, findings, descent, lift
+    conditions = [(c.lift(row), rel) for row, rel in strict]
+    conditions.append(_condition_row(c.lift(equality), EQ_ZERO))
+    return replace(c, conditions=tuple(conditions))
+
+
+def _raw_conditions(p: PrimitivePoset, d: DimVector) -> ConditionSet:
+    """The conditions of `derive_conditions`, without its trace."""
+    c = _criterion(p, d)
+    return ConditionSet(Condition._canonical(_form(c.keys, row), rel)
+                        for row, rel in c.conditions)
 
 
 def derive_conditions(
     p: PrimitivePoset, d: DimVector
 ) -> tuple[ConditionSet, DerivationTrace]:
-    """Exact weight conditions for the indecomposable with dimensions d."""
-    conditions, findings, (_, steps, _), lift = _walk(p, d)
-    keys = p._variable_keys
-    cs = ConditionSet(Condition._canonical(_form(keys, row), rel) for row, rel in conditions)
-    trace = [*findings]
+    """Exact weight conditions for the indecomposable with dimensions d,
+    and their trace: d's first-pass findings (`core.classify_degeneracy`),
+    then the steps of its `_descent`, a transform's tails substituted
+    back."""
+    cs = _raw_conditions(p, d)
+    c = _criterion(p, d)
+    trace = [*classify_degeneracy(p, d)]
     trace += [s if isinstance(s, Finding) else
-              ApplyPhiMinus(tuple(_form(keys, lift(t)) for t in s)) for s in steps]
+              ApplyPhiMinus(tuple(_form(c.keys, c.lift(t)) for t in s)) for s in c.descent[1]]
     return cs, DerivationTrace((*trace, Terminal(cs.equalities[0])))  # the one equality
 
 
@@ -300,64 +342,6 @@ def _trace_row(x: list[int]) -> IntRow:
     (`roots.dim_to_root`): zero at a dimension vector exactly when the
     weight meets its trace equality."""
     return (-x[-1], *x[:-1])
-
-
-@dataclass(frozen=True, slots=True)
-class LiftState:
-    """One state of the descent, before its reduction pass, as the lift
-    needs it.  columns holds, per branch, (row, count) for each element
-    that adds count > 0 frame columns: row is the element's suffix sum
-    b = a_i + ... + a_k (its column weight) as an integer row; gamma is
-    the state's gamma.  tops are the last dimensions of the branches the
-    reduction pass leaves."""
-
-    d0: int
-    dims: tuple[tuple[int, ...], ...]
-    tops: tuple[int, ...]
-    columns: tuple[tuple[tuple[IntRow, int], ...], ...]
-    gamma: IntRow
-
-
-@dataclass(frozen=True, slots=True)
-class Criterion:
-    """The descent of one (poset, d), compiled once: the walk's condition
-    rows over keys with their relations, in `ConditionSet` order, and the
-    states the lift walks back up."""
-
-    keys: tuple[str, ...]
-    conditions: tuple[RowCondition, ...]
-    states: tuple[LiftState, ...]
-
-    def violated(self, x: list[int]) -> tuple[Condition, ...]:
-        """The conditions that fail at the integer point x of a weight that
-        fits the poset (`_integer_point`), in order."""
-        return tuple(Condition._canonical(_form(self.keys, row), rel)
-                     for row, rel in self.conditions
-                     if (_dot(row, x) != 0 if rel == EQ_ZERO else _dot(row, x) >= 0))
-
-
-def _lift_state(state: tuple, lift: Callable[[IntRow], IntRow]) -> LiftState:
-    """The `LiftState` of a state of `_descent`, its rows substituted back
-    by lift (`_walk`)."""
-    d0, dims, forms, gamma, reduced = state
-    columns = []
-    for b, branch in zip(dims, forms):
-        suffix = list(accumulate(reversed(branch), add))[::-1]
-        counts = [e - prev for prev, e in zip((0,) + b, b)]
-        columns.append(tuple((lift(r), c) for r, c in zip(suffix, counts) if c))
-    return LiftState(d0, dims, tuple(b[-1] for b in reduced), tuple(columns), lift(gamma))
-
-
-@lru_cache(maxsize=1024)
-def _criterion(p: PrimitivePoset, d: DimVector) -> Criterion:
-    """The descent of (p, d) walked once and compiled to integer rows: the
-    `_walk`'s, with the states of its `_descent` substituted back, and d
-    itself first.  Holds no `LinearForm`; `cache_clear` empties it."""
-    conditions, _, (_, _, (first, *later)), lift = _walk(p, d)
-    tops = tuple(b[-1] for b in first[4])
-    states = [LiftState(d.d0, d.branches, tops, (), ())]  # the lift never leaves it
-    states += [_lift_state(s, lift) for s in later]
-    return Criterion(p._variable_keys, tuple(conditions), tuple(states))
 
 
 # --- LP-backed region operations ------------------------------------------
@@ -676,15 +660,19 @@ class Verdict:
 def check_weight(p: PrimitivePoset, d: DimVector, w: Weight) -> Verdict:
     """Exact evaluation of the derived conditions at w.
 
-    A poset outside `roots.require_finite_type` is refused first.  The
-    necessary trace equality is checked next in O(n) (`_trace_row`); when
-    it fails the derivation is skipped entirely.  Otherwise the conditions
+    A poset outside `roots.require_finite_type` is refused first, then a d
+    that is not chain-monotone, whatever w.  The necessary trace equality
+    is checked next in O(n) (`_trace_row`); when it fails the derivation
+    is skipped entirely, for any d, root or not: no representation with
+    dimensions d has weight w.  Otherwise the conditions
     are those of the cached `_criterion`, whose integer rows are evaluated
     at w scaled to integers, once.
     """
     require_finite_type(p)
     d.require_fits(p)
     w.require_fits(p)
+    if not d.is_admissible(p):
+        raise _not_indecomposable(p, d)
     x, _ = _integer_point(w)
     if _dot(_trace_row(x), dim_to_root(d)):
         return Verdict(False, (trace_condition(p, d),))
@@ -726,10 +714,10 @@ def _table_row(p: PrimitivePoset, d: DimVector) -> ConditionSet:
     """The conditions of d after `simplify`, which runs on the walk's rows:
     `simplify(derive_conditions(p, d)[0])` without a `LinearForm` for a
     dropped row or for the trace."""
-    *strict, equality = _walk(p, d)[0]  # the walk emits one equality, last
+    c = _criterion(p, d)
+    *strict, equality = c.conditions  # the walk emits one equality, last
     kept = [strict[j] for j in _kept(p.n, [row for row, _ in strict], [equality[0]])]
-    keys = p._variable_keys
-    return ConditionSet(Condition._canonical(_form(keys, row), rel)
+    return ConditionSet(Condition._canonical(_form(c.keys, row), rel)
                         for row, rel in kept + [equality])
 
 
@@ -805,7 +793,7 @@ def verify_tables(corpus_path: str | None = None) -> VerifyReport:
         p = table.poset
         for row in table.rows:
             try:
-                derived, _ = derive_conditions(p, row.dim)
+                derived = _raw_conditions(p, row.dim)
                 ok = regions_equivalent(derived, row.conditions)
                 detail = "" if ok else "regions differ"
             except PosetRepError as exc:

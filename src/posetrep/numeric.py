@@ -16,11 +16,12 @@ the dimension vectors of the stable representations of one slope (King,
 exceptional sequence, so they are linearly independent (Crawley-Boevey,
 "Exceptional sequences of representations of quivers", 1993) and one
 exact solve decides the sum.
-The witness of a root is lifted up its cached descent
-(`derive._criterion`) from the empty representation, on integer rows
-evaluated at the weight scaled to integers: a reduction is undone by
-bookkeeping, a downward transform by the Coxeter reflections on
-*-representations, rho at the centre and then sigma on each chain.
+The witness of a root is lifted up the raw states of its cached descent
+(`derive._criterion`) from the empty representation, on local integer
+rows evaluated at the weight scaled to integers and pushed through d's
+first reduction pass: a reduction is undone by bookkeeping, a downward
+transform by the Coxeter reflections on *-representations, rho at the
+centre and then sigma on each chain.
 
 Infinite type and posets above `roots.MAX_ELEMENTS` lie outside that
 scope and are refused (`roots.require_finite_type`).
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 import numpy as np
 
 from .core import (
@@ -43,7 +45,7 @@ from .core import (
     require_ambient,
 )
 from . import linalg
-from .derive import LiftState, OrbitEscape, _criterion, _dot, _integer_point, _trace_row
+from .derive import OrbitEscape, _criterion, _dot, _integer_point, _trace_row
 from .roots import _indec_roots, _is_root, dim_to_root, require_finite_type, root_to_dim
 
 
@@ -154,45 +156,50 @@ def _lift(p: PrimitivePoset, d: DimVector, x: list[int],
     the number of downward transforms undone; (x, scale) is
     `derive._integer_point(w)`.
 
-    The states are those of the cached descent (`derive._criterion`),
-    walked back up from the empty one.  Column weights and gamma are those
-    of the state being left, so every step keeps
+    The states are the raw ones of d's cached descent (`derive._criterion`),
+    walked back up from the empty one; the first is the state d reduces
+    to, so d's own reduction is undone there.  Column weights and gamma
+    are those of the state being left, its local rows at x pushed through
+    d's first pass (`Criterion.point`), so every step keeps
     sum_j Q_j diag(b_j) Q_j* = g I; they are exact integer dot products
     divided once, so each float is the correctly rounded rational.
     """
-    states = _criterion(p, d).states
+    c = _criterion(p, d)
+    y = c.point(x)
+    states = c.descent[2]  # each (d0, dims, forms, gamma, reduced dims)
     frames: list[np.ndarray] = []  # the terminal state: no branches, gamma 0
     for k in reversed(range(len(states))):
-        s = states[k]
+        d0, dims = states[k][:2] if k else (d.d0, d.branches)
         # undo the reduction: zeros add no column, merged elements share
         # their columns, a full element completes its frame to a unitary
         lifted = iter(frames)
         frames = []
-        for b in s.dims:
-            q = next(lifted) if any(0 < e < s.d0 for e in b) else np.zeros((s.d0, 0), complex)
-            if b[-1] == s.d0:
-                q = np.hstack([q, _complement(q)])
-            frames.append(q)
+        for b in dims:
+            q = next(lifted) if any(0 < e < d0 for e in b) else np.zeros((d0, 0), complex)
+            frames.append(np.hstack([q, _complement(q)]) if b[-1] == d0 else q)
         if k:
-            col_w, gamma = _column_weights_exact(s, x, scale, d)
-            frames = _unreflect(frames, col_w, gamma, states[k - 1].tops)
+            col_w, gamma = _column_weights_exact(states[k], y, scale, d)
+            frames = _unreflect(frames, col_w, gamma, [b[-1] for b in states[k - 1][4]])
     return _projectors(p, d, frames), len(states) - 1
 
 
-def _column_weights_exact(s: LiftState, x: list[int], scale: int,
+def _column_weights_exact(state: tuple, y: list[int], scale: int,
                           d: DimVector) -> tuple[list[np.ndarray], float]:
-    """Column weights and gamma of the lift state s at the integer point x
-    (w times scale), after checking exactly that 0 < b < g for every
-    column: rho takes square roots of b and of g - b."""
-    g = _dot(s.gamma, x)
+    """Column weights and gamma of a raw descent state at the local integer
+    point y (w times scale), after checking exactly that 0 < b < g for
+    every column: rho takes square roots of b and of g - b.  An element
+    adds e - e_prev columns of weight b = a_i + ... + a_k, a suffix sum."""
+    _, dims, forms, gamma, _ = state
+    g = _dot(gamma, y)
     col_w = []
-    for branch in s.columns:
-        values = [_dot(row, x) for row, _ in branch]
-        if not all(0 < v < g for v in values):
+    for b, branch in zip(dims, forms):
+        suffix = list(accumulate(reversed([_dot(f, y) for f in branch])))[::-1]
+        counts = [e - prev for prev, e in zip((0,) + b, b)]
+        if not all(0 < v < g for v, n in zip(suffix, counts) if n):
             raise OrbitEscape(
                 f"lift of {format_dim_string(d)}: a column weight leaves (0, gamma)"
             )
-        col_w.append(np.repeat([v / scale for v in values], [c for _, c in branch]))
+        col_w.append(np.repeat([v / scale for v in suffix], counts))
     return col_w, g / scale
 
 
@@ -264,9 +271,9 @@ def unitarize(
     if not 0 < success_tol < float("inf"):  # NaN fails too
         raise InvalidBudget(f"success_tol must be finite and positive, got {success_tol}")
     require_finite_type(p)
-    x, scale = _trace_checked_point(p, d, w)
     if not d.is_admissible(p):
         raise ShapeMismatch(f"dimension vector {format_dim_string(d)} is not chain-monotone")
+    x, scale = _trace_checked_point(p, d, w)
     require_ambient(d.d0)
     n = d.d0
     # a Python float, whose square overflows to inf without a NumPy warning

@@ -226,7 +226,7 @@ def test_unitarize_exact_reject(tmp_path, capsys):
 def test_unitarize_and_check_weight_refuse_outside_finite_type(capsys):
     """Infinite type and posets above 64 elements are refused before any
     trace verdict, whatever d0 and whether or not the weight meets the
-    trace equality."""
+    trace equality; so is a d that is not chain-monotone."""
     for branches, message in [
         ((1, 1, 1, 1), "poset (1, 1, 1, 1) has infinite type"),
         ((2, 2, 2), "poset (2, 2, 2) has infinite type"),
@@ -242,6 +242,15 @@ def test_unitarize_and_check_weight_refuse_outside_finite_type(capsys):
                 code, out, err = _run(capsys, command, "--poset", poset, "--dim", d,
                                       "--weight", w)
                 assert (code, out, err) == (1, "", f"error: {message}\n"), (command, d, w)
+    # 2 > d0 = 1: 1;1;1;1 misses the trace equality 2a = g, 1;1;1;2 meets it
+    for command, message in [
+        ("check-weight", "2;0;0;1 is not an indecomposable dimension vector of (1, 1, 1)"),
+        ("unitarize", "dimension vector 2;0;0;1 is not chain-monotone"),
+    ]:
+        for w in ("1;1;1;1", "1;1;1;2"):
+            code, out, err = _run(capsys, command, "--poset", "1,1,1", "--dim", "2;0;0;1",
+                                  "--weight", w)
+            assert (code, out, err) == (1, "", f"error: {message}\n"), (command, w)
     code, out, _ = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
                         "--weight", "1;1;1;3/2", "--restarts", "2")
     assert (code, out) == (1, "")
@@ -324,7 +333,9 @@ def test_unitarize_decomposable_witness(capsys):
 def test_check_weight_on_a_non_root_exits_1_where_unitarize_covers_it(capsys):
     """Only roots have condition rows, so check-weight refuses a non-root d
     (exit 1), while unitarize decides the same d by its cover, here the
-    three roots 1;0;0;1, 0;1;0;1 and 0;0;1;1."""
+    three roots 1;0;0;1, 0;1;0;1 and 0;0;1;1.  A weight that misses the
+    trace equality, necessary for every d, root or not, is a verdict on
+    both commands (exit 2)."""
     argv = ["--poset", "1,1,1", "--dim", "1;1;1;3", "--weight", "2;2;2;2"]
     code, out, err = _run(capsys, "check-weight", *argv)
     assert (code, out) == (1, "")
@@ -333,6 +344,10 @@ def test_check_weight_on_a_non_root_exits_1_where_unitarize_covers_it(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["success"] is True
     assert payload["residual"] <= 1e-8 * 2 * 3**0.5
+    argv[-1] = "2;2;2;3"
+    assert _run(capsys, "check-weight", *argv) == (2, "violated: α+β+δ=3γ\n", "")
+    assert _run(capsys, "unitarize", *argv) == (
+        2, "", "error: trace obstruction: sum a*d = 6 but g*d0 = 9\n")
 
 
 def test_budget_and_size_bounds(tmp_path, capsys):
@@ -575,6 +590,25 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text("utf-8"), filename=str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, (path.name, asserts)
+
+
+def test_no_unused_imports_in_the_package():
+    """Every name a module imports is read in it (`__future__` aside), so
+    an import left behind by deleted code fails here.  `__init__.py` is
+    skipped: its imports are the package's public names."""
+    for path in sorted(Path(posetrep.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in imported.items() if name not in read)
+        assert not unused, (path.name, unused)
 
 
 def _run_optimized(*argv):

@@ -5,7 +5,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import add, mul, neg
 
@@ -17,8 +17,11 @@ from posetrep import coxeter, derive, lp
 from posetrep.cli import main
 from posetrep.core import (
     EQ_ZERO,
+    FULL,
     GAMMA_KEY,
     LT_ZERO,
+    MERGE,
+    ZERO,
     Condition,
     ConditionSet,
     DimVector,
@@ -44,7 +47,6 @@ from posetrep.coxeter import NegativeEntry, _fminus_dims, _phiminus_forms, phimi
 from posetrep.derive import (
     ApplyPhiMinus,
     DerivationTrace,
-    LiftState,
     MalformedTrace,
     NotInEnumeration,
     OrbitEscape,
@@ -55,13 +57,14 @@ from posetrep.derive import (
     _Row,
     _condition_row,
     _criterion,
+    _dot,
     _form,
     _max_slack,
     _merged,
     _ray_hits,
     _rows,
     _sorted_var_keys,
-    _walk,
+    _table_row,
     check_weight,
     derive_conditions,
     generate_table,
@@ -338,17 +341,21 @@ def test_criterion_cache_is_bounded():
     check_weight(p, d, parse_weight_string("1,1;1,1;1;8/3"))
     assert _criterion.cache_info().currsize == 1
 
-    def forms(obj):
-        if isinstance(obj, LinearForm):
+    def found(obj, kind):
+        if isinstance(obj, kind):
             yield obj
         elif isinstance(obj, tuple):
             for x in obj:
-                yield from forms(x)
+                yield from found(x, kind)
         elif hasattr(obj, "__dataclass_fields__"):
             for name in obj.__dataclass_fields__:
-                yield from forms(getattr(obj, name))
+                yield from found(getattr(obj, name), kind)
 
-    assert not list(forms(_criterion(p, d)))
+    c = _criterion(p, d)
+    assert not list(found(c, LinearForm))
+    # the only Findings it reaches are the later passes', in the shared memo entry
+    assert c.descent is derive._descent(d.d0, c.descent[2][0][1], _root_count(p.branches))
+    assert not list(found((c.keys, c.conditions, c.owner), Finding))
     _criterion.cache_clear()
     assert _criterion.cache_info().currsize == 0
 
@@ -361,7 +368,7 @@ def test_descent_memo_is_bounded():
     derive._descent.cache_clear()
     p = make_poset([61, 1, 1])
     for d in enumerate_indec_dims(p)[:500]:
-        _walk(p, d)
+        _criterion.__wrapped__(p, d)
     assert 0 < derive._descent.cache_info().currsize <= 2
     derive._descent.cache_clear()
     assert derive._descent.cache_info().currsize == 0
@@ -1018,7 +1025,7 @@ def test_every_ray_certificate_checks_exactly(five_tables):
     for shape, table_rows in shapes.items():
         certified = kept = 0
         for p, row in table_rows:
-            *strict, equality = _walk(p, row.dim)[0]
+            *strict, equality = _criterion(p, row.dim).conditions
             rows, equal = [r for r, _ in strict], [equality[0]]
             out = {tuple(r) for r in _rows(p.variable_keys()[:-1], row.conditions)[0]}
             kept += len(out)
@@ -1126,11 +1133,12 @@ def test_wide_table_simplex_work_is_bounded(monkeypatch):
 
 # --- oracle: the descent as walked on LinearForms ---------------------------
 #
-# The earlier _walk, kept verbatim: every branch form and the gamma form a
+# An earlier walk, kept verbatim: every branch form and the gamma form a
 # LinearForm of Fractions, phi- applied through phiminus_weight, and the
 # downward step on dimensions as the composite of sigma and rho.  The walk
-# of derive._walk holds the same forms as integer rows, so the conditions,
-# the trace and the compiled criterion must come out the same.
+# of derive._criterion holds the same forms as integer rows, so the
+# conditions, the trace and the descent's states substituted back must come
+# out the same.
 
 
 def _oracle_walk(
@@ -1188,6 +1196,25 @@ def _oracle_rows(forms, keys):
     return denom, [[int(f.coeff(k) * denom) for k in keys] for f in forms]
 
 
+def _substituted_states(c, d: DimVector) -> list[tuple]:
+    """The raw states of the descent of c = _criterion(p, d) over p's
+    variables, each (d0, dims, tops, columns, gamma): tops are the last
+    dimensions of the branches its reduction pass leaves, columns holds
+    per branch (row, count) for each element that adds count > 0 frame
+    columns, row its suffix sum, and every row is substituted back by
+    `Criterion.lift`.  d itself comes first, with no columns."""
+    states = c.descent[2]
+    out = [(d.d0, d.branches, tuple(b[-1] for b in states[0][4]), (), ())]
+    for d0, dims, forms, gamma, reduced in states[1:]:
+        columns = []
+        for b, branch in zip(dims, forms):
+            suffix = list(accumulate(reversed(branch), add))[::-1]
+            counts = [e - prev for prev, e in zip((0,) + b, b)]
+            columns.append(tuple((c.lift(r), n) for r, n in zip(suffix, counts) if n))
+        out.append((d0, dims, tuple(b[-1] for b in reduced), tuple(columns), c.lift(gamma)))
+    return out
+
+
 def _oracle_lift_state(state, keys, first):
     """(d0, dims, tops, denom, columns, gamma) of a state of the oracle
     walk, as the LinearForm descent compiled it."""
@@ -1226,17 +1253,16 @@ def test_walk_matches_linear_form_oracle():
 
             # the walk's rows are the oracle's canonical forms, each
             # equality's sign included, in ConditionSet order
-            walked = _walk(p, d)[0]
+            compiled = _criterion.__wrapped__(p, d)
+            walked = list(compiled.conditions)
             denom, rows = _oracle_rows([c.form for c in ref], keys)
             expected = [(tuple(r), c.rel) for r, c in zip(rows, ref)]
             assert denom == 1 and walked == expected, (b, d)
             assert all(next(v for v in r if v) > 0 for r, rel in walked if rel == EQ_ZERO)
-            compiled = _criterion.__wrapped__(p, d)
             assert compiled.keys == tuple(keys)
-            assert compiled.conditions == tuple(expected)
             lifted = [_oracle_lift_state(s, keys, k == 0) for k, s in enumerate(states)]
             assert all(state[3] == 1 for state in lifted), (b, d)  # the descent is integral
-            assert [(s.d0, s.dims, s.tops, s.columns, s.gamma) for s in compiled.states] == [
+            assert _substituted_states(compiled, d) == [
                 state[:3] + state[4:] for state in lifted], (b, d)
             roots += 1
     assert roots == 397
@@ -1244,11 +1270,10 @@ def test_walk_matches_linear_form_oracle():
 
 # --- oracle: the descent walked whole on integer rows -----------------------
 #
-# The descent with no memo, with its LiftState compiler: one unit row per
-# variable of p, and every state of every walk stepped through.  The engine
-# of derive._walk (first pass, memoised descent, substitution) must give the
-# same rows in the same order, the same trace steps and the same lift
-# states.
+# The descent with no memo: one unit row per variable of p, and every state
+# of every walk stepped through.  The engine of derive._criterion (first
+# pass, memoised descent, substitution) must give the same rows in the same
+# order, the same trace steps and the same states, substituted back.
 
 
 def _row_walk(
@@ -1299,22 +1324,24 @@ def _row_walk(
     raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {bound} steps")
 
 
-def _row_lift_state(state: tuple, first: bool) -> LiftState:
+def _row_lift_state(state: tuple, first: bool) -> tuple:
+    """(d0, dims, tops, columns, gamma) of a state of `_row_walk`, as
+    `_substituted_states` gives it."""
     d0, dims, forms, gamma, reduced = state
     tops = tuple(b[-1] for b in reduced)
     if first:  # the lift never leaves the starting state
-        return LiftState(d0, dims, tops, (), ())
+        return d0, dims, tops, (), ()
     columns = []
     for b, branch in zip(dims, forms):
         suffix = list(accumulate(reversed(branch), add))[::-1]
         counts = [e - prev for prev, e in zip((0,) + b, b)]
         columns.append(tuple((tuple(r), c) for r, c in zip(suffix, counts) if c))
-    return LiftState(d0, dims, tops, tuple(columns), tuple(gamma))
+    return d0, dims, tops, tuple(columns), tuple(gamma)
 
 
 def test_engine_matches_the_row_walk_oracle():
-    """Rows, trace steps and lift states of the engine equal those of the
-    whole walk, and the walks of a shape share few descents."""
+    """Rows, trace steps and substituted states of the engine equal those
+    of the whole walk, and the walks of a shape share few descents."""
     derive._descent.cache_clear()
     walks = 0
     for b in _WALK_SHAPES + [(16, 1, 1)]:
@@ -1322,18 +1349,76 @@ def test_engine_matches_the_row_walk_oracle():
         keys = p._variable_keys
         for d in enumerate_indec_dims(p):
             conditions, steps, states = _row_walk(p, d)
-            assert _walk(p, d)[0] == conditions, (b, d)
             expected = [s if isinstance(s, Finding) else
                         ApplyPhiMinus(tuple(_form(keys, t) for t in s)) for s in steps]
             _, trace = derive_conditions(p, d)
             assert list(trace.steps[:-1]) == expected, (b, d)
             compiled = _criterion.__wrapped__(p, d)
             assert compiled.conditions == tuple(conditions), (b, d)
-            assert compiled.states == tuple(
-                _row_lift_state(s, k == 0) for k, s in enumerate(states)), (b, d)
+            assert _substituted_states(compiled, d) == [
+                _row_lift_state(s, k == 0) for k, s in enumerate(states)], (b, d)
             walks += 1
     assert walks == 397 + 204
     assert derive._descent.cache_info().currsize < walks // 3
+
+
+@st.composite
+def _first_pass_points(draw):
+    """A poset, a root d whose first reduction pass fires a drawn rule
+    (zero, merge or full) and an integer point over the poset's
+    variables."""
+    p = make_poset(draw(st.sampled_from([(2, 2, 1), (4, 2, 1), (3, 3), (5, 1, 1)])))
+    rule = draw(st.sampled_from([ZERO, MERGE, FULL]))
+    dims = [d for d in enumerate_indec_dims(p)
+            if rule in {f.kind for f in classify_degeneracy(p, d)}]
+    d = draw(st.sampled_from(dims))
+    x = draw(st.lists(st.integers(-60, 60), min_size=p.n + 1, max_size=p.n + 1))
+    return p, d, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_first_pass_points())
+def test_point_is_the_substitution_read_backwards(case):
+    """For every row of d's descent (its conditions, and the branch and
+    gamma rows of every state) and every integer point x, the row at
+    point(x) equals its substitution at x."""
+    p, d, x = case
+    c = _criterion(p, d)
+    conditions, _, states = c.descent
+    rows = [row for row, _ in conditions]
+    for state in states:
+        rows += [*chain.from_iterable(state[2]), state[3]]
+    y = c.point(x)
+    assert all(_dot(row, y) == _dot(c.lift(row), x) for row in rows), (p, d, x)
+
+
+def test_one_compile_per_dimension_vector(monkeypatch):
+    """derive_conditions, _table_row, check_weight and unitarize on one
+    cleared (p, d) miss `_criterion` once between them, and the first
+    reduction pass on d's bitmasks (gamma 0) runs once."""
+    from posetrep import numeric
+
+    p = make_poset([2, 2, 1])
+    d = parse_dim_string("1,2;1,2;2;3")
+    passes = []
+    reduce = derive._reduce
+
+    def counting(d0, dims, forms, gamma):
+        if gamma == 0:  # a descent's gamma is a row, never the int 0
+            passes.append(dims)
+        return reduce(d0, dims, forms, gamma)
+
+    monkeypatch.setattr(derive, "_reduce", counting)
+    _criterion.cache_clear()
+    derive._descent.cache_clear()
+    cs, _ = derive_conditions(p, d)
+    w = interior_point(cs, p)
+    assert _table_row(p, d) == simplify(cs)
+    assert check_weight(p, d, w).admissible
+    assert numeric.unitarize(p, d, w).residual <= 1e-8
+    info = _criterion.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 4
+    assert passes == [d.branches]
 
 
 # --- one integer row per condition: a LinearForm only where one is returned --
@@ -1387,6 +1472,32 @@ def test_conditions_command_prints_the_table_row(monkeypatch, capsys, five_table
         assert len(made) == len(row.conditions)
 
 
+def test_no_trace_is_built_where_none_is_printed(monkeypatch, capsys):
+    """verify_tables and `conditions --raw` without --trace build no
+    ApplyPhiMinus step: their conditions come from `_raw_conditions`, which
+    derive_conditions reads too."""
+    built = []
+
+    class Counting(ApplyPhiMinus):
+        def __init__(self, emitted):
+            built.append(emitted)
+            super().__init__(emitted)
+
+    monkeypatch.setattr(derive, "ApplyPhiMinus", Counting)
+    assert verify_tables().counts == (106, 106)
+    p = make_poset([4, 2, 1])
+    for d in enumerate_indec_dims(p):
+        argv = ["conditions", "--poset", "4,2,1", "--dim", format_dim_string(d), "--raw"]
+        assert main([*argv, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["conditions"] == derive._raw_conditions(p, d).to_json()
+        assert "trace" not in out
+    assert built == []
+    assert all(derive_conditions(p, d)[0] == derive._raw_conditions(p, d)
+               for d in enumerate_indec_dims(p))
+    assert built  # the trace of derive_conditions does build them
+
+
 def test_canonical_conditions_match_the_public_constructor(five_tables):
     """A walk row entered as built (`Condition._canonical`) equals, hashes
     and prints as the public constructor's canonicalised condition, on
@@ -1398,7 +1509,7 @@ def test_canonical_conditions_match_the_public_constructor(five_tables):
     for p, d in cases:
         keys = p._variable_keys
         assert keys == tuple(p.variable_keys())
-        for row, rel in _walk(p, d)[0]:
+        for row, rel in _criterion(p, d).conditions:
             built = Condition._canonical(_form(keys, row), rel)
             checked = Condition(_form(keys, row), rel)
             assert built == checked and hash(built) == hash(checked), (p, d, row)
@@ -1412,9 +1523,10 @@ def test_walk_keeps_its_orbit_escape_text(monkeypatch):
     """A downward step that fails inside the walk is an OrbitEscape that
     names the state it failed at and the step's own message, at d's
     reduced state or at a later state of the memoised descent; a walk past
-    its step bound names d.  The memo is cleared first: an entry that an
-    earlier walk left would never call the patched step.  A failed descent
-    leaves no entry."""
+    its step bound names d.  Both caches are cleared first: an entry that
+    an earlier walk left would never call the patched step.  A failed
+    descent leaves no entry."""
+    _criterion.cache_clear()
     derive._descent.cache_clear()
     p = make_poset([1, 1, 1])
     monkeypatch.setattr(derive, "_fminus_dims", lambda d0, dims: coxeter._fminus_dims(0, dims))

@@ -46,9 +46,17 @@ class AmbientTooLarge(PosetRepError):
     """An ambient dimension above MAX_AMBIENT."""
 
 
+class WeightOutOfRange(PosetRepError):
+    """A weight entry or gamma too large or too small for a numeric witness."""
+
+
 # Largest ambient dimension a numeric witness or a subspace representation
 # may have: both build dense ambient x ambient (or ambient-row) matrices.
 MAX_AMBIENT = 512
+
+# A numeric witness takes weight entries and gamma within 10^-100..10^100:
+# there the residual's squares stay finite for d0 <= 512 and n <= 64.
+MAX_WEIGHT_EXPONENT = 100
 
 
 def require_ambient(n: int) -> None:

@@ -28,17 +28,14 @@ bounds the number of transforms; the walk builds no root.
 Positivity of the transformed gamma form is implied by the branch tails,
 so it is never emitted, and reductions emit no inequalities at all.
 
-The walk is compiled once per (poset, d) by `_criterion`, the one way
-into it.  The first reduction pass runs on d's dimensions alone and fixes
-which variables sum into each reduced element and which full variables
-leave gamma.  The reduction and the transform are linear in the forms,
-and which rule fires depends on the dimensions alone, so the rest of the
-descent depends only on the reduced state (d0, dims): it runs once per
-state on local unit rows, one per reduced element and one for gamma,
-memoised in `_descent`.  Its rows stay local until they are output: the
-conditions and a trace's tails are substituted back over the poset's
-variables (`Criterion.lift`), and the numeric lift evaluates them at the
-weight pushed through the first pass (`Criterion.point`).
+The one step loop is `_walk`, generic in the form type.  Both steps are
+linear in the forms and which rule fires depends on the dimensions alone,
+so `_criterion` compiles (poset, d) once: the first pass on d's
+dimensions fixes which variables sum into each reduced element and which
+full ones leave gamma, and the rest is walked on local unit rows once per
+reduced state (d0, dims), memoised in `_descent`, its conditions and a
+trace's tails substituted back (`Criterion.lift`).  The numeric lift
+walks the weight's own integers from d itself.
 
 A condition is one row from the walk to the LP: primitive integers over
 `PrimitivePoset.variable_keys()` (gamma last), an equality's first nonzero
@@ -60,7 +57,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, chain, islice
 from operator import add, itemgetter, mul, neg, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import lp
 from .core import (
@@ -165,36 +162,23 @@ def _form(keys, row) -> LinearForm:
 
 
 class _Exceeded(Exception):
-    """A `_descent` that ran past its step bound."""
+    """A `_walk` that ran past its step bound."""
 
 
-@lru_cache(maxsize=1024)
-def _descent(
-    d0: int, dims: tuple[tuple[int, ...], ...], bound: int
-) -> tuple[tuple, tuple, tuple]:
-    """The descent from the reduced state (d0, dims), with at most bound + 1
-    downward transforms, on local unit rows: one per element of dims,
-    branch-major, then gamma.
-
-    Returns its distinct conditions (`_condition_row`) in emission order,
-    the equality last; its trace steps, a transform's as its tail rows;
-    and its states, each (d0, dims, branch rows, gamma row, reduced dims)
-    as it stood before its reduction pass, (d0, dims) itself first.  Which
-    rule fires depends on the dimensions alone, so every walk that reaches
-    (d0, dims) shares this descent (`_criterion`).  A failed descent raises,
-    OrbitEscape or `_Exceeded`, and is not cached; `cache_clear` empties
-    the memo."""
-    zero = (0,) * sum(map(len, dims))
-    units = iter(_Row(zero[:i] + (1,) + zero[i:]) for i in range(len(zero) + 1))
-    forms = tuple(tuple(next(units) for _ in b) for b in dims)
-    gamma = next(units)
-    conditions: dict[RowCondition, None] = {}
-    steps: list[Finding | tuple[_Row, ...]] = []
-    states = [(d0, dims, forms, gamma, dims)]
+def _walk(d0: int, dims: tuple[tuple[int, ...], ...], forms: tuple[tuple, ...], gamma,
+          bound: int) -> Iterator[tuple[tuple, tuple]]:
+    """The descent from (d0, dims), its forms of any type with + and -:
+    yields each state (d0, dims, forms, gamma) before its reduction pass,
+    with that pass's result (dims, forms, gamma, findings), until a pass
+    leaves no branch.  A failed transform raises OrbitEscape, a walk past
+    bound + 1 transforms `_Exceeded`."""
     for _ in range(bound + 1):
+        state = (d0, dims, forms, gamma)
+        reduced = _reduce(*state)
+        yield state, reduced
+        dims, forms, gamma, _ = reduced
         if not dims:
-            conditions[_condition_row(gamma, EQ_ZERO)] = None
-            return tuple(conditions), tuple(steps), tuple(states)
+            return
         try:
             d0, dims = _fminus_dims(d0, dims)
         except NegativeEntry as exc:
@@ -202,14 +186,30 @@ def _descent(
                 f"downward transform failed at {_dim_string(d0, dims)}: {exc}"
             ) from exc
         forms, gamma = _phiminus_forms(forms, gamma)
+    raise _Exceeded
+
+
+@lru_cache(maxsize=1024)
+def _descent(d0: int, dims: tuple[tuple[int, ...], ...], bound: int) -> tuple[tuple, tuple]:
+    """The `_walk` from the reduced state (d0, dims) on local unit rows, one
+    per element of dims, branch-major, then gamma: its distinct conditions
+    (`_condition_row`) in emission order, the equality last, and its trace
+    steps, a transform's as its tail rows.  Every walk that reaches
+    (d0, dims) shares it (`_criterion`).  A failed descent raises and is
+    not cached; `cache_clear` empties the memo."""
+    zero = (0,) * sum(map(len, dims))
+    units = iter(_Row(zero[:i] + (1,) + zero[i:]) for i in range(len(zero) + 1))
+    walk = _walk(d0, dims, tuple(tuple(next(units) for _ in b) for b in dims), next(units), bound)
+    _, (_, _, gamma, _) = next(walk)  # (d0, dims) is reduced: its pass fires nothing
+    conditions: dict[RowCondition, None] = {}
+    steps: list[Finding | tuple[_Row, ...]] = []
+    for (_, _, forms, _), (_, _, gamma, findings) in walk:
         tails = tuple(b[-1] for b in forms)
         conditions.update(dict.fromkeys(_condition_row(map(neg, t), LT_ZERO) for t in tails))
         steps.append(tails)
-        state = (d0, dims, forms, gamma)
-        dims, forms, gamma, findings = _reduce(*state)
-        states.append(state + (dims,))
         steps.extend(findings)
-    raise _Exceeded
+    conditions[_condition_row(gamma, EQ_ZERO)] = None
+    return tuple(conditions), tuple(steps)
 
 
 def _bits(mask: int) -> list[int]:
@@ -226,14 +226,14 @@ def _not_indecomposable(p: PrimitivePoset, d: DimVector) -> NotInEnumeration:
 class Criterion:
     """The descent of one (poset, d), compiled once (`_criterion`): its
     condition rows over keys with their relations, in `ConditionSet`
-    order; the `_descent` entry of d's reduced state; and the first pass
-    as owner, where each variable reads its coefficient in a local row
-    padded with (-gamma, 0): at its element, at gamma (-3), at -gamma
-    when full (-2), at 0 when zero (-1)."""
+    order; the `_descent` entry of d's reduced state, (conditions, steps);
+    and the first pass as owner, where each variable reads its coefficient
+    in a local row padded with (-gamma, 0): at its element, at gamma (-3),
+    at -gamma when full (-2), at 0 when zero (-1)."""
 
     keys: tuple[str, ...]
     conditions: tuple[RowCondition, ...]
-    descent: tuple[tuple, tuple, tuple]
+    descent: tuple[tuple, tuple]
     owner: tuple[int, ...]
 
     def lift(self, row: IntRow) -> IntRow:
@@ -241,15 +241,6 @@ class Criterion:
         element lands on every variable the element sums, gamma's c on
         gamma and -c on every full variable."""
         return itemgetter(*self.owner)((*row, -row[-1], 0))
-
-    def point(self, x: list[int]) -> list[int]:
-        """The integer point x over keys pushed through the first pass, so
-        that _dot(row, point(x)) == _dot(lift(row), x) for a local row."""
-        sums = [0] * (len(self.descent[2][0][3]) + 2)  # local row, then the pads
-        for k, v in zip(self.owner, x):
-            sums[k] += v
-        *local, gamma, full, _ = sums
-        return [*local, gamma - full]
 
     def violated(self, x: list[int]) -> tuple[Condition, ...]:
         """The conditions that fail at the integer point x of a weight that

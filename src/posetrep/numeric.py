@@ -16,12 +16,11 @@ the dimension vectors of the stable representations of one slope (King,
 exceptional sequence, so they are linearly independent (Crawley-Boevey,
 "Exceptional sequences of representations of quivers", 1993) and one
 exact solve decides the sum.
-The witness of a root is lifted up the raw states of its cached descent
-(`derive._criterion`) from the empty representation, on local integer
-rows evaluated at the weight scaled to integers and pushed through d's
-first reduction pass: a reduction is undone by bookkeeping, a downward
-transform by the Coxeter reflections on *-representations, rho at the
-centre and then sigma on each chain.
+The witness of a root is lifted from the empty representation up the
+states of its descent, walked (`derive._walk`) on the weight's integers
+from d itself: a reduction is undone by bookkeeping, a downward transform
+by the Coxeter reflections on *-representations, rho at the centre and
+then sigma on each chain.
 
 Infinite type and posets above `roots.MAX_ELEMENTS` lie outside that
 scope and are refused (`roots.require_finite_type`).
@@ -35,18 +34,21 @@ from itertools import accumulate
 import numpy as np
 
 from .core import (
+    MAX_WEIGHT_EXPONENT,
     Condition,
     DimVector,
     PosetRepError,
     PrimitivePoset,
     ShapeMismatch,
     Weight,
+    WeightOutOfRange,
     format_dim_string,
     require_ambient,
 )
 from . import linalg
-from .derive import OrbitEscape, _criterion, _dot, _integer_point, _trace_row
-from .roots import _indec_roots, _is_root, dim_to_root, require_finite_type, root_to_dim
+from .derive import OrbitEscape, _criterion, _dot, _integer_point, _trace_row, _walk
+from .roots import (_indec_roots, _is_root, _root_count, dim_to_root, require_finite_type,
+                    root_to_dim)
 
 
 class TraceObstruction(PosetRepError):
@@ -156,20 +158,16 @@ def _lift(p: PrimitivePoset, d: DimVector, x: list[int],
     the number of downward transforms undone; (x, scale) is
     `derive._integer_point(w)`.
 
-    The states are the raw ones of d's cached descent (`derive._criterion`),
-    walked back up from the empty one; the first is the state d reduces
-    to, so d's own reduction is undone there.  Column weights and gamma
-    are those of the state being left, its local rows at x pushed through
-    d's first pass (`Criterion.point`), so every step keeps
-    sum_j Q_j diag(b_j) Q_j* = g I; they are exact integer dot products
-    divided once, so each float is the correctly rounded rational.
+    The states of `derive._walk` from d on x's integers are walked back up
+    from the empty one.  Column weights and gamma are those of the state
+    being left, so every step keeps sum_j Q_j diag(b_j) Q_j* = g I: exact
+    integers divided once, each float the correctly rounded rational.
     """
-    c = _criterion(p, d)
-    y = c.point(x)
-    states = c.descent[2]  # each (d0, dims, forms, gamma, reduced dims)
+    forms = tuple(tuple(x[end - k:end]) for k, end in zip(p.branches, accumulate(p.branches)))
+    states = list(_walk(d.d0, d.branches, forms, x[-1], _root_count(p.branches)))
     frames: list[np.ndarray] = []  # the terminal state: no branches, gamma 0
     for k in reversed(range(len(states))):
-        d0, dims = states[k][:2] if k else (d.d0, d.branches)
+        d0, dims, *_ = state = states[k][0]
         # undo the reduction: zeros add no column, merged elements share
         # their columns, a full element completes its frame to a unitary
         lifted = iter(frames)
@@ -178,22 +176,21 @@ def _lift(p: PrimitivePoset, d: DimVector, x: list[int],
             q = next(lifted) if any(0 < e < d0 for e in b) else np.zeros((d0, 0), complex)
             frames.append(np.hstack([q, _complement(q)]) if b[-1] == d0 else q)
         if k:
-            col_w, gamma = _column_weights_exact(states[k], y, scale, d)
-            frames = _unreflect(frames, col_w, gamma, [b[-1] for b in states[k - 1][4]])
+            col_w, gamma = _column_weights_exact(state, scale, d)
+            frames = _unreflect(frames, col_w, gamma, [b[-1] for b in states[k - 1][1][0]])
     return _projectors(p, d, frames), len(states) - 1
 
 
-def _column_weights_exact(state: tuple, y: list[int], scale: int,
+def _column_weights_exact(state: tuple, scale: int,
                           d: DimVector) -> tuple[list[np.ndarray], float]:
-    """Column weights and gamma of a raw descent state at the local integer
-    point y (w times scale), after checking exactly that 0 < b < g for
-    every column: rho takes square roots of b and of g - b.  An element
-    adds e - e_prev columns of weight b = a_i + ... + a_k, a suffix sum."""
-    _, dims, forms, gamma, _ = state
-    g = _dot(gamma, y)
+    """Column weights and gamma of a state of the walk on w times scale,
+    after checking exactly that 0 < b < g for every column: rho takes
+    square roots of b and of g - b.  An element adds e - e_prev columns of
+    weight b = a_i + ... + a_k, a suffix sum."""
+    _, dims, forms, g = state
     col_w = []
     for b, branch in zip(dims, forms):
-        suffix = list(accumulate(reversed([_dot(f, y) for f in branch])))[::-1]
+        suffix = list(accumulate(reversed(branch)))[::-1]
         counts = [e - prev for prev, e in zip((0,) + b, b)]
         if not all(0 < v < g for v, n in zip(suffix, counts) if n):
             raise OrbitEscape(
@@ -276,9 +273,6 @@ def unitarize(
     x, scale = _trace_checked_point(p, d, w)
     require_ambient(d.d0)
     n = d.d0
-    # a Python float, whose square overflows to inf without a NumPy warning
-    target = success_tol * float(w.gamma) * float(np.sqrt(max(n, 1)))
-
     if n == 0:
         return NumericRep(p, d, w, tuple(np.zeros((0, 0), dtype=complex)
                                          for _ in range(p.n)), 0.0, 0, 0, seed)
@@ -291,6 +285,12 @@ def unitarize(
                   if violated else f"{dim} is not a root of {p.branches}")
         raise NoWitness(f"{reason}, and no sum of roots at which the weight is admissible "
                         f"gives {dim}", violated)
+    # the exact verdicts are in; w = x / scale, and its first float comes next
+    top = 10 ** MAX_WEIGHT_EXPONENT
+    if not all(scale <= v * top and v <= scale * top for v in x):
+        raise WeightOutOfRange(f"a numeric witness needs every weight entry and gamma "
+                               f"within 10^-{MAX_WEIGHT_EXPONENT}..10^{MAX_WEIGHT_EXPONENT}")
+    target = success_tol * float(w.gamma) * float(np.sqrt(n))
     # the block-diagonal sum of the lifts of the parts, each lifted once
     lifts = {r: _lift(p, r, x, scale) for r in set(parts)}
     projectors = tuple(np.zeros((n, n), dtype=complex) for _ in range(p.n))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -221,6 +222,33 @@ def test_unitarize_exact_reject(tmp_path, capsys):
         code, out, err = _run(capsys, *argv, "--out", str(out_path))
         assert code == 2 and out == f"no witness -> {out_path}\n"
         assert json.loads(out_path.read_text()) == payload
+
+
+def test_unitarize_refuses_weights_of_extreme_magnitude(capsys):
+    """A weight entry or gamma outside 10^-100..10^100 gets no numeric
+    witness: one line, exit 1, no warning, even where check-weight calls
+    the weight admissible.  The exact verdicts come first and keep exit 2
+    at any magnitude; the range's ends themselves are solved."""
+    refused = "error: a numeric witness needs every weight entry and gamma within 10^-100..10^100\n"
+    for poset, dim, weight in [("1", "1;1", "1e400;1e400"),
+                               ("1,1,1", "1;1;1;2", "1e200;1e200;1e200;15e199"),
+                               ("1,1,1", "1;1;1;2", "1e-400;1e-400;1e-400;15e-401")]:
+        argv = ["--poset", poset, "--dim", dim, "--weight", weight]
+        assert _run(capsys, "check-weight", *argv) == (0, "admissible\n", "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(capsys, "unitarize", *argv) == (1, "", refused)
+    for weight in ["1e100;1e100", "1e-100;1e-100"]:
+        code, out, _ = _run(capsys, "unitarize", "--poset", "1", "--dim", "1;1", "--weight", weight)
+        assert code == 0 and json.loads(out)["success"] is True
+    # a < g fails, and no sum of roots at which the weight is admissible gives d
+    code, out, err = _run(capsys, "unitarize", "--poset", "1,1,1", "--dim", "1;1;1;2",
+                          "--weight", "3e400;5e399;5e399;2e400")
+    assert code == 2 and err.startswith("no witness: violated: ") and err.count("\n") == 1
+    assert json.loads(out)["success"] is False
+    code, out, err = _run(capsys, "unitarize", "--poset", "1", "--dim", "1;1",
+                          "--weight", "1e400;2e400")
+    assert code == 2 and out == "" and err.startswith("error: trace obstruction")
 
 
 def test_unitarize_and_check_weight_refuse_outside_finite_type(capsys):
@@ -609,6 +637,34 @@ def test_no_unused_imports_in_the_package():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted((line, name) for name, line in imported.items() if name not in read)
         assert not unused, (path.name, unused)
+
+
+def test_every_private_module_name_is_read():
+    """Every module-level private name of the package (one leading
+    underscore: a function, a class or an assigned constant) is read by
+    code in the package outside its own definition, so a helper left
+    behind by deleted code fails here.  Reads in tests and in docstrings do
+    not count."""
+    defined, loads = [], []
+    for path in sorted(Path(posetrep.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text("utf-8"), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(path.name, name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            loads.append((node, {sub.id if isinstance(sub, ast.Name) else sub.attr
+                                 for sub in ast.walk(node)
+                                 if isinstance(sub, (ast.Name, ast.Attribute))
+                                 and isinstance(sub.ctx, ast.Load)}))
+    unread = [(module, name) for module, name, node in defined
+              if not any(name in read for other, read in loads if other is not node)]
+    assert len(defined) > 80 and not unread, unread
 
 
 def _run_optimized(*argv):

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import islice
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import mul, neg
 
 import pytest
 from hypothesis import given, settings
@@ -353,8 +354,14 @@ def test_criterion_cache_is_bounded():
 
     c = _criterion(p, d)
     assert not list(found(c, LinearForm))
-    # the only Findings it reaches are the later passes', in the shared memo entry
-    assert c.descent is derive._descent(d.d0, c.descent[2][0][1], _root_count(p.branches))
+    # the only Findings it reaches are the later passes', in the shared memo
+    # entry of d's reduced state: its condition rows and trace steps alone
+    reduced = _reduce(d.d0, d.branches, d.branches, d.d0)[0]
+    assert c.descent is derive._descent(d.d0, reduced, _root_count(p.branches))
+    conditions, steps = c.descent
+    assert [rel for _, rel in conditions] == [LT_ZERO] * (len(conditions) - 1) + [EQ_ZERO]
+    assert all(isinstance(s, Finding) or {type(t) for t in s} == {_Row} for s in steps)
+    assert any(isinstance(s, Finding) for s in steps)
     assert not list(found((c.keys, c.conditions, c.owner), Finding))
     _criterion.cache_clear()
     assert _criterion.cache_info().currsize == 0
@@ -1137,8 +1144,8 @@ def test_wide_table_simplex_work_is_bounded(monkeypatch):
 # LinearForm of Fractions, phi- applied through phiminus_weight, and the
 # downward step on dimensions as the composite of sigma and rho.  The walk
 # of derive._criterion holds the same forms as integer rows, so the
-# conditions, the trace and the descent's states substituted back must come
-# out the same.
+# conditions and the trace must come out the same, and the integer walk of
+# the numeric lift must meet the oracle's states at every integer point.
 
 
 def _oracle_walk(
@@ -1196,43 +1203,27 @@ def _oracle_rows(forms, keys):
     return denom, [[int(f.coeff(k) * denom) for k in keys] for f in forms]
 
 
-def _substituted_states(c, d: DimVector) -> list[tuple]:
-    """The raw states of the descent of c = _criterion(p, d) over p's
-    variables, each (d0, dims, tops, columns, gamma): tops are the last
-    dimensions of the branches its reduction pass leaves, columns holds
-    per branch (row, count) for each element that adds count > 0 frame
-    columns, row its suffix sum, and every row is substituted back by
-    `Criterion.lift`.  d itself comes first, with no columns."""
-    states = c.descent[2]
-    out = [(d.d0, d.branches, tuple(b[-1] for b in states[0][4]), (), ())]
-    for d0, dims, forms, gamma, reduced in states[1:]:
-        columns = []
-        for b, branch in zip(dims, forms):
-            suffix = list(accumulate(reversed(branch), add))[::-1]
-            counts = [e - prev for prev, e in zip((0,) + b, b)]
-            columns.append(tuple((c.lift(r), n) for r, n in zip(suffix, counts) if n))
-        out.append((d0, dims, tuple(b[-1] for b in reduced), tuple(columns), c.lift(gamma)))
-    return out
+def _int_walk(p: PrimitivePoset, d: DimVector, x: list[int]) -> list[tuple]:
+    """The states of `derive._walk` from d itself on the integer point x
+    over p's variables (gamma last), as the numeric lift walks them: each
+    (d0, dims, branch values, gamma value, reduced dims)."""
+    entries = iter(x)
+    forms = tuple(tuple(islice(entries, k)) for k in p.branches)
+    walk = derive._walk(d.d0, d.branches, forms, x[-1], _root_count(p.branches))
+    return [state + (reduced[0],) for state, reduced in walk]
 
 
-def _oracle_lift_state(state, keys, first):
-    """(d0, dims, tops, denom, columns, gamma) of a state of the oracle
-    walk, as the LinearForm descent compiled it."""
-    d0, dims, forms, gamma_form, reduced = state
-    tops = tuple(b[-1] for b in reduced)
-    if first:
-        return d0, dims, tops, 1, (), ()
-    denom, rows = _oracle_rows([f for b in forms for f in b] + [gamma_form], keys)
-    gamma = tuple(rows.pop())
-    columns, pos = [], 0
-    for b in dims:
-        branch = rows[pos: pos + len(b)]
-        pos += len(b)
-        for i in reversed(range(len(b) - 1)):  # suffix sums
-            branch[i] = [u + v for u, v in zip(branch[i], branch[i + 1])]
-        counts = [e - prev for prev, e in zip((0,) + b, b)]
-        columns.append(tuple((tuple(r), c) for r, c in zip(branch, counts) if c))
-    return d0, dims, tops, denom, tuple(columns), gamma
+def _at(state: tuple, value) -> tuple:
+    """A state (d0, dims, branch forms, gamma form, ...) with each form
+    replaced by value(form); what follows gamma is kept."""
+    d0, dims, forms, gamma, *rest = state
+    return (d0, dims, tuple(tuple(map(value, b)) for b in forms), value(gamma), *rest)
+
+
+def _points(p: PrimitivePoset, d: DimVector, count: int = 2) -> list[list[int]]:
+    """count integer points over p's variables, seeded by (p, d)."""
+    rng = random.Random(f"{p.branches}{format_dim_string(d)}")
+    return [[rng.randint(-9, 9) for _ in range(p.n + 1)] for _ in range(count)]
 
 
 _WALK_SHAPES = _SHAPES + [(8, 1, 1), (6, 6)]
@@ -1260,10 +1251,12 @@ def test_walk_matches_linear_form_oracle():
             assert denom == 1 and walked == expected, (b, d)
             assert all(next(v for v in r if v) > 0 for r, rel in walked if rel == EQ_ZERO)
             assert compiled.keys == tuple(keys)
-            lifted = [_oracle_lift_state(s, keys, k == 0) for k, s in enumerate(states)]
-            assert all(state[3] == 1 for state in lifted), (b, d)  # the descent is integral
-            assert _substituted_states(compiled, d) == [
-                state[:3] + state[4:] for state in lifted], (b, d)
+            # the integer walk meets the oracle's Fraction states at x exactly
+            for x in _points(p, d):
+                def value(f, x=x):
+                    return sum(f.coeff(k) * v for k, v in zip(keys, x))
+
+                assert _int_walk(p, d, x) == [_at(s, value) for s in states], (b, d, x)
             roots += 1
     assert roots == 397
 
@@ -1324,24 +1317,10 @@ def _row_walk(
     raise OrbitEscape(f"descent from {format_dim_string(d)} exceeded {bound} steps")
 
 
-def _row_lift_state(state: tuple, first: bool) -> tuple:
-    """(d0, dims, tops, columns, gamma) of a state of `_row_walk`, as
-    `_substituted_states` gives it."""
-    d0, dims, forms, gamma, reduced = state
-    tops = tuple(b[-1] for b in reduced)
-    if first:  # the lift never leaves the starting state
-        return d0, dims, tops, (), ()
-    columns = []
-    for b, branch in zip(dims, forms):
-        suffix = list(accumulate(reversed(branch), add))[::-1]
-        counts = [e - prev for prev, e in zip((0,) + b, b)]
-        columns.append(tuple((tuple(r), c) for r, c in zip(suffix, counts) if c))
-    return d0, dims, tops, tuple(columns), tuple(gamma)
-
-
 def test_engine_matches_the_row_walk_oracle():
-    """Rows, trace steps and substituted states of the engine equal those
-    of the whole walk, and the walks of a shape share few descents."""
+    """Rows and trace steps of the engine equal those of the whole walk,
+    the integer walk meets its states at integer points, and the walks of
+    a shape share few descents."""
     derive._descent.cache_clear()
     walks = 0
     for b in _WALK_SHAPES + [(16, 1, 1)]:
@@ -1355,8 +1334,9 @@ def test_engine_matches_the_row_walk_oracle():
             assert list(trace.steps[:-1]) == expected, (b, d)
             compiled = _criterion.__wrapped__(p, d)
             assert compiled.conditions == tuple(conditions), (b, d)
-            assert _substituted_states(compiled, d) == [
-                _row_lift_state(s, k == 0) for k, s in enumerate(states)], (b, d)
+            for x in _points(p, d):
+                expected = [_at(s, lambda r, x=x: _dot(r, x)) for s in states]
+                assert _int_walk(p, d, x) == expected, (b, d, x)
             walks += 1
     assert walks == 397 + 204
     assert derive._descent.cache_info().currsize < walks // 3
@@ -1378,34 +1358,44 @@ def _first_pass_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_first_pass_points())
-def test_point_is_the_substitution_read_backwards(case):
-    """For every row of d's descent (its conditions, and the branch and
-    gamma rows of every state) and every integer point x, the row at
-    point(x) equals its substitution at x."""
+def test_integer_walk_is_the_row_walk_at_the_point(case):
+    """`_walk` from d on the integers of a point x equals, state by state
+    and pass by pass, `_walk` from d on full-width unit rows, each row
+    dotted with x: the walk is linear in its forms."""
     p, d, x = case
-    c = _criterion(p, d)
-    conditions, _, states = c.descent
-    rows = [row for row, _ in conditions]
-    for state in states:
-        rows += [*chain.from_iterable(state[2]), state[3]]
-    y = c.point(x)
-    assert all(_dot(row, y) == _dot(c.lift(row), x) for row in rows), (p, d, x)
+    zero = (0,) * p.n
+    units = iter(_Row(zero[:i] + (1,) + zero[i:]) for i in range(p.n + 1))
+    forms = tuple(tuple(next(units) for _ in range(k)) for k in p.branches)
+    entries = iter(x)
+    values = tuple(tuple(islice(entries, k)) for k in p.branches)
+    bound = _root_count(p.branches)
+    walked = list(derive._walk(d.d0, d.branches, values, x[-1], bound))
+    rows = list(derive._walk(d.d0, d.branches, forms, next(units), bound))
+    assert len(walked) == len(rows), (p, d)
+
+    def value(r):
+        return _dot(r, x)
+
+    for (state, reduced), (row_state, row_reduced) in zip(walked, rows):
+        assert state == _at(row_state, value), (p, d, x)
+        assert reduced == _at((None, *row_reduced), value)[1:], (p, d, x)
 
 
 def test_one_compile_per_dimension_vector(monkeypatch):
     """derive_conditions, _table_row, check_weight and unitarize on one
     cleared (p, d) miss `_criterion` once between them, and the first
-    reduction pass on d's bitmasks (gamma 0) runs once."""
+    reduction pass on d's bitmasks (gamma 0) runs once.  The lift's walk
+    on the weight's integers, from d with gamma positive, is no compile."""
     from posetrep import numeric
 
     p = make_poset([2, 2, 1])
     d = parse_dim_string("1,2;1,2;2;3")
-    passes = []
+    passes, replays = [], []
     reduce = derive._reduce
 
     def counting(d0, dims, forms, gamma):
-        if gamma == 0:  # a descent's gamma is a row, never the int 0
-            passes.append(dims)
+        if type(gamma) is int:  # a compiled descent's gamma is a _Row
+            (passes if gamma == 0 else replays).append(dims)
         return reduce(d0, dims, forms, gamma)
 
     monkeypatch.setattr(derive, "_reduce", counting)
@@ -1419,6 +1409,7 @@ def test_one_compile_per_dimension_vector(monkeypatch):
     info = _criterion.cache_info()
     assert (info.misses, info.currsize) == (1, 1) and info.hits >= 4
     assert passes == [d.branches]
+    assert replays[0] == d.branches and len(replays) > 1
 
 
 # --- one integer row per condition: a LinearForm only where one is returned --

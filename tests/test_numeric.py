@@ -258,14 +258,28 @@ def test_non_root_exact_reject():
 
 
 def test_lift_checks_column_weights_exactly():
-    from posetrep.derive import OrbitEscape
-    from posetrep.numeric import _lift
+    from posetrep.derive import OrbitEscape, _walk
+    from posetrep.numeric import _column_weights_exact, _lift
+    from posetrep.roots import _root_count
 
     p = make_poset([2, 2, 1])
     d = parse_dim_string("0,1;0,1;1;2")
     with pytest.raises(OrbitEscape, match="column weight"):
         # g < b2 + d fails
         _lift(p, d, *_integer_point(parse_weight_string("1,4/3;1,1/3;1/3;1")))
+
+    # the first transformed state keeps its column weights in (0, g), the
+    # second does not
+    d = parse_dim_string("1,2;1,2;2;3")
+    x, scale = _integer_point(parse_weight_string("4/3,2/3;4/3,1/3;4/3;22/9"))
+    forms = (tuple(x[0:2]), tuple(x[2:4]), (x[4],))
+    states = [s for s, _ in _walk(d.d0, d.branches, forms, x[-1], _root_count(p.branches))]
+    assert len(states) == 3
+    _column_weights_exact(states[1], scale, d)
+    for fails in (lambda: _column_weights_exact(states[2], scale, d),
+                  lambda: _lift(p, d, x, scale)):
+        with pytest.raises(OrbitEscape, match="column weight"):
+            fails()
 
 
 def test_weight_scaled_to_integers_once(monkeypatch):

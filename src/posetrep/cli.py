@@ -40,7 +40,7 @@ from .coxeter import (
     rho_dim,
     sigma_dim,
 )
-from .roots import enumerate_indec_dims
+from .roots import _require_size, enumerate_indec_dims
 
 VERDICT_ERRORS = (NonPositiveWeight, NegativeEntry)
 
@@ -113,14 +113,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_conditions(args) -> int:
     p = _poset(args.poset)
     d = _dim(p, args.dim)
+    # under --raw the walk's rows, otherwise a table's row
+    conditions = (derive._raw_conditions if args.raw else derive._table_row)(p, d)
     if args.trace:
-        conditions, trace = derive.derive_conditions(p, d)
-        if not args.raw:
-            conditions = derive.simplify(conditions)
-    elif args.raw:
-        conditions = derive._raw_conditions(p, d)  # no trace to print
-    else:
-        conditions = derive._table_row(p, d)  # a table's row, with no trace to print
+        trace = derive.derive_conditions(p, d)[1]
     if args.format == "json":
         out = {
             "poset": p.to_json(),
@@ -233,6 +229,7 @@ def _cmd_coxeter(args) -> int:
         raise PosetRepError(f"steps must be at least 1, got {args.steps}")
     if args.steps > MAX_STEPS:
         raise PosetRepError(f"steps must be at most {MAX_STEPS}, got {args.steps}")
+    _require_size(p)  # infinite type is accepted; a step's cost grows with the size
     if args.dim is not None:
         if args.op not in _DIM_OPS:
             raise PosetRepError(f"operation {args.op} does not act on dimension vectors")

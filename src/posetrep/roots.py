@@ -7,10 +7,9 @@ for a Dynkin graph the positive roots are exactly the nonzero x >= 0 with
 q(x) = 1 (Gabriel 1972), and |Phi+| has a closed form, so neither needs
 the roots.  The roots themselves are built height by height from the
 simple roots, polynomial in the number of vertices; posets above
-`MAX_ELEMENTS` elements are rejected.  They are built once per branch
-multiset, for the branches longest first; another order of the same
-branches permutes those roots.  The chain-monotone ones, sorted, are the
-dimension vectors `enumerate_indec_dims` reads, kept once per shape.
+`MAX_ELEMENTS` elements are rejected.  The chain-monotone ones, sorted,
+are the dimension vectors `enumerate_indec_dims` reads: the one root
+table, built and kept once per shape, for the branch order given.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 
 from .core import DimVector, PosetRepError, PrimitivePoset, ShapeMismatch, _chain_monotone
 
@@ -29,11 +27,10 @@ IntVector = tuple[int, ...]
 # root, so this keeps every enumeration to about a tenth of a second.
 MAX_ELEMENTS = 64
 
-# Most posets whose roots, and whose sorted chain-monotone roots, stay
-# cached: twice the 16 shapes one round of one-shot queries over every
-# finite-type family touches.  An entry holds up to 3.0 MB (the 4,160 roots
-# of (1,1,62)); both caches full of the largest shapes hold 61 MB
-# (tracemalloc), where an unbounded one grew with every shape visited.
+# Most posets whose sorted chain-monotone roots stay cached: twice the 16
+# shapes one round of one-shot queries over every finite-type family
+# touches.  The cache full of the largest shapes holds 30.4 MB (tracemalloc),
+# where an unbounded one grew with every shape visited.
 MAX_CACHED_POSETS = 32
 
 
@@ -88,6 +85,11 @@ def require_finite_type(p: PrimitivePoset) -> None:
     computes no root."""
     if not is_finite_type(p):
         raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
+    _require_size(p)
+
+
+def _require_size(p: PrimitivePoset) -> None:
+    """Raises PosetTooLarge above MAX_ELEMENTS elements, whatever the type."""
     if p.n > MAX_ELEMENTS:
         raise PosetTooLarge(
             f"poset {p.branches} has {p.n} elements; at most {MAX_ELEMENTS} are supported"
@@ -150,39 +152,16 @@ def _is_root(d0: int, chains: tuple[tuple[int, ...], ...]) -> bool:
     return q == 1
 
 
-@lru_cache(maxsize=MAX_CACHED_POSETS)
-def _positive_roots(branches: tuple[int, ...]) -> frozenset[IntVector]:
-    """The positive roots of the star graph of branches.  The closure runs
-    only for the canonical order, branches longest first; any other order
-    permutes the arm coordinate blocks of the canonical roots, which a
-    relabelling of the arms maps onto its own."""
-    p = PrimitivePoset(branches)
-    require_finite_type(p)
-    order = sorted(range(p.width), key=lambda j: -p.branches[j])
-    canonical = tuple(p.branches[j] for j in order)
-    if canonical == p.branches:
-        return _height_one_closure(p.branches)
-    starts = dict(zip(order, accumulate(canonical, initial=1)))
-    picks = [0]  # the centre, then each arm's block in its canonical place
-    for j, k in enumerate(p.branches):
-        picks.extend(range(starts[j], starts[j] + k))
-    return frozenset(map(itemgetter(*picks), _positive_roots(canonical)))
-
-
 def positive_roots(g: StarGraph) -> frozenset[IntVector]:
     """The positive roots of g, height by height from the simple roots, for
-    a poset within `require_finite_type`'s scope."""
-    return _positive_roots(g.poset.branches)
+    a poset within `require_finite_type`'s scope; not cached."""
+    require_finite_type(g.poset)
+    return _height_one_closure(g.poset.branches)
 
 
 def root_to_dim(p: PrimitivePoset, x: IntVector) -> DimVector:
     """Read root coordinates as a dimension vector (centre first)."""
-    branches = []
-    pos = 1
-    for k in p.branches:
-        branches.append(tuple(x[pos : pos + k]))
-        pos += k
-    return DimVector(x[0], tuple(branches))
+    return DimVector(x[0], tuple(x[a:b] for a, b in _chain_blocks(p.branches)))
 
 
 def dim_to_root(d: DimVector) -> IntVector:
@@ -197,10 +176,11 @@ def _chain_blocks(branches: tuple[int, ...]) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=MAX_CACHED_POSETS)
 def _indec_roots(branches: tuple[int, ...]) -> tuple[IntVector, ...]:
-    """The chain-monotone positive roots of branches, sorted: the root
-    tuples `_positive_roots` holds, scanned once per shape."""
+    """The chain-monotone positive roots of branches, sorted: the closure
+    of this branch order, scanned once per shape."""
+    require_finite_type(PrimitivePoset(branches))
     blocks = _chain_blocks(branches)
-    return tuple(x for x in sorted(_positive_roots(branches))
+    return tuple(x for x in sorted(_height_one_closure(branches))
                  if _chain_monotone(x[0], (x[a:b] for a, b in blocks)))
 
 

@@ -454,6 +454,24 @@ def test_coxeter_weight_and_symbolic(capsys):
     assert code == 2
 
 
+def test_coxeter_refuses_posets_above_max_elements(capsys):
+    """Every mode refuses more than 64 elements with one line, before any
+    step; infinite type stays accepted, and 64 elements run all 1,000 steps."""
+    chain = ",".join(["1"] * 65)
+    for mode in (["--op", "fminus", "--dim", chain + ";1"],
+                 ["--op", "phiminus", "--weight", chain + ";2"],
+                 ["--op", "phiminus", "--symbolic"]):
+        code, out, err = _run(capsys, "coxeter", "--poset", "65", *mode, "--steps", "1000")
+        assert (code, out) == (1, "")
+        assert err == "error: poset (65,) has 65 elements; at most 64 are supported\n"
+    code, out, _ = _run(capsys, "coxeter", "--op", "phiminus", "--poset", "64",
+                        "--symbolic", "--steps", "1000")
+    assert code == 0 and len(out.splitlines()) == 1000
+    code, out, _ = _run(capsys, "coxeter", "--op", "phiminus", "--poset", "1,1,1,1",
+                        "--symbolic", "--steps", "3")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_coxeter_requires_exactly_one_input(capsys):
     code, _, err = _run(capsys, "coxeter", "--op", "sigma", "--poset", "1,1,1")
     assert code == 1
@@ -665,6 +683,62 @@ def test_every_private_module_name_is_read():
     unread = [(module, name) for module, name, node in defined
               if not any(name in read for other, read in loads if other is not node)]
     assert len(defined) > 80 and not unread, unread
+
+
+def test_every_cache_is_bounded():
+    """Every `functools.lru_cache` of the package names its maxsize, an int
+    literal or a module-level int constant, and the unbounded
+    `functools.cache` holds only functions without arguments, whose one
+    entry is bounded by itself.  A cache used other than as a decorator
+    fails, as its bound cannot be read here.  The inventory names each
+    cached function, so a new cache is a deliberate change."""
+    found, unbounded = [], []
+    for path in sorted(Path(posetrep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        kinds = {"functools.lru_cache": "lru_cache", "functools.cache": "cache"}
+        constants = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                kinds.update({a.asname or a.name: a.name for a in node.names})
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                  and type(node.value.value) is int):
+                constants.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        kinds = {k: v for k, v in kinds.items() if v in ("lru_cache", "cache")}
+        uses = sum(isinstance(n, (ast.Name, ast.Attribute)) and ast.unparse(n) in kinds
+                   for n in ast.walk(tree))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                kind = kinds.get(ast.unparse(call.func if call else dec))
+                if kind is None:
+                    continue
+                uses -= 1
+                found.append((path.name, node.name))
+                if kind == "lru_cache":
+                    size = call and ([k.value for k in call.keywords if k.arg == "maxsize"]
+                                     or call.args[:1])
+                    bounded = bool(size) and (
+                        isinstance(size[0], ast.Constant) and type(size[0].value) is int
+                        or isinstance(size[0], ast.Name) and size[0].id in constants)
+                else:
+                    a = node.args
+                    bounded = not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs
+                                   or a.kwarg)
+                if not bounded:
+                    unbounded.append((path.name, node.name))
+        if uses:
+            unbounded.append((path.name, f"{uses} cache(s) not used as a decorator"))
+    assert not unbounded, unbounded
+    assert sorted(found) == [
+        ("cli.py", "_shared_parser"),
+        ("core.py", "_names"),
+        ("core.py", "key_order"),
+        ("derive.py", "_criterion"),
+        ("derive.py", "_descent"),
+        ("roots.py", "_indec_roots"),
+    ]
 
 
 def _run_optimized(*argv):

@@ -79,8 +79,8 @@ from posetrep.derive import (
 from posetrep.roots import (
     FiniteTypeRequired,
     PosetTooLarge,
+    _indec_roots,
     _is_root,
-    _positive_roots,
     _root_count,
     dim_to_root,
     enumerate_indec_dims,
@@ -1156,8 +1156,8 @@ def _oracle_walk(
     form, reduced dims) as it stood before its reduction pass."""
     if not is_finite_type(p):
         raise FiniteTypeRequired(f"poset {p.branches} has infinite type")
-    # the cached root set checks MAX_ELEMENTS before building any graph
-    roots = _positive_roots(p.branches)
+    # the cached root table checks MAX_ELEMENTS before building any graph
+    roots = set(_indec_roots(p.branches))
     if not (d.fits(p) and d.is_admissible(p) and dim_to_root(d) in roots):
         raise NotInEnumeration(
             f"{d} is not an indecomposable dimension vector of {p.branches}"

@@ -421,14 +421,14 @@ def test_admissible_roots_on_a_trace_hyperplane_are_independent():
 
     from posetrep import linalg
     from posetrep.derive import _criterion
-    from posetrep.roots import _positive_roots, root_to_dim
+    from posetrep.roots import _height_one_closure, root_to_dim
 
     largest = {}
     for branches, values in [((1, 1, 1), range(1, 6)), ((2, 1, 1), range(1, 4)),
                              ((2, 2), range(1, 5)), ((3, 3), (1, 2)), ((5, 1, 1), (1, 2)),
                              ((2, 2, 1), (1, 2, 3)), ((3, 2, 1), (1, 2)), ((4, 2, 1), (1, 2))]:
         p = make_poset(branches)
-        roots = [(r, _criterion(p, root_to_dim(p, r))) for r in _positive_roots(branches)
+        roots = [(r, _criterion(p, root_to_dim(p, r))) for r in _height_one_closure(branches)
                  if r[0] >= 1 and root_to_dim(p, r).is_admissible(p)]
         largest[branches] = 0
         for flat in itertools.product(values, repeat=p.n):

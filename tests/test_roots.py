@@ -18,7 +18,6 @@ from posetrep.roots import (
     _indec_roots,
     _is_root,
     _root_count,
-    _positive_roots,
     dim_to_root,
     enumerate_indec_dims,
     is_finite_type,
@@ -172,19 +171,19 @@ def test_positive_roots_rejects_non_dynkin():
 
 def test_require_finite_type_order_and_no_roots():
     """Infinite type is named before size, and the check computes no root."""
-    before = _positive_roots.cache_info()
+    before = _indec_roots.cache_info()
     require_finite_type(make_poset([40, 24]))  # 64 elements
     with pytest.raises(PosetTooLarge, match=r"^poset \(40, 30\) has 70 elements"):
         require_finite_type(make_poset([40, 30]))
     with pytest.raises(FiniteTypeRequired, match=r"^poset \(40, 30, 1\) has infinite type$"):
         require_finite_type(make_poset([40, 30, 1]))
-    assert _positive_roots.cache_info() == before
+    assert _indec_roots.cache_info() == before
 
 
-def test_one_closure_per_branch_multiset(monkeypatch):
-    """The closure runs once per branch multiset, for the branches longest
-    first; every other order gets the closure of its own star graph by
-    permuting the arm blocks of those roots."""
+def test_one_closure_per_branch_order(monkeypatch):
+    """Each branch order builds its own closure once, on an empty root table,
+    and a second enumeration builds none; each table is the oracle's
+    chain-monotone roots in enumeration order."""
     closure = roots_module._height_one_closure
     calls = []
 
@@ -193,35 +192,32 @@ def test_one_closure_per_branch_multiset(monkeypatch):
         return closure(branches)
 
     monkeypatch.setattr(roots_module, "_height_one_closure", counting_closure)
-    _positive_roots.cache_clear()
-    orders = [(4, 2, 1), (1, 2, 4), (2, 4, 1), (1, 4, 2), (1, 5, 1), (1, 1, 5), (2, 7), (7, 2)]
-    for b in orders:
-        assert _positive_roots(b) == _oracle(b), b
-    assert calls == [(4, 2, 1), (5, 1, 1), (7, 2)]
-    _positive_roots.cache_clear()
+    for b in [(4, 2, 1), (1, 2, 4), (2, 4, 1)]:
+        p = make_poset(b)
+        _indec_roots.cache_clear()
+        calls.clear()
+        first = enumerate_indec_dims(p)
+        assert calls == [b]
+        assert enumerate_indec_dims(p) == first
+        assert calls == [b]
+        assert [dim_to_root(d) for d in first] == sorted(
+            x for x in _oracle(b) if root_to_dim(p, x).is_admissible(p)), b
+    _indec_roots.cache_clear()
 
 
 def test_root_cache_is_bounded():
-    """The cache holds at most MAX_CACHED_POSETS shapes, at least the 16
-    that one round of one-shot queries touches, and keeps the most recent;
-    so does the cache of sorted chain-monotone roots, and `cache_clear`
-    empties each."""
-    assert _positive_roots.cache_info().maxsize == MAX_CACHED_POSETS >= 16
+    """The root table holds at most MAX_CACHED_POSETS shapes, at least the 16
+    that one round of one-shot queries touches, keeps the most recent, and
+    `cache_clear` empties it."""
+    assert _indec_roots.cache_info().maxsize == MAX_CACHED_POSETS >= 16
     chains = [(k,) for k in range(1, MAX_CACHED_POSETS + 2)]
-    for b in chains:
-        _positive_roots(b)
-    assert _positive_roots.cache_info().currsize == MAX_CACHED_POSETS
-    hits = _positive_roots.cache_info().hits
-    _positive_roots(chains[-1])
-    assert _positive_roots.cache_info().hits == hits + 1
-    _positive_roots.cache_clear()
-    assert _positive_roots.cache_info().currsize == 0
-    assert _indec_roots.cache_info().maxsize == MAX_CACHED_POSETS
     for b in chains:
         enumerate_indec_dims(make_poset(b))
     assert _indec_roots.cache_info().currsize == MAX_CACHED_POSETS
+    hits = _indec_roots.cache_info().hits
+    enumerate_indec_dims(make_poset(chains[-1]))
+    assert _indec_roots.cache_info().hits == hits + 1
     _indec_roots.cache_clear()
-    _positive_roots.cache_clear()
     assert _indec_roots.cache_info().currsize == 0
 
 
@@ -264,7 +260,7 @@ def test_root_count_closed_form():
 
 
 def _cleared_caches():
-    for cache in (_positive_roots, _indec_roots, _criterion):
+    for cache in (_indec_roots, _criterion):
         cache.cache_clear()
 
 
@@ -285,13 +281,13 @@ def test_single_row_queries_build_no_root(monkeypatch):
     _cleared_caches()
     assert unitarize(p, d, w).residual <= 1e-8
     assert calls == []
-    assert _positive_roots.cache_info().currsize == 0
+    assert _indec_roots.cache_info().currsize == 0
     _cleared_caches()
 
 
 def test_enumeration_scans_each_shape_once(monkeypatch):
     """Two enumerations of one shape test chain-monotonicity once per root,
-    and the kept roots are the tuples the root set holds."""
+    and read the root table's tuples."""
     scans = []
     monotone = roots_module._chain_monotone
     monkeypatch.setattr(roots_module, "_chain_monotone",
@@ -301,8 +297,7 @@ def test_enumeration_scans_each_shape_once(monkeypatch):
     first = enumerate_indec_dims(p)
     assert enumerate_indec_dims(p) == first
     assert len(scans) == _root_count((4, 2, 1)) == 120
-    held = {id(x) for x in _positive_roots((4, 2, 1))}
-    assert all(id(x) in held for x in _indec_roots((4, 2, 1)))
+    assert [dim_to_root(d) for d in first] == list(_indec_roots((4, 2, 1)))
     _cleared_caches()
 
 
